@@ -13,13 +13,13 @@ from .term import (
 from .rewrite import (
     NormalForm, RewriteTrace, Rewriter, assoc_right, base_reduce, cancel_zero,
     contract_inner, dagger_push, distribute, gate_reduce, mult_kron,
-    normalize_operator, operate_reduce, render_nf, replay, unified_base,
+    operate_reduce, render_nf, replay, unified_base,
 )
 from .oracle import (
-    DenseMatrix, ObsResult, SampleEnv, eval_dense, mat_equiv, obs_equiv, trace_dense,
+    DenseMatrix, ObsResult, SampleEnv, eval_dense, mat_equiv, obs_equiv,
 )
 from .quantum import (
-    MixedState, density, mea_mix, mix_equal, probability, pure_mix, super_,
+    MixedState, density, eval_mix, mea_mix, mix_equal, probability, pure_mix, super_,
     super_reduce, sym_trace, total_mass, unit_mix,
 )
 from .parser import parse, parse_mixed, parse_scalar

@@ -97,8 +97,7 @@ def _run_dense(data: list[CaseData], seed: int) -> None:
             mat_equiv(d.lhs, d.rhs, seed=seed, norm_pairs=d.hyps)
 
 
-def bench_case(name: str, repeat: int = 5, seed: int = 42,
-               dense_limit: int = DENSE_DIM_LIMIT) -> BenchRow:
+def bench_case(name: str, repeat: int = 5, seed: int = 42) -> BenchRow:
     data = load_case(name)
     sym_times = []
     for _ in range(repeat):
@@ -108,7 +107,7 @@ def bench_case(name: str, repeat: int = 5, seed: int = 42,
     max_dim = max(
         (max(d.lhs.rows, d.lhs.cols, d.rhs.rows, d.rhs.cols) for d in data), default=0
     )
-    if max_dim > dense_limit:
+    if max_dim > DENSE_DIM_LIMIT:
         return BenchRow(name, statistics.median(sym_times), None,
                         f"skipped (dim {max_dim})")
     dense_times = []

@@ -76,7 +76,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = RunConfig(tol=args.tol, samples=args.samples, seed=args.seed,
-                    oracle=args.oracle == "on", timings=args.timings)
+                    oracle=args.oracle == "on")
     reports = [run_file(path, cfg) for path in args.files]
     if args.json:
         doc = {

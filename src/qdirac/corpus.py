@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ParseError, QDiracError
 from .oracle import (
@@ -25,9 +24,8 @@ from .oracle import (
     mat_equiv, obs_equiv,
 )
 from .parser import Parser
-from .quantum import MixedState, mix_equal
-from .rewrite import NormalForm, Rewriter, render_nf
-from .scalar import Scalar
+from .quantum import eval_mix, mix_equal, sym_mix_equal
+from .rewrite import NormalForm, Rewriter, constant_ratio, render_nf
 from .term import Term
 
 KINDS = ("EQ", "MATEQ", "OBS", "MIXEQ")
@@ -53,6 +51,7 @@ def parse_corpus(text: str) -> CorpusFile:
     defs: list[tuple[str, str]] = []
     assertions: list[Assertion] = []
     hyps: list[tuple[str, str]] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         # '#' is the tensor operator, so comments are whole-line only
@@ -84,8 +83,12 @@ def parse_corpus(text: str) -> CorpusFile:
         if "==" not in body:
             raise ParseError("assertion needs '=='", lineno, 1)
         lhs, rhs = body.split("==", 1)
+        name = name.strip()
+        if name in seen:
+            raise ParseError(f"duplicate assertion name {name!r}", lineno, 1)
+        seen.add(name)
         assertions.append(
-            Assertion(name.strip(), kind, lhs.strip(), rhs.strip(), tuple(hyps), lineno)
+            Assertion(name, kind, lhs.strip(), rhs.strip(), tuple(hyps), lineno)
         )
     return CorpusFile(defs, assertions)
 
@@ -104,9 +107,6 @@ class RunConfig:
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     oracle: bool = True
-    timings: bool = False
-    trace_dir: Optional[str] = None
-    dense_limit: int = DENSE_DIM_LIMIT
 
 
 @dataclass
@@ -119,7 +119,6 @@ class AssertionResult:
     steps: int = 0
     witness: str = ""
     oracle_note: str = ""
-    trace_path: str = ""
 
     def as_json_dict(self, timings: bool) -> dict:
         out = {
@@ -154,48 +153,12 @@ class RunReport:
         return p, f, e
 
 
-def _apply_hyp_nf(nf: NormalForm, hyps) -> NormalForm:
-    if not hyps:
-        return nf
-    return nf.map_scalars(lambda s: s.apply_norm_hypothesis(hyps))
-
-
 def _sym_obs_equal(a: NormalForm, b: NormalForm) -> bool:
     """Proportionality by a unit-modulus constant, decided exactly."""
-    if a.is_zero() and b.is_zero():
-        return True
-    if a.is_zero() or b.is_zero() or len(a.summands) != len(b.summands):
-        return False
-    if any(fa != fb for (_, fa), (_, fb) in zip(a.summands, b.summands)):
-        return False
-    try:
-        ratios = {
-            sb * sa.reciprocal() for (sa, _), (sb, _) in zip(a.summands, b.summands)
-        }
-    except QDiracError:
-        return False
-    if len(ratios) != 1:
-        return False
-    c = ratios.pop()
-    return (c * c.conj()).is_one()
-
-
-def _sym_mix_equal(a: MixedState, b: MixedState, hyps, rewriter: Rewriter) -> bool:
-    if len(a.branches) != len(b.branches):
-        return False
-    for (pa, oa), (pb, ob) in zip(a.branches, b.branches):
-        diff = pa - pb
-        if hyps:
-            diff = diff.apply_norm_hypothesis(hyps)
-        if not diff.is_zero():
-            return False
-        if oa.dims != ob.dims:
-            return False
-        nfa = _apply_hyp_nf(rewriter.normalize(oa), hyps)
-        nfb = _apply_hyp_nf(rewriter.normalize(ob), hyps)
-        if nfa != nfb:
-            return False
-    return True
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    c = constant_ratio(a.summands, b.summands)
+    return c is not None and (c * c.conj()).is_one()
 
 
 def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> AssertionResult:
@@ -204,16 +167,16 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
     try:
         t0 = time.perf_counter()
         if a.kind == "MIXEQ":
-            lhs = _parse_mix(a.lhs, defs, a.hypotheses)
-            rhs = _parse_mix(a.rhs, defs, a.hypotheses)
-            sym_ok = _sym_mix_equal(lhs, rhs, a.hypotheses, rewriter)
+            lhs = eval_mix(Parser(a.lhs, defs).parse_mixed(), a.hypotheses)
+            rhs = eval_mix(Parser(a.rhs, defs).parse_mixed(), a.hypotheses)
+            sym_ok = sym_mix_equal(lhs, rhs, a.hypotheses, rewriter)
             if not sym_ok:
                 res.witness = f"mixed states differ: [{lhs}] vs [{rhs}]"
         else:
             lhs = Parser(a.lhs, defs).parse_term()
             rhs = Parser(a.rhs, defs).parse_term()
-            nf_l = _apply_hyp_nf(rewriter.normalize(lhs), a.hypotheses)
-            nf_r = _apply_hyp_nf(rewriter.normalize(rhs), a.hypotheses)
+            nf_l = rewriter.normalize(lhs).apply_norm_hypothesis(a.hypotheses)
+            nf_r = rewriter.normalize(rhs).apply_norm_hypothesis(a.hypotheses)
             if a.kind == "OBS":
                 sym_ok = _sym_obs_equal(nf_l, nf_r)
             else:
@@ -228,7 +191,7 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
             t1 = time.perf_counter()
             if a.kind == "MIXEQ":
                 dim = lhs.dims[0] if lhs.branches else 0
-                if dim > cfg.dense_limit:
+                if dim > DENSE_DIM_LIMIT:
                     res.oracle_note = f"skipped (dim {dim})"
                 else:
                     oracle_ok = mix_equal(
@@ -239,7 +202,7 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
                         res.witness = "oracle refutes mixed-state equality"
             else:
                 dim = max(lhs.rows, lhs.cols, rhs.rows, rhs.cols)
-                if dim > cfg.dense_limit:
+                if dim > DENSE_DIM_LIMIT:
                     res.oracle_note = f"skipped (dim {dim})"
                 elif a.kind == "OBS":
                     obs = obs_equiv(lhs, rhs, samples=cfg.samples, tol=cfg.tol,
@@ -259,12 +222,6 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
         res.verdict = "error"
         res.witness = f"{type(exc).__name__}: {exc}"
     return res
-
-
-def _parse_mix(src: str, defs, hyps) -> MixedState:
-    p = Parser(src, defs)
-    p.norm_pairs = hyps
-    return p.parse_mixed()
 
 
 def run_file(path: str, cfg: RunConfig | None = None) -> RunReport:

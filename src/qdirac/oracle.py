@@ -303,7 +303,3 @@ def obs_equiv(a: Term, b: Term, samples: Optional[int] = None,
         elif abs(phase - c) > 10 * tol:
             return ObsResult(False, witness=(i, j, xa, xb))
     return ObsResult(True, phase=phase if phase is not None else 1 + 0j)
-
-
-def trace_dense(m: DenseMatrix) -> complex:
-    return m.trace()

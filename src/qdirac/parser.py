@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError
-from .quantum import MixedState, density, super_
+from .quantum import MixExpr, MixedState, density, pure_mix, super_
 from .scalar import Scalar
 from .term import (
     Term, dag, gate, gate_names, identity, ket_string, kron, kron_n, mul, scale,
@@ -145,7 +145,7 @@ class Parser:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
         return t
 
-    def parse_mixed(self) -> MixedState:
+    def parse_mixed(self) -> MixExpr:
         m = self.parse_mix()
         tok = self.peek()
         if tok.kind != "eof":
@@ -185,7 +185,9 @@ class Parser:
                 self.next()
                 return scale(c, self.parse_scaled())
         except ParseError:
-            pass
+            # no term starts with a number, so the scalar's error stands
+            if self.tokens[save].kind == "num":
+                raise
         self.pos = save
         return self.parse_postfix()
 
@@ -320,7 +322,10 @@ class Parser:
             p = int(tok.text)
             if self.at_op("/"):
                 self.next()
+                den = self.peek()
                 q = self._num()
+                if q == 0:
+                    raise ParseError("division by zero", den.line, den.col)
                 return Scalar.rational(p, q)
             return Scalar.rational(p)
         if tok.kind == "ident":
@@ -366,8 +371,8 @@ class Parser:
         raise ParseError(f"expected a scalar, found {tok.text or 'end of input'}",
                          tok.line, tok.col)
 
-    # -- mixed-state grammar
-    def parse_mix(self) -> MixedState:
+    # -- mixed-state grammar: an unevaluated expression, see quantum.eval_mix
+    def parse_mix(self) -> MixExpr:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "[":
             self.next()
@@ -386,8 +391,7 @@ class Parser:
             self.expect_op(",")
             inner = self.parse_mix()
             self.expect_op(")")
-            from .quantum import mea_mix
-            return mea_mix(n, k, inner, norm_pairs=self.norm_pairs)
+            return ("meamix", n, k, inner)
         if tok.kind == "ident" and tok.text == "unitmix":
             self.next()
             self.expect_op("(")
@@ -395,14 +399,13 @@ class Parser:
             self.expect_op(",")
             inner = self.parse_mix()
             self.expect_op(")")
-            from .quantum import unit_mix
-            return unit_mix(u, inner, norm_pairs=self.norm_pairs)
+            return ("unitmix", u, inner)
         if tok.kind == "ident" and tok.text == "mix1":
             self.next()
             self.expect_op("(")
             op = self.parse_add()
             self.expect_op(")")
-            return MixedState(((Scalar.one(), op),))
+            return pure_mix(op)
         raise ParseError("expected a mixed state", tok.line, tok.col)
 
     def _branch(self) -> tuple[Scalar, Term]:
@@ -411,18 +414,13 @@ class Parser:
         op = self.parse_add()
         return p, op
 
-    norm_pairs: tuple[tuple[str, str], ...] = ()
-
 
 def parse(src: str, defs: Optional[dict[str, Term]] = None) -> Term:
     return Parser(src, defs).parse_term()
 
 
-def parse_mixed(src: str, defs: Optional[dict[str, Term]] = None,
-                norm_pairs: tuple[tuple[str, str], ...] = ()) -> MixedState:
-    p = Parser(src, defs)
-    p.norm_pairs = norm_pairs
-    return p.parse_mixed()
+def parse_mixed(src: str, defs: Optional[dict[str, Term]] = None) -> MixExpr:
+    return Parser(src, defs).parse_mixed()
 
 
 def parse_scalar(src: str) -> Scalar:

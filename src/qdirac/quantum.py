@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Union
 
 from .errors import (
     DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, PatternMismatch,
 )
 from .oracle import DEFAULT_SEED, DEFAULT_TOL, mat_equiv
-from .rewrite import (
-    F_KB, NormalForm, Rewriter, _factor_class, normalize_operator, operate_reduce,
-)
+from .rewrite import F_KB, NormalForm, Rewriter, _factor_class, operate_reduce
 from .scalar import Scalar
 from .term import Term, dag, gate, mul, render
 
@@ -40,14 +39,7 @@ def super_reduce(m: Term, psi: Term, norm_pairs: NormPairs = (),
         raise DimMismatch((m.rows, psi.rows), psi.dims, "super_reduce operand")
     rw = rewriter or Rewriter()
     v = operate_reduce(mul(m, psi), rewriter=rw).to_term()
-    nf = normalize_operator(mul(v, dag(v)), rewriter=rw)
-    return _apply_hyp(nf, norm_pairs)
-
-
-def _apply_hyp(nf: NormalForm, norm_pairs: NormPairs) -> NormalForm:
-    if not norm_pairs:
-        return nf
-    return nf.map_scalars(lambda s: s.apply_norm_hypothesis(norm_pairs))
+    return operate_reduce(mul(v, dag(v)), rewriter=rw).apply_norm_hypothesis(norm_pairs)
 
 
 def sym_trace(nf: NormalForm) -> Scalar:
@@ -67,8 +59,7 @@ def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = ()) -> Scalar:
     if m_op.rows != m_op.cols or m_op.cols != psi.rows:
         raise DimMismatch((psi.rows, psi.rows), m_op.dims, "measurement operator")
     expr = mul(dag(psi), mul(dag(m_op), mul(m_op, psi)))
-    value = operate_reduce(expr).as_scalar()
-    return value.apply_norm_hypothesis(norm_pairs) if norm_pairs else value
+    return operate_reduce(expr).as_scalar().apply_norm_hypothesis(norm_pairs)
 
 
 @dataclass(frozen=True)
@@ -93,14 +84,30 @@ class MixedState:
         return " ; ".join(f"{p} : {render(op)}" for p, op in self.branches)
 
 
+# A mixed-state expression as parsed: a MixedState leaf (`[...]`, `mix1`),
+# ("meamix", n, k, inner) or ("unitmix", u, inner).
+MixExpr = Union[MixedState, tuple]
+
+
 def pure_mix(op: Term) -> MixedState:
     return MixedState(((Scalar.one(), op),))
+
+
+def eval_mix(expr: MixExpr, norm_pairs: NormPairs = ()) -> MixedState:
+    """Fold a parsed mixed-state expression with mea_mix and unit_mix."""
+    if isinstance(expr, MixedState):
+        return expr
+    if expr[0] == "meamix":
+        _, n, k, inner = expr
+        return mea_mix(n, k, eval_mix(inner, norm_pairs), norm_pairs=norm_pairs)
+    _, u, inner = expr
+    return unit_mix(u, eval_mix(inner, norm_pairs), norm_pairs=norm_pairs)
 
 
 def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = ()) -> MixedState:
     out = []
     for p, op in m.branches:
-        nf = _apply_hyp(normalize_operator(super_(u, op)), norm_pairs)
+        nf = operate_reduce(super_(u, op)).apply_norm_hypothesis(norm_pairs)
         out.append((p, nf.to_term()))
     return MixedState(tuple(out))
 
@@ -113,15 +120,12 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = ()) -> MixedS
         for proj_name in ("Mea0", "Mea1"):
             proj = gate(proj_name, n, k)
             # projective, so tr(M rho M) = tr(M rho)
-            prob_nf = _apply_hyp(normalize_operator(mul(proj, rho)), norm_pairs)
-            branch_p = sym_trace(prob_nf)
-            if norm_pairs:
-                branch_p = branch_p.apply_norm_hypothesis(norm_pairs)
+            prob_nf = operate_reduce(mul(proj, rho)).apply_norm_hypothesis(norm_pairs)
+            branch_p = sym_trace(prob_nf).apply_norm_hypothesis(norm_pairs)
             if branch_p.is_zero():
                 continue
-            post_nf = _apply_hyp(
-                normalize_operator(mul(proj, mul(rho, proj))), norm_pairs
-            )
+            post_nf = operate_reduce(mul(proj, mul(rho, proj)))
+            post_nf = post_nf.apply_norm_hypothesis(norm_pairs)
             try:
                 inv = branch_p.reciprocal()
                 post_nf = post_nf.map_scalars(lambda s: s * inv)
@@ -135,38 +139,52 @@ def total_mass(m: MixedState, norm_pairs: NormPairs = ()) -> Scalar:
     total = Scalar.zero()
     for p, _ in m.branches:
         total = total + p
-    return total.apply_norm_hypothesis(norm_pairs) if norm_pairs else total
+    return total.apply_norm_hypothesis(norm_pairs)
 
 
 def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_TOL,
               seed: int = DEFAULT_SEED, norm_pairs: NormPairs = (),
               multiset: bool = False) -> bool:
-    """Ordered branchwise equality: exact probabilities, numeric operators."""
-    if len(a.branches) != len(b.branches):
-        return False
-    if multiset:
-        remaining = list(b.branches)
-        for branch in a.branches:
-            for i, other in enumerate(remaining):
-                if _branch_equal(branch, other, samples, tol, seed, norm_pairs):
-                    remaining.pop(i)
-                    break
-            else:
-                return False
-        return True
-    return all(
-        _branch_equal(x, y, samples, tol, seed, norm_pairs)
-        for x, y in zip(a.branches, b.branches)
+    """Branchwise equality: exact probabilities, numeric operators."""
+    return _branches_equal(
+        a, b, norm_pairs,
+        lambda x, y: mat_equiv(x, y, samples=samples, tol=tol, seed=seed,
+                               norm_pairs=norm_pairs),
+        multiset=multiset,
     )
 
 
-def _branch_equal(x, y, samples, tol, seed, norm_pairs) -> bool:
-    (pa, oa), (pb, ob) = x, y
-    diff = pa - pb
-    if norm_pairs:
-        diff = diff.apply_norm_hypothesis(norm_pairs)
-    if not diff.is_zero():
+def sym_mix_equal(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
+                  rewriter: Rewriter | None = None) -> bool:
+    """Ordered branchwise equality, operators compared by normal form."""
+    rw = rewriter or Rewriter()
+
+    def nf(t: Term) -> NormalForm:
+        return rw.normalize(t).apply_norm_hypothesis(norm_pairs)
+
+    return _branches_equal(a, b, norm_pairs, lambda x, y: nf(x) == nf(y))
+
+
+def _branches_equal(a: MixedState, b: MixedState, norm_pairs: NormPairs,
+                    ops_equal: Callable[[Term, Term], bool], multiset: bool = False) -> bool:
+    """Pair branches in order (or as multisets); paired branches need a zero
+    probability difference under the hypotheses, equal dims and ops_equal."""
+    if len(a.branches) != len(b.branches):
         return False
-    if oa.dims != ob.dims:
-        return False
-    return mat_equiv(oa, ob, samples=samples, tol=tol, seed=seed, norm_pairs=norm_pairs)
+
+    def same(x, y) -> bool:
+        (pa, oa), (pb, ob) = x, y
+        return ((pa - pb).apply_norm_hypothesis(norm_pairs).is_zero()
+                and oa.dims == ob.dims and ops_equal(oa, ob))
+
+    if not multiset:
+        return all(same(x, y) for x, y in zip(a.branches, b.branches))
+    remaining = list(b.branches)
+    for branch in a.branches:
+        for i, other in enumerate(remaining):
+            if same(branch, other):
+                remaining.pop(i)
+                break
+        else:
+            return False
+    return True

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .errors import FuelExhausted, NotInReducedShape
+from .errors import FuelExhausted, NonInvertibleScalar, NotInReducedShape
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
-    Term, add, dag, gate, identity, ket0, ket1, kron, kron_all, mul, render, scale, zero,
+    Term, add, dag, gate, identity, ket0, ket1, kron, kron_all, mul, render, render_scaled,
+    scale, zero,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -127,8 +128,26 @@ class NormalForm:
         return NormalForm(self.dims, tuple(sorted(((s, f) for f, s in items.items()),
                                                   key=lambda kv: kv[1])))
 
+    def apply_norm_hypothesis(self, pairs) -> "NormalForm":
+        """Rewrite every scalar under the hypotheses |a|^2 + |b|^2 = 1."""
+        if not pairs:
+            return self
+        return self.map_scalars(lambda s: s.apply_norm_hypothesis(pairs))
+
     def __str__(self):
         return render_nf(self)
+
+
+def constant_ratio(a, b) -> Optional[Scalar]:
+    """The c with b == c * a, if the summand sequences a and b have the same
+    factor tuples and one invertible ratio between their scalars."""
+    if len(a) != len(b) or any(fa != fb for (_, fa), (_, fb) in zip(a, b)):
+        return None
+    try:
+        ratios = {sb * sa.reciprocal() for (sa, _), (sb, _) in zip(a, b)}
+    except NonInvertibleScalar:
+        return None
+    return ratios.pop() if len(ratios) == 1 else None
 
 
 def _factor_term(f: int) -> Term:
@@ -329,12 +348,11 @@ class Rewriter:
     """Stateful driver: fuel accounting, optional trace, memoized reduction."""
 
     def __init__(self, groups=ALL_GROUPS, fuel: int = DEFAULT_FUEL,
-                 trace: RewriteTrace | None = None, use_tables: bool = True):
+                 trace: RewriteTrace | None = None):
         self.groups = frozenset(groups)
         self.fuel = fuel
         self.steps = 0
         self.trace = trace
-        self.use_tables = use_tables
         self._memo: dict[Term, Term] = {}
         self._sparse_memo: dict[Term, dict] = {}
 
@@ -376,15 +394,14 @@ class Rewriter:
                     return "L8", b
                 if b.kind == IDENT:
                     return "L8", a
-            if self.use_tables:
-                if "gate_db" in g:
-                    hit = G_TABLE.get((a, b))
-                    if hit is not None:
-                        return "G_db", hit
-                if "base_db" in g:
-                    hit = B_TABLE.get((a, b))
-                    if hit is not None:
-                        return "B_db", hit
+            if "gate_db" in g:
+                hit = G_TABLE.get((a, b))
+                if hit is not None:
+                    return "G_db", hit
+            if "base_db" in g:
+                hit = B_TABLE.get((a, b))
+                if hit is not None:
+                    return "B_db", hit
             if "contract" in g and a.kind == DAG and a.children[0].kind in (KET0, KET1):
                 bra_bit = 0 if a.children[0].kind == KET0 else 1
                 if b.kind in (KET0, KET1):
@@ -440,9 +457,6 @@ class Rewriter:
                     return "L9", a
             if "assoc" in g and a.kind == ADD:
                 return "L2", add(a.children[0], add(a.children[1], b))
-            if "distribute" in g and self.groups == frozenset({"distribute", "scale"}):
-                # standalone distribute() also pushes scalars through sums (L4)
-                pass
             return None
         return None
 
@@ -518,7 +532,7 @@ class Rewriter:
         return t
 
     def normalize(self, t: Term) -> NormalForm:
-        if self.trace is None and self.use_tables and self.groups == ALL_GROUPS:
+        if self.trace is None and self.groups == ALL_GROUPS:
             try:
                 return self._normalize_sparse(t)
             except _SparseUnsupported:
@@ -706,14 +720,8 @@ def operate_reduce(t: Term, fuel: int = DEFAULT_FUEL,
     return rw.normalize(t)
 
 
-def normalize_operator(t: Term, fuel: int = DEFAULT_FUEL,
-                       trace: RewriteTrace | None = None,
-                       rewriter: Rewriter | None = None) -> NormalForm:
-    return operate_reduce(t, fuel=fuel, trace=trace, rewriter=rewriter)
-
-
-def _pass(t: Term, groups, use_tables: bool = True) -> Term:
-    return Rewriter(groups=frozenset(groups), use_tables=use_tables).reduce(t)
+def _pass(t: Term, groups) -> Term:
+    return Rewriter(groups=frozenset(groups)).reduce(t)
 
 
 def contract_inner(t: Term) -> Term:
@@ -771,29 +779,27 @@ _STATES = {
 }
 
 
-def _state_nf(t: Term) -> NormalForm:
-    return Rewriter(use_tables=False).normalize(t)
+# Built by the sparse evaluator, which reads no G_db/B_db table.
+_STATE_NFS = [(token, t, Rewriter().normalize(t)) for token, t in _STATES.items()]
 
 
-_STATE_NFS = [(t, _state_nf(t)) for t in _STATES.values()]
+def _match_state(summands) -> Optional[tuple[str, Term, Scalar]]:
+    """(token, s, c) for the first single-qubit state s with
+    summands == c * normal form of s."""
+    for token, cand, cand_nf in _STATE_NFS:
+        c = constant_ratio(cand_nf.summands, summands)
+        if c is not None:
+            return token, cand, c
+    return None
 
 
 def _resugar_state(nf: NormalForm) -> Term:
     """Write a single-qubit normal form as c .* s with s in {|0>,|1>,|+>,|->}."""
-    if nf.is_zero():
-        return zero(*nf.dims)
-    for cand, cand_nf in _STATE_NFS:
-        if len(cand_nf.summands) != len(nf.summands):
-            continue
-        if any(f1 != f2 for (_, f1), (_, f2) in zip(cand_nf.summands, nf.summands)):
-            continue
-        ratios = {
-            s * cs.reciprocal() for (cs, _), (s, _) in zip(cand_nf.summands, nf.summands)
-        }
-        if len(ratios) == 1:
-            c = ratios.pop()
-            return cand if c.is_one() else scale(c, cand)
-    return nf.to_term()
+    hit = _match_state(nf.summands)
+    if hit is None:
+        return nf.to_term()
+    _, cand, c = hit
+    return cand if c.is_one() else scale(c, cand)
 
 
 def _init_tables():
@@ -801,12 +807,12 @@ def _init_tables():
     for name in ("X", "Y", "Z", "H"):
         body = gate(name)
         for s in states:
-            nf = _state_nf(mul(body, s))
+            nf = Rewriter().normalize(mul(body, s))
             G_TABLE[(body, s)] = _resugar_state(nf)
     for name in ("B0", "B1", "B2", "B3"):
         body = gate(name)
         for s in states:
-            nf = _state_nf(mul(body, s))
+            nf = Rewriter().normalize(mul(body, s))
             B_TABLE[(body, s)] = _resugar_state(nf)
 
 
@@ -839,24 +845,9 @@ def _factor_vector(summands) -> Optional[tuple[Scalar, list[str]]]:
     """Try to factor a ket normal form into single-qubit sugar tokens."""
     if not summands:
         return None
-    width = len(summands[0][1])
-    if width == 1:
-        for cand, cand_nf in _STATE_NFS:
-            if len(cand_nf.summands) != len(summands):
-                continue
-            if any(f1 != f2 for (_, f1), (s, f1_) in zip(cand_nf.summands, summands)
-                   for f2 in [f1_]):
-                continue
-            ratios = set()
-            for (cs, _), (s, _) in zip(cand_nf.summands, summands):
-                try:
-                    ratios.add(s * cs.reciprocal())
-                except Exception:
-                    return None
-            if len(ratios) == 1:
-                token = {id(v): k for k, v in _STATES.items()}[id(cand)]
-                return ratios.pop(), [token]
-        return None
+    if len(summands[0][1]) == 1:
+        hit = _match_state(summands)
+        return None if hit is None else (hit[2], [hit[0]])
     groups: dict[int, list] = {}
     for s, factors in summands:
         groups.setdefault(factors[0], []).append((s, factors[1:]))
@@ -874,7 +865,7 @@ def _factor_vector(summands) -> Optional[tuple[Scalar, list[str]]]:
         s0, s1 = r0[0], r1[0]
         try:
             ratio = s1 * s0.reciprocal()
-        except Exception:
+        except NonInvertibleScalar:
             return None
         if ratio.is_one():
             return s0 * _SQRT2_SCALAR, ["|+>"] + r0[1]
@@ -906,7 +897,7 @@ def render_nf(nf: NormalForm) -> str:
                 return body
             if len(tokens) > 1 and " # " in body:
                 body = f"({body})"
-            return f"{s} .* {body}" if len(s.terms) == 1 else f"({s}) .* {body}"
+            return render_scaled(s, body)
     parts = []
     for s, factors in nf.summands:
         if not factors:
@@ -919,9 +910,5 @@ def render_nf(nf: NormalForm) -> str:
             body = "<" + ",".join("01"[f - F_B0] for f in factors) + "|"
         else:
             body = " # ".join(_FACTOR_NAMES[f] for f in factors)
-        if s.is_one():
-            parts.append(body)
-        else:
-            s_str = str(s) if len(s.terms) == 1 and " + " not in str(s) else f"({s})"
-            parts.append(f"{s_str} .* {body}")
+        parts.append(body if s.is_one() else render_scaled(s, body))
     return " + ".join(parts)

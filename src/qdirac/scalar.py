@@ -257,16 +257,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self.terms == ((_EMPTY_MONO, C_ONE),)
 
-    def is_constant(self) -> bool:
-        return all(m == _EMPTY_MONO for m, _ in self.terms)
-
-    def constant_coeff(self) -> Coefficient:
-        """The coefficient of the empty monomial (the constant part)."""
-        for m, c in self.terms:
-            if m == _EMPTY_MONO:
-                return c
-        return C_ZERO
-
     def reciprocal(self) -> "Scalar":
         """Exact inverse; defined for nonzero constants and pure phase monomials."""
         if len(self.terms) != 1:
@@ -396,23 +386,3 @@ def _render_term(mono: Monomial, coeff: Coefficient) -> str:
 
 _S_ZERO = Scalar()
 _S_ONE = Scalar({_EMPTY_MONO: C_ONE})
-
-
-def s_add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def s_mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def s_conj(x: Scalar) -> Scalar:
-    return x.conj()
-
-
-def s_is_zero(x: Scalar) -> bool:
-    return x.is_zero()
-
-
-def s_eval(x: Scalar, env: Mapping[str, complex] | None = None) -> complex:
-    return x.evaluate(env)

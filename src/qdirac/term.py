@@ -8,8 +8,6 @@ well-formed terms to well-formed terms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ArityMismatch, DimMismatch, InvalidQubitIndex, UnknownGate
 from .scalar import Scalar
 
@@ -54,9 +52,6 @@ class Term:
     # Hash-consing makes identity coincide with structural equality.
     def __eq__(self, other):
         return self is other
-
-    def dagger(self) -> "Term":
-        return dag(self)
 
     def __repr__(self):
         return f"<{render(self)} : {self.rows}x{self.cols}>"
@@ -126,35 +121,6 @@ def kron_all(terms) -> Term:
     return out
 
 
-def recompute_dims(t: Term) -> tuple[int, int]:
-    """Recompute dims bottom-up, ignoring the cached values (debug checks)."""
-    if t.kind in (KET0, KET1):
-        return (2, 1)
-    if t.kind == ZERO:
-        return t.payload
-    if t.kind == IDENT:
-        return (t.payload, t.payload)
-    if t.kind == SCALE:
-        return recompute_dims(t.children[0])
-    if t.kind == MUL:
-        (ar, ac), (br, bc) = recompute_dims(t.children[0]), recompute_dims(t.children[1])
-        if ac != br:
-            raise DimMismatch(ac, br, "matmul inner dimension")
-        return (ar, bc)
-    if t.kind == ADD:
-        d0, d1 = recompute_dims(t.children[0]), recompute_dims(t.children[1])
-        if d0 != d1:
-            raise DimMismatch(d0, d1, "addition")
-        return d0
-    if t.kind == KRON:
-        (ar, ac), (br, bc) = recompute_dims(t.children[0]), recompute_dims(t.children[1])
-        return (ar * br, ac * bc)
-    if t.kind == DAG:
-        r, c = recompute_dims(t.children[0])
-        return (c, r)
-    raise ValueError(f"unknown node kind {t.kind}")
-
-
 # --- rendering ---------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_KRON, _PREC_SCALE, _PREC_ATOM = 0, 1, 2, 3, 4
@@ -182,10 +148,7 @@ def _render(t: Term, prec: int) -> str:
             return "<1|"
         return _wrap(_render(inner, _PREC_ATOM) + "^", _PREC_ATOM, prec)
     if t.kind == SCALE:
-        c = str(t.payload)
-        if len(t.payload.terms) > 1:
-            c = f"({c})"
-        body = f"{c} .* {_render(t.children[0], _PREC_SCALE)}"
+        body = render_scaled(t.payload, _render(t.children[0], _PREC_SCALE))
         return _wrap(body, _PREC_SCALE, prec)
     if t.kind == MUL:
         body = f"{_render(t.children[0], _PREC_MUL)} * {_render(t.children[1], _PREC_MUL)}"
@@ -197,6 +160,12 @@ def _render(t: Term, prec: int) -> str:
         body = f"{_render(t.children[0], _PREC_KRON)} # {_render(t.children[1], _PREC_KRON)}"
         return _wrap(body, _PREC_KRON, prec)
     raise ValueError(f"unknown node kind {t.kind}")
+
+
+def render_scaled(c: Scalar, body: str) -> str:
+    """`c .* body`, with c parenthesized when it renders as a sum."""
+    s = str(c)
+    return f"({s}) .* {body}" if " + " in s else f"{s} .* {body}"
 
 
 def _wrap(body: str, body_prec: int, ctx_prec: int) -> str:

@@ -11,7 +11,8 @@ from qdirac.term import (
     add, dag, gate, identity, ket0, ket1, kron, kron_all, mul, scale, zero,
 )
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+REPO_DIR = Path(__file__).resolve().parent.parent
+CORPUS_DIR = REPO_DIR / "corpus"
 
 _SINGLE_GATES = ("X", "Y", "Z", "H", "B0", "B1", "B2", "B3")
 _STATES_1Q = ("|0>", "|1>", "|+>", "|->")

@@ -10,7 +10,6 @@ import pytest
 from qdirac.errors import DimMismatch, NotSquare
 from qdirac.oracle import (
     DenseMatrix, SampleEnv, collect_atoms, eval_dense, mat_equiv, obs_equiv,
-    trace_dense,
 )
 from qdirac.scalar import Scalar
 from qdirac.term import (
@@ -129,12 +128,12 @@ def test_sampling_determinism():
 
 
 def test_trace_dense():
-    assert abs(trace_dense(eval_dense(gate("B0"))) - 1) <= TOL
-    assert abs(trace_dense(eval_dense(identity(4))) - 4) <= TOL
+    assert abs(eval_dense(gate("B0")).trace() - 1) <= TOL
+    assert abs(eval_dense(identity(4)).trace() - 4) <= TOL
     rho = mul(gate("ket_plus"), dag(gate("ket_plus")))
-    assert abs(trace_dense(eval_dense(rho)) - 1) <= TOL
+    assert abs(eval_dense(rho).trace() - 1) <= TOL
     with pytest.raises(NotSquare):
-        trace_dense(eval_dense(ket0()))
+        eval_dense(ket0()).trace()
 
 
 def test_dense_matrix_render_and_kron():

@@ -7,8 +7,10 @@ import json
 import pytest
 
 from qdirac.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
+from qdirac.corpus import parse_corpus
 from qdirac.errors import DimMismatch, ParseError
 from qdirac.parser import parse, parse_mixed, parse_scalar
+from qdirac.quantum import MixedState, eval_mix
 from qdirac.rewrite import Rewriter, render_nf
 from qdirac.scalar import Scalar
 from qdirac.term import (
@@ -58,10 +60,12 @@ def test_parse_scaled_terms():
 
 
 def test_parse_mixed_states():
-    m = parse_mixed("[1/2 : density(|0>) ; 1/2 : density(|1>)]")
+    m = eval_mix(parse_mixed("[1/2 : density(|0>) ; 1/2 : density(|1>)]"))
     assert len(m.branches) == 2
     assert m.branches[0][0] == Scalar.rational(1, 2)
-    m2 = parse_mixed("meamix(0, 0, mix1(density(|+>)))")
+    expr = parse_mixed("meamix(0, 0, mix1(density(|+>)))")
+    assert not isinstance(expr, MixedState)  # parsing evaluates nothing
+    m2 = eval_mix(expr)
     assert [p for p, _ in m2.branches] == [Scalar.rational(1, 2)] * 2
 
 
@@ -89,9 +93,14 @@ def test_round_trip_render_parse():
         scale(Scalar.inv_sqrt2(), add(ket0(), scale(Scalar.i(), ket1()))),
         dag(mul(gate("CX"), kron(gate("H"), identity(2)))),
         add(gate("B0"), scale(Scalar.phase("u"), gate("B3"))),
+        scale(Scalar.one() + Scalar.i(), ket0()),
+        parse("(i + 1/2*sqrt2) .* X"),
+        kron(scale(Scalar.i() - Scalar.var("a"), ket1()), gate("H")),
     ]
     for t in cases:
         assert nf(parse(render(t))) == nf(t), render(t)
+        assert nf(parse(render_nf(nf(t)))) == nf(t), render_nf(nf(t))
+    assert render_nf(nf(parse("(1 + i) .* |0>"))) == "(1 + i) .* |0>"
 
 
 def test_cli_normalize(capsys):
@@ -117,6 +126,18 @@ def test_cli_normalize_trace_and_json(capsys):
 def test_cli_normalize_bad_input(capsys):
     assert main(["normalize", "H * (("]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+    assert main(["normalize", "1/0 .* |0>"]) == EXIT_INPUT
+    assert "division by zero" in capsys.readouterr().err
+
+
+def test_duplicate_assertion_names_rejected(tmp_path, capsys):
+    with pytest.raises(ParseError) as exc:
+        parse_corpus("a: EQ X == X\nb: EQ Z == Z\na: EQ Y == Y\n")
+    assert exc.value.line == 3
+    p = tmp_path / "dup.qd"
+    p.write_text("a: EQ X == X\na: EQ Y == Y\n")
+    assert main(["check", str(p), "--json"]) == EXIT_INPUT
+    assert "duplicate assertion name 'a'" in capsys.readouterr().err
 
 
 def test_cli_check_passes(capsys):

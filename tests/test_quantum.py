@@ -12,7 +12,7 @@ from qdirac.quantum import (
     MixedState, density, mea_mix, mix_equal, probability, pure_mix,
     super_, super_reduce, sym_trace, total_mass, unit_mix,
 )
-from qdirac.rewrite import Rewriter, normalize_operator
+from qdirac.rewrite import Rewriter, operate_reduce
 from qdirac.scalar import Scalar
 from qdirac.term import (
     add, dag, gate, identity, ket0, ket1, ket_string, kron, mul, scale,
@@ -41,7 +41,7 @@ def test_super_reduce_matches_direct_normalization():
         psi = rand_state(rng, qubits, closed=True)
         m = rand_op(rng, qubits, closed=True)
         via_vector = super_reduce(m, psi)
-        direct = normalize_operator(super_(m, density(psi)))
+        direct = operate_reduce(super_(m, density(psi)))
         assert via_vector == direct, (repr(m), repr(psi))
 
 
@@ -51,8 +51,8 @@ def test_global_phase_vanishes_in_density():
     for _ in range(40):
         psi = rand_state(rng, rng.randint(1, 2), closed=True)
         phased = scale(Scalar.phase("u"), psi)
-        a = normalize_operator(density(phased), rewriter=rw)
-        b = normalize_operator(density(psi), rewriter=rw)
+        a = operate_reduce(density(phased), rewriter=rw)
+        b = operate_reduce(density(psi), rewriter=rw)
         assert a == b, repr(psi)
 
 
@@ -60,14 +60,14 @@ def test_measurement_projectivity():
     for n in range(3):
         for k in range(n + 1):
             m0 = gate("Mea0", n, k)
-            assert normalize_operator(mul(m0, m0)) == normalize_operator(m0), (n, k)
+            assert operate_reduce(mul(m0, m0)) == operate_reduce(m0), (n, k)
 
 
 def test_sym_trace_examples():
-    assert sym_trace(normalize_operator(gate("B0"))) == Scalar.one()
-    assert sym_trace(normalize_operator(identity(4))) == Scalar.rational(4)
-    assert sym_trace(normalize_operator(gate("X"))) == Scalar.zero()
-    rho = normalize_operator(density(gate("ket_plus")))
+    assert sym_trace(operate_reduce(gate("B0"))) == Scalar.one()
+    assert sym_trace(operate_reduce(identity(4))) == Scalar.rational(4)
+    assert sym_trace(operate_reduce(gate("X"))) == Scalar.zero()
+    rho = operate_reduce(density(gate("ket_plus")))
     assert sym_trace(rho) == Scalar.one()
     with pytest.raises(NotAnOperator):
         sym_trace(Rewriter().normalize(ket0()))

@@ -12,7 +12,7 @@ from qdirac.oracle import eval_dense, mat_equiv
 from qdirac.rewrite import (
     NormalForm, RewriteTrace, Rewriter, assoc_right, base_reduce, cancel_zero,
     contract_inner, dagger_push, distribute, gate_reduce, mult_kron,
-    normalize_operator, operate_reduce, render_nf, replay, unified_base,
+    operate_reduce, render_nf, replay, unified_base,
 )
 from qdirac.scalar import Scalar
 from qdirac.term import (
@@ -107,10 +107,10 @@ def test_operate_reduce_plus_minus_sugar():
 
 
 def test_normalize_operator_identities():
-    assert normalize_operator(mul(gate("X"), gate("X"))) == unified_base(identity(2))
+    assert operate_reduce(mul(gate("X"), gate("X"))) == unified_base(identity(2))
     hxh = mul(gate("H"), mul(gate("X"), gate("H")))
-    assert normalize_operator(hxh) == nf_of(gate("Z"))
-    assert normalize_operator(mul(gate("CX"), gate("CX"))) == unified_base(identity(4))
+    assert operate_reduce(hxh) == nf_of(gate("Z"))
+    assert operate_reduce(mul(gate("CX"), gate("CX"))) == unified_base(identity(4))
 
 
 def test_normal_form_invariants():
