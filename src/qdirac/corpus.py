@@ -8,8 +8,8 @@ File format, one statement per line:
     NAME: KIND <lhs> == <rhs>
 
 KIND is EQ (normal-form equality), MATEQ (numeric matrix equivalence),
-OBS (equality up to global phase) or MIXEQ (mixed-state equality).
-DEF names are usable in later lines; HYP declares a normalization
+OBS (equality up to one constant global phase) or MIXEQ (mixed-state
+equality).  DEF names are usable in later lines; HYP declares a normalization
 constraint |a|^2 + |b|^2 = 1 applied to every later assertion.
 """
 
@@ -25,7 +25,8 @@ from .oracle import (
 )
 from .parser import Parser
 from .quantum import eval_mix, mix_equal, sym_mix_equal
-from .rewrite import NormalForm, Rewriter, constant_ratio, render_nf
+from .rewrite import NormalForm, Rewriter, render_nf
+from .scalar import Scalar
 from .term import Term
 
 KINDS = ("EQ", "MATEQ", "OBS", "MIXEQ")
@@ -154,11 +155,19 @@ class RunReport:
 
 
 def _sym_obs_equal(a: NormalForm, b: NormalForm) -> bool:
-    """Proportionality by a unit-modulus constant, decided exactly."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    c = constant_ratio(a.summands, b.summands)
-    return c is not None and (c * c.conj()).is_one()
+    """b == c * a for one constant c with c * c^* == 1, decided exactly."""
+    if len(a.summands) != len(b.summands) or any(
+        fa != fb for (_, fa), (_, fb) in zip(a.summands, b.summands)
+    ):
+        return False
+    if a.is_zero():
+        return True
+    # a constant keeps every monomial, so it is the ratio of leading coefficients
+    (_, ca), (_, cb) = a.summands[0][0].terms[0], b.summands[0][0].terms[0]
+    c = Scalar.from_coeff(cb * ca.inverse())
+    return (c * c.conj()).is_one() and all(
+        sb == c * sa for (sa, _), (sb, _) in zip(a.summands, b.summands)
+    )
 
 
 def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> AssertionResult:

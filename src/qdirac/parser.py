@@ -185,8 +185,9 @@ class Parser:
                 self.next()
                 return scale(c, self.parse_scaled())
         except ParseError:
-            # no term starts with a number, so the scalar's error stands
-            if self.tokens[save].kind == "num":
+            # no term starts with a number or '-', so the scalar's error stands
+            first = self.tokens[save]
+            if first.kind == "num" or (first.kind == "op" and first.text == "-"):
                 raise
         self.pos = save
         return self.parse_postfix()

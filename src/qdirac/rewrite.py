@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .errors import FuelExhausted, NonInvertibleScalar, NotInReducedShape
+from .errors import FuelExhausted, NotInReducedShape
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
@@ -136,18 +136,6 @@ class NormalForm:
 
     def __str__(self):
         return render_nf(self)
-
-
-def constant_ratio(a, b) -> Optional[Scalar]:
-    """The c with b == c * a, if the summand sequences a and b have the same
-    factor tuples and one invertible ratio between their scalars."""
-    if len(a) != len(b) or any(fa != fb for (_, fa), (_, fb) in zip(a, b)):
-        return None
-    try:
-        ratios = {sb * sa.reciprocal() for (sa, _), (sb, _) in zip(a, b)}
-    except NonInvertibleScalar:
-        return None
-    return ratios.pop() if len(ratios) == 1 else None
 
 
 def _factor_term(f: int) -> Term:
@@ -713,11 +701,8 @@ def unified_base(t: Term) -> NormalForm:
 # --- public single-purpose passes and pipelines ------------------------
 
 
-def operate_reduce(t: Term, fuel: int = DEFAULT_FUEL,
-                   trace: RewriteTrace | None = None,
-                   rewriter: Rewriter | None = None) -> NormalForm:
-    rw = rewriter or Rewriter(fuel=fuel, trace=trace)
-    return rw.normalize(t)
+def operate_reduce(t: Term, rewriter: Rewriter | None = None) -> NormalForm:
+    return (rewriter or Rewriter()).normalize(t)
 
 
 def _pass(t: Term, groups) -> Term:
@@ -779,29 +764,55 @@ _STATES = {
 }
 
 
-# Built by the sparse evaluator, which reads no G_db/B_db table.
-_STATE_NFS = [(token, t, Rewriter().normalize(t)) for token, t in _STATES.items()]
+_SQRT2_SCALAR = Scalar.sqrt2()
 
 
-def _match_state(summands) -> Optional[tuple[str, Term, Scalar]]:
-    """(token, s, c) for the first single-qubit state s with
-    summands == c * normal form of s."""
-    for token, cand, cand_nf in _STATE_NFS:
-        c = constant_ratio(cand_nf.summands, summands)
-        if c is not None:
-            return token, cand, c
-    return None
+def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
+    """(c, tokens) with ket summands == c .* (t1 # ... # tn), each ti one of
+    |0>, |1>, |+>, |->; decided by comparing amplitudes, never by dividing."""
+    if not summands:
+        return None
+    s0, first = summands[0]
+    spread = [i for i in range(len(first)) if any(f[i] != first[i] for _, f in summands)]
+    k = len(spread)
+    if len(summands) != 1 << k:
+        return None
+    # The support is every bit combination on the spread positions, and
+    # canonical order counts through them in binary: summand j has bits j,
+    # so summand 2^(k-1-m) is the one with a 1 at spread[m] only.
+    tokens = ["|0>" if f == F_K0 else "|1>" for f in first]
+    neg = -s0
+    minus_mask = 0
+    for m, i in enumerate(spread):
+        bit = 1 << (k - 1 - m)
+        s = summands[bit][0]
+        if s == s0:
+            tokens[i] = "|+>"
+        elif s == neg:
+            tokens[i] = "|->"
+            minus_mask |= bit
+        else:
+            return None
+    # every amplitude is s0, negated once per |-> position holding a 1
+    for j, (s, _) in enumerate(summands):
+        if s != (neg if (j & minus_mask).bit_count() & 1 else s0):
+            return None
+    c = s0
+    for _ in spread:
+        c = c * _SQRT2_SCALAR
+    return c, tokens
 
 
 def _resugar_state(nf: NormalForm) -> Term:
     """Write a single-qubit normal form as c .* s with s in {|0>,|1>,|+>,|->}."""
-    hit = _match_state(nf.summands)
+    hit = _product_state(nf.summands)
     if hit is None:
         return nf.to_term()
-    _, cand, c = hit
-    return cand if c.is_one() else scale(c, cand)
+    c, (token,) = hit
+    return _STATES[token] if c.is_one() else scale(c, _STATES[token])
 
 
+# The sparse evaluator reads no G_db/B_db table, so it builds them.
 def _init_tables():
     states = list(_STATES.values())
     for name in ("X", "Y", "Z", "H"):
@@ -838,42 +849,6 @@ for _n in (2, 4, 8):
     _KNOWN_OPERATOR_NFS[_nf_key(unified_base(identity(_n)))] = f"I({_n})"
 
 
-_SQRT2_SCALAR = Scalar.sqrt2()
-
-
-def _factor_vector(summands) -> Optional[tuple[Scalar, list[str]]]:
-    """Try to factor a ket normal form into single-qubit sugar tokens."""
-    if not summands:
-        return None
-    if len(summands[0][1]) == 1:
-        hit = _match_state(summands)
-        return None if hit is None else (hit[2], [hit[0]])
-    groups: dict[int, list] = {}
-    for s, factors in summands:
-        groups.setdefault(factors[0], []).append((s, factors[1:]))
-    if set(groups) == {F_K0}:
-        rest = _factor_vector(groups[F_K0])
-        return None if rest is None else (rest[0], ["|0>"] + rest[1])
-    if set(groups) == {F_K1}:
-        rest = _factor_vector(groups[F_K1])
-        return None if rest is None else (rest[0], ["|1>"] + rest[1])
-    if set(groups) == {F_K0, F_K1}:
-        r0 = _factor_vector(groups[F_K0])
-        r1 = _factor_vector(groups[F_K1])
-        if r0 is None or r1 is None or r0[1] != r1[1]:
-            return None
-        s0, s1 = r0[0], r1[0]
-        try:
-            ratio = s1 * s0.reciprocal()
-        except NonInvertibleScalar:
-            return None
-        if ratio.is_one():
-            return s0 * _SQRT2_SCALAR, ["|+>"] + r0[1]
-        if ratio == Scalar.rational(-1):
-            return s0 * _SQRT2_SCALAR, ["|->"] + r0[1]
-    return None
-
-
 def _join_tokens(tokens: list[str]) -> str:
     if all(t in ("|0>", "|1>") for t in tokens) and len(tokens) > 1:
         return "|" + ",".join(t[1] for t in tokens) + ">"
@@ -889,7 +864,7 @@ def render_nf(nf: NormalForm) -> str:
     if nf.summands and nf.summands[0][1] and all(
         _factor_class(f) == 0 for f in nf.summands[0][1]
     ):
-        factored = _factor_vector(list(nf.summands))
+        factored = _product_state(nf.summands)
         if factored is not None:
             s, tokens = factored
             body = _join_tokens(tokens)

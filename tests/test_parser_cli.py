@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 
 import pytest
 
@@ -18,7 +19,7 @@ from qdirac.term import (
     zero,
 )
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, REPO_DIR
 
 
 def nf(t):
@@ -101,6 +102,9 @@ def test_round_trip_render_parse():
         assert nf(parse(render(t))) == nf(t), render(t)
         assert nf(parse(render_nf(nf(t)))) == nf(t), render_nf(nf(t))
     assert render_nf(nf(parse("(1 + i) .* |0>"))) == "(1 + i) .* |0>"
+    sym = parse("a .* |0,0> + a .* |0,1> + a .* |1,0> + a .* |1,1>")
+    assert render_nf(nf(sym)) == "2*a .* (|+> # |+>)"
+    assert nf(parse(render_nf(nf(sym)))) == nf(sym)
 
 
 def test_cli_normalize(capsys):
@@ -128,6 +132,26 @@ def test_cli_normalize_bad_input(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["normalize", "1/0 .* |0>"]) == EXIT_INPUT
     assert "division by zero" in capsys.readouterr().err
+    assert main(["normalize", "-1/0 .* |0>"]) == EXIT_INPUT
+    assert "division by zero" in capsys.readouterr().err
+
+
+def test_readme_quick_tour_normalize(capsys):
+    """Each `$ qdirac normalize ...` example prints what README shows."""
+    lines = (REPO_DIR / "README.md").read_text().splitlines()
+    examples = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("$ qdirac normalize "):
+            continue
+        expected = []
+        for out in lines[i + 1:]:
+            if not out or out.startswith(("$", "```")):
+                break
+            expected.append(out)
+        assert main(shlex.split(line)[2:]) == EXIT_OK, line
+        assert capsys.readouterr().out.splitlines() == expected, line
+        examples += 1
+    assert examples == 3
 
 
 def test_duplicate_assertion_names_rejected(tmp_path, capsys):
@@ -169,6 +193,27 @@ def test_cli_check_corrupted_fails_with_witness(tmp_path, capsys):
     assert main(["check", str(p)]) == EXIT_FAIL
     out = capsys.readouterr().out
     assert "FAIL" in out and "witness:" in out
+
+
+def test_cli_check_symbolic_obs(tmp_path, capsys):
+    """OBS holds for one constant ratio of modulus 1, with atoms in the scalars."""
+    psi = "(a .* |0> + b .* |1>)"
+    phi = "((a + b) .* |0> + e(u) .* |1>)"
+    cases = {
+        "same": ("a .* |0>", "a .* |0>", "pass"),
+        "times_i": (psi, f"i .* {psi}", "pass"),
+        "sign": (phi, f"-1 .* {phi}", "pass"),
+        "phase_atom": ("|0>", "e(u) .* |0>", "fail"),
+        "other_atom": ("a .* |0>", "b .* |0>", "fail"),
+        "modulus_2": ("|0>", "2 .* |0>", "fail"),
+        "conjugate": ("a .* |0>", "a^* .* |0>", "fail"),
+    }
+    p = tmp_path / "obs.qd"
+    p.write_text("".join(f"{n}: OBS {l} == {r}\n" for n, (l, r, _) in cases.items()))
+    main(["check", str(p), "--oracle", "off", "--json"])
+    results = json.loads(capsys.readouterr().out)["files"][0]["results"]
+    assert {r["name"]: r["verdict"] for r in results} \
+        == {n: v for n, (_, _, v) in cases.items()}
 
 
 def test_cli_check_missing_file(capsys):

@@ -16,8 +16,8 @@ from qdirac.rewrite import (
 )
 from qdirac.scalar import Scalar
 from qdirac.term import (
-    ADD, MUL, add, dag, gate, identity, ket0, ket1, ket_string, kron, mul,
-    scale, zero,
+    ADD, MUL, add, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n,
+    mul, scale, zero,
 )
 
 from conftest import rand_term
@@ -104,6 +104,28 @@ def test_operate_reduce_ghz():
 def test_operate_reduce_plus_minus_sugar():
     t = mul(kron(gate("H"), gate("H")), kron(ket0(), ket1()))
     assert render_nf(operate_reduce(t)) == "|+> # |->"
+
+
+def test_product_state_render_compares_scalars(monkeypatch):
+    calls = {"__mul__": 0, "reciprocal": 0}
+
+    def counted(name):
+        fn = getattr(Scalar, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    nfs = {n: nf_of(kron(kron_n(n, gate("ket_plus")), gate("ket_minus")))
+           for n in range(6, 10)}
+    for name in calls:
+        monkeypatch.setattr(Scalar, name, counted(name))
+    for n, nf in nfs.items():
+        calls.update(dict.fromkeys(calls, 0))
+        assert render_nf(nf) == " # ".join(["|+>"] * n + ["|->"])
+        assert calls["reciprocal"] == 0
+        assert calls["__mul__"] <= n + 1, (n, calls)
 
 
 def test_normalize_operator_identities():
