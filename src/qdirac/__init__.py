@@ -20,7 +20,7 @@ from .oracle import (
 )
 from .quantum import (
     MixedState, density, eval_mix, mea_mix, mix_equal, probability, pure_mix, super_,
-    super_reduce, sym_trace, total_mass, unit_mix,
+    super_reduce, total_mass, unit_mix,
 )
 from .parser import parse, parse_mixed, parse_scalar
 from .corpus import Assertion, RunConfig, RunReport, parse_corpus, run_file

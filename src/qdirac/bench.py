@@ -1,11 +1,11 @@
 """Benchmark harness: symbolic normalization vs dense-matrix evaluation.
 
-Each named case maps to a shipped corpus file.  Both paths check the same
-term-level assertions (mixed-state lines are excluded, since checking them
-is meaningful only through the symbolic engine); the reported number is the
-median total wall time over a number of repeats.  Dense evaluation is
-skipped with an explicit marker once the matrices exceed the dimension
-threshold.
+Each case is named by the stem of a shipped corpus file.  Both paths check
+the same term-level assertions (mixed-state lines are excluded, since
+checking them is meaningful only through the symbolic engine); the reported
+number is the median total wall time over a number of repeats.  Dense
+evaluation is skipped with an explicit marker once the matrices exceed the
+dimension threshold.
 """
 
 from __future__ import annotations
@@ -22,26 +22,12 @@ from .parser import Parser
 from .rewrite import Rewriter
 from .term import Term
 
-CASES = {
-    "ghz": "ghz.qd",
-    "bell": "bell.qd",
-    "gate_laws": "gate_laws.qd",
-    "circuit_identities": "circuit_identities.qd",
-    "deutsch": "deutsch.qd",
-    "teleport": "teleport.qd",
-    "simon": "simon.qd",
-    "grover": "grover.qd",
-    "dj_n1": "dj_n1.qd",
-    "dj_n2": "dj_n2.qd",
-    "dj_n3": "dj_n3.qd",
-    "dj_n4": "dj_n4.qd",
-    "dj_n5": "dj_n5.qd",
-    "entangle12": "entangle12.qd",
-}
-
 
 def corpus_dir() -> Path:
     return Path(__file__).resolve().parent.parent.parent / "corpus"
+
+
+CASES = sorted(path.stem for path in corpus_dir().glob("*.qd"))
 
 
 @dataclass
@@ -68,8 +54,8 @@ class CaseData:
 def load_case(name: str) -> list[CaseData]:
     if name not in CASES:
         raise UnknownCase(f"unknown benchmark case {name!r} "
-                          f"(known: {', '.join(sorted(CASES))})")
-    path = corpus_dir() / CASES[name]
+                          f"(known: {', '.join(CASES)})")
+    path = corpus_dir() / f"{name}.qd"
     corpus = parse_corpus(path.read_text(encoding="utf-8"))
     defs = build_defs(corpus.defs)
     out = []

@@ -44,7 +44,7 @@ def _build_argparser() -> argparse.ArgumentParser:
                               "(off by default to keep reports byte-reproducible)")
 
     p_bench = sub.add_parser("bench", help="time symbolic vs dense evaluation")
-    p_bench.add_argument("cases", nargs="+", help=f"case names: {', '.join(sorted(CASES))}")
+    p_bench.add_argument("cases", nargs="+", help=f"case names: {', '.join(CASES)}")
     p_bench.add_argument("--repeat", type=int, default=5)
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--json", action="store_true")

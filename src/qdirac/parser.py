@@ -55,7 +55,7 @@ def tokenize(src: str) -> list[Token]:
             while j < n and src[j] in _KET_CHARS:
                 j += 1
             if j < n and src[j] == ">" and j > i + 1:
-                tokens.append(Token("ket", src[i + 1:j], start_line, start_col))
+                tokens.append(Token("ket", src[i:j + 1], start_line, start_col))
                 col += j + 1 - i
                 i = j + 1
                 continue
@@ -65,7 +65,7 @@ def tokenize(src: str) -> list[Token]:
             while j < n and src[j] in _KET_CHARS:
                 j += 1
             if j < n and src[j] == "|" and j > i + 1:
-                tokens.append(Token("bra", src[i + 1:j], start_line, start_col))
+                tokens.append(Token("bra", src[i:j + 1], start_line, start_col))
                 col += j + 1 - i
                 i = j + 1
                 continue
@@ -218,7 +218,7 @@ class Parser:
                          tok.line, tok.col)
 
     def _ket(self, tok: Token) -> Term:
-        bits = tok.text.replace(",", "")
+        bits = tok.text[1:-1].replace(",", "")
         if not bits:
             raise ParseError("empty ket literal", tok.line, tok.col)
         try:

@@ -9,7 +9,7 @@ from .errors import (
     DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, PatternMismatch,
 )
 from .oracle import DEFAULT_SEED, DEFAULT_TOL, mat_equiv
-from .rewrite import F_KB, NormalForm, Rewriter, _factor_class, operate_reduce
+from .rewrite import NormalForm, Rewriter, operate_reduce
 from .scalar import Scalar
 from .term import Term, dag, gate, mul, render
 
@@ -40,17 +40,6 @@ def super_reduce(m: Term, psi: Term, norm_pairs: NormPairs = (),
     rw = rewriter or Rewriter()
     v = operate_reduce(mul(m, psi), rewriter=rw).to_term()
     return operate_reduce(mul(v, dag(v)), rewriter=rw).apply_norm_hypothesis(norm_pairs)
-
-
-def sym_trace(nf: NormalForm) -> Scalar:
-    total = Scalar.zero()
-    for s, factors in nf.summands:
-        if any(_factor_class(f) != 2 for f in factors):
-            raise NotAnOperator("trace of a non-operator normal form")
-        diagonal = all((f - F_KB) in (0, 3) for f in factors)
-        if diagonal:
-            total = total + s
-    return total
 
 
 def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = ()) -> Scalar:
@@ -121,7 +110,7 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = ()) -> MixedS
             proj = gate(proj_name, n, k)
             # projective, so tr(M rho M) = tr(M rho)
             prob_nf = operate_reduce(mul(proj, rho)).apply_norm_hypothesis(norm_pairs)
-            branch_p = sym_trace(prob_nf).apply_norm_hypothesis(norm_pairs)
+            branch_p = prob_nf.trace().apply_norm_hypothesis(norm_pairs)
             if branch_p.is_zero():
                 continue
             post_nf = operate_reduce(mul(proj, mul(rho, proj)))

@@ -18,7 +18,8 @@ When no trace is requested the same normal form is computed directly over
 the sparse sum-of-basis-factors representation (each subterm becomes a map
 from basis row/column bit strings to exact scalars), which skips the
 intermediate term churn; the step-by-step pipeline is the traced mode and
-the two are required to agree exactly.
+the two are required to agree exactly.  The traced mode's last step,
+collecting the reduced term, runs the same sparse evaluator.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .errors import FuelExhausted, NotInReducedShape
+from .errors import FuelExhausted, NotAnOperator, NotInReducedShape
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
@@ -47,18 +48,11 @@ def f_kb(b: int, bp: int) -> int:
     return F_KB + 2 * b + bp
 
 
+_DIAGONAL = (f_kb(0, 0), f_kb(1, 1))
 _FACTOR_NAMES = {
     F_K0: "|0>", F_K1: "|1>", F_B0: "<0|", F_B1: "<1|",
     f_kb(0, 0): "B0", f_kb(0, 1): "B1", f_kb(1, 0): "B2", f_kb(1, 1): "B3",
 }
-
-
-def _factor_class(f: int) -> int:
-    if f in (F_K0, F_K1):
-        return 0
-    if f in (F_B0, F_B1):
-        return 1
-    return 2
 
 
 def _factors_from_bits(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> tuple[int, ...]:
@@ -69,20 +63,6 @@ def _factors_from_bits(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> tuple[
     out.extend(F_K0 + b for b in rbits[k:])
     out.extend(F_B0 + b for b in cbits[k:])
     return tuple(out)
-
-
-def _factors_to_bits(factors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    rbits, cbits = [], []
-    for f in factors:
-        if f in (F_K0, F_K1):
-            rbits.append(f)
-        elif f in (F_B0, F_B1):
-            cbits.append(f - F_B0)
-        else:
-            b, bp = divmod(f - F_KB, 2)
-            rbits.append(b)
-            cbits.append(bp)
-    return tuple(rbits), tuple(cbits)
 
 
 @dataclass(frozen=True)
@@ -125,8 +105,17 @@ class NormalForm:
             s2 = fn(s)
             if not s2.is_zero():
                 items[factors] = s2
-        return NormalForm(self.dims, tuple(sorted(((s, f) for f, s in items.items()),
-                                                  key=lambda kv: kv[1])))
+        return _sorted_nf(self.dims, items)
+
+    def trace(self) -> Scalar:
+        """Sum of the diagonal summands, those whose row bits equal their column bits."""
+        if self.dims[0] != self.dims[1]:
+            raise NotAnOperator("trace of a non-operator normal form")
+        total = Scalar.zero()
+        for s, factors in self.summands:
+            if all(f in _DIAGONAL for f in factors):
+                total = total + s
+        return total
 
     def apply_norm_hypothesis(self, pairs) -> "NormalForm":
         """Rewrite every scalar under the hypotheses |a|^2 + |b|^2 = 1."""
@@ -136,6 +125,11 @@ class NormalForm:
 
     def __str__(self):
         return render_nf(self)
+
+
+def _sorted_nf(dims: tuple[int, int], acc: dict) -> NormalForm:
+    """The canonical normal form of a factors -> nonzero scalar map."""
+    return NormalForm(dims, tuple(sorted(((s, f) for f, s in acc.items()), key=lambda kv: kv[1])))
 
 
 def _factor_term(f: int) -> Term:
@@ -154,10 +148,10 @@ def _factor_term(f: int) -> Term:
 # --- rewrite trace -----------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RewriteStep:
     law: str
-    path: tuple[int, ...]
+    path: bytes               # child indices from the root, each 0 or 1
     before: Term
     after: Term
 
@@ -179,7 +173,7 @@ class RewriteTrace:
         self.steps: list[RewriteStep] = []
 
     def append(self, law, path, before, after):
-        self.steps.append(RewriteStep(law, tuple(path), before, after))
+        self.steps.append(RewriteStep(law, bytes(path), before, after))
 
     def as_lines(self) -> list[str]:
         return [s.as_line() for s in self.steps]
@@ -202,7 +196,7 @@ def _rebuild(t: Term, children) -> Term:
     return t
 
 
-def _subst(t: Term, path: tuple[int, ...], new: Term) -> Term:
+def _subst(t: Term, path: bytes, new: Term) -> Term:
     if not path:
         return new
     children = list(t.children)
@@ -217,7 +211,7 @@ def replay(t: Term, trace: RewriteTrace) -> Term:
         for i in step.path:
             cur = cur.children[i]
         if cur is not step.before:
-            raise ValueError(f"trace replay mismatch at {step.path}")
+            raise ValueError(f"trace replay mismatch at {list(step.path)}")
         t = _subst(t, step.path, step.after)
     return t
 
@@ -531,11 +525,8 @@ class Rewriter:
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
         entries = self._sparse(t)
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for (rbits, cbits), s in entries.items():
-            acc[_factors_from_bits(rbits, cbits)] = s
-        summands = tuple(sorted(((s, f) for f, s in acc.items()), key=lambda kv: kv[1]))
-        return NormalForm(t.dims, summands)
+        acc = {_factors_from_bits(rbits, cbits): s for (rbits, cbits), s in entries.items()}
+        return _sorted_nf(t.dims, acc)
 
     def _sparse(self, t: Term) -> dict:
         hit = self._sparse_memo.get(t)
@@ -556,6 +547,8 @@ class Rewriter:
                 slots = n.bit_length() - 1
                 if 2 ** slots != n:
                     raise _SparseUnsupported(n)
+                if self.steps + n > self.fuel:  # charge fuel before allocating
+                    raise FuelExhausted(self.fuel)
                 one = Scalar.one()
                 out = {(bits, bits): one for bits in product((0, 1), repeat=slots)}
         elif kind == SCALE:
@@ -581,6 +574,8 @@ class Rewriter:
         elif kind == KRON:
             left = self._sparse(t.children[0])
             right = self._sparse(t.children[1])
+            if self.steps + len(left) * len(right) > self.fuel:
+                raise FuelExhausted(self.fuel)
             out = {}
             for (ra, ca), sa in left.items():
                 for (rb, cb), sb in right.items():
@@ -636,66 +631,37 @@ class Rewriter:
 # --- normal-form collection (the unified_base step) --------------------
 
 
-def _expand(t: Term) -> list[tuple[Scalar, tuple[int, ...]]]:
-    kind = t.kind
-    if kind == ZERO:
-        return []
-    if kind == KET0:
-        return [(Scalar.one(), (F_K0,))]
-    if kind == KET1:
-        return [(Scalar.one(), (F_K1,))]
-    if kind == DAG:
-        inner = t.children[0]
-        if inner.kind == KET0:
-            return [(Scalar.one(), (F_B0,))]
-        if inner.kind == KET1:
-            return [(Scalar.one(), (F_B1,))]
-        raise NotInReducedShape(f"irreducible dagger: {render(t)}")
-    if kind == IDENT:
-        n = t.payload
-        if n == 1:
-            return [(Scalar.one(), ())]
-        slots = n.bit_length() - 1
-        if 2 ** slots != n:
-            raise NotInReducedShape(f"identity of non-power-of-two dim {n}")
-        return [
-            (Scalar.one(), tuple(f_kb(b, b) for b in bits))
-            for bits in product((0, 1), repeat=slots)
-        ]
-    if kind == SCALE:
-        return [(t.payload * s, f) for s, f in _expand(t.children[0])]
-    if kind == ADD:
-        return _expand(t.children[0]) + _expand(t.children[1])
-    if kind == KRON:
-        left, right = _expand(t.children[0]), _expand(t.children[1])
-        return [(sl * sr, fl + fr) for sl, fl in left for sr, fr in right]
-    if kind == MUL:
-        a, b = t.children
-        if a.kind in (KET0, KET1) and b.kind == DAG and b.children[0].kind in (KET0, KET1):
-            bb = 0 if a.kind == KET0 else 1
-            bp = 0 if b.children[0].kind == KET0 else 1
-            return [(Scalar.one(), (f_kb(bb, bp),))]
-        raise NotInReducedShape(f"irreducible product: {render(t)}")
-    raise NotInReducedShape(f"unexpected node in reduced term: {render(t)}")
+def _check_reduced(t: Term) -> None:
+    """Raise NotInReducedShape unless t is built by SCALE, ADD and KRON from
+    zeros, basis kets and bras, |b><b'| and identities of dim 2^k."""
+    stack, seen = [t], set()
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        kind = t.kind
+        if kind in (SCALE, ADD, KRON):
+            stack.extend(reversed(t.children))
+        elif kind == DAG:
+            if t.children[0].kind not in (KET0, KET1):
+                raise NotInReducedShape(f"irreducible dagger: {render(t)}")
+        elif kind == IDENT:
+            if t.payload & (t.payload - 1):
+                raise NotInReducedShape(f"identity of non-power-of-two dim {t.payload}")
+        elif kind == MUL:
+            a, b = t.children
+            if not (a.kind in (KET0, KET1) and b.kind == DAG
+                    and b.children[0].kind in (KET0, KET1)):
+                raise NotInReducedShape(f"irreducible product: {render(t)}")
+        elif kind not in (ZERO, KET0, KET1):
+            raise NotInReducedShape(f"unexpected node in reduced term: {render(t)}")
 
 
 def unified_base(t: Term) -> NormalForm:
     """Collect a fully reduced term into its canonical normal form."""
-    acc: dict[tuple[int, ...], Scalar] = {}
-    signature = None
-    for s, raw_factors in _expand(t):
-        factors = _factors_from_bits(*_factors_to_bits(raw_factors))
-        classes = tuple(_factor_class(f) for f in factors)
-        if signature is None:
-            signature = classes
-        elif signature != classes:
-            raise NotInReducedShape("summands with mismatched tensor signatures")
-        cur = acc.get(factors)
-        acc[factors] = s if cur is None else cur + s
-    summands = tuple(
-        sorted(((s, f) for f, s in acc.items() if not s.is_zero()), key=lambda kv: kv[1])
-    )
-    return NormalForm(t.dims, summands)
+    _check_reduced(t)
+    return Rewriter()._normalize_sparse(t)
 
 
 # --- public single-purpose passes and pipelines ------------------------
@@ -861,9 +827,8 @@ def render_nf(nf: NormalForm) -> str:
     name = _KNOWN_OPERATOR_NFS.get(_nf_key(nf))
     if name is not None:
         return name
-    if nf.summands and nf.summands[0][1] and all(
-        _factor_class(f) == 0 for f in nf.summands[0][1]
-    ):
+    rows, cols = nf.dims
+    if cols == 1 and rows > 1:
         factored = _product_state(nf.summands)
         if factored is not None:
             s, tokens = factored
@@ -878,10 +843,9 @@ def render_nf(nf: NormalForm) -> str:
         if not factors:
             parts.append(str(s))
             continue
-        classes = {_factor_class(f) for f in factors}
-        if classes == {0}:
+        if cols == 1:
             body = "|" + ",".join("01"[f] for f in factors) + ">"
-        elif classes == {1}:
+        elif rows == 1:
             body = "<" + ",".join("01"[f - F_B0] for f in factors) + "|"
         else:
             body = " # ".join(_FACTOR_NAMES[f] for f in factors)

@@ -28,7 +28,8 @@ class Term:
     __slots__ = ("kind", "payload", "children", "rows", "cols", "_hash")
 
     def __new__(cls, kind, payload, children, rows, cols):
-        key = (kind, payload, tuple(id(c) for c in children))
+        # Children are interned and compare by identity, so the key holds them.
+        key = (kind, payload, children)
         cached = _intern.get(key)
         if cached is not None:
             return cached
@@ -38,7 +39,7 @@ class Term:
         self.children = children
         self.rows = rows
         self.cols = cols
-        self._hash = hash((kind, payload, children))
+        self._hash = hash(key)
         _intern[key] = self
         return self
 

@@ -125,6 +125,15 @@ def test_cli_normalize_trace_and_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["normal_form"] == "|1>"
     assert doc["dims"] == [2, 1]
+    assert main(["normalize", "H * X * H", "--trace"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert main(["normalize", "H * X * H", "--json", "--trace"]) == EXIT_OK
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert len(trace) == len(lines) > 1
+    for step, line in zip(trace, lines):
+        assert all(type(i) is int for i in step["path"]), step["path"]
+        pos = ".".join(map(str, step["path"])) or "root"
+        assert line.startswith(f"{step['law']} @ {pos}: "), (line, step["path"])
 
 
 def test_cli_normalize_bad_input(capsys):
@@ -134,6 +143,11 @@ def test_cli_normalize_bad_input(capsys):
     assert "division by zero" in capsys.readouterr().err
     assert main(["normalize", "-1/0 .* |0>"]) == EXIT_INPUT
     assert "division by zero" in capsys.readouterr().err
+    # a ket or bra token is named by its whole literal
+    for src, found in (("- |0>", "found |0>"), ("(|0> <1|", "found <1|"),
+                       ("|0> |1>", "trailing input '|1>'")):
+        assert main(["normalize", src]) == EXIT_INPUT
+        assert found in capsys.readouterr().err, src
 
 
 def test_readme_quick_tour_normalize(capsys):

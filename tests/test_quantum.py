@@ -10,7 +10,7 @@ from qdirac.errors import DimMismatch, NotAnOperator, NotAVector
 from qdirac.oracle import mat_equiv
 from qdirac.quantum import (
     MixedState, density, mea_mix, mix_equal, probability, pure_mix,
-    super_, super_reduce, sym_trace, total_mass, unit_mix,
+    super_, super_reduce, total_mass, unit_mix,
 )
 from qdirac.rewrite import Rewriter, operate_reduce
 from qdirac.scalar import Scalar
@@ -64,13 +64,13 @@ def test_measurement_projectivity():
 
 
 def test_sym_trace_examples():
-    assert sym_trace(operate_reduce(gate("B0"))) == Scalar.one()
-    assert sym_trace(operate_reduce(identity(4))) == Scalar.rational(4)
-    assert sym_trace(operate_reduce(gate("X"))) == Scalar.zero()
+    assert operate_reduce(gate("B0")).trace() == Scalar.one()
+    assert operate_reduce(identity(4)).trace() == Scalar.rational(4)
+    assert operate_reduce(gate("X")).trace() == Scalar.zero()
     rho = operate_reduce(density(gate("ket_plus")))
-    assert sym_trace(rho) == Scalar.one()
+    assert rho.trace() == Scalar.one()
     with pytest.raises(NotAnOperator):
-        sym_trace(Rewriter().normalize(ket0()))
+        Rewriter().normalize(ket0()).trace()
 
 
 def test_probability_examples():

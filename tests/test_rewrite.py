@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -216,8 +217,43 @@ def kron_all_h(n):
 
 
 def test_unified_base_rejects_irreducible():
-    with pytest.raises(NotInReducedShape):
-        unified_base(mul(gate("H"), ket0()))
+    cases = [
+        (mul(gate("H"), ket0()), "irreducible product"),
+        (dag(gate("H")), "irreducible dagger"),
+        (identity(3), "identity of non-power-of-two dim 3"),
+        (mul(ket0(), scale(Scalar.var("c"), dag(ket1()))), "irreducible product"),
+    ]
+    for t, message in cases:
+        with pytest.raises(NotInReducedShape, match=message):
+            unified_base(t)
+
+
+def test_unified_base_collects_with_cached_scalars(monkeypatch):
+    t = mul(kron_n(3, gate("H")), kron_n(3, gate("H")))
+    rw = Rewriter(trace=RewriteTrace())
+    reduced = rw.reduce(rw.push_daggers(t))
+    expected = nf_of(t)
+    calls = [0]
+    scalar_mul = Scalar.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return scalar_mul(a, b)
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    assert unified_base(reduced) == expected
+    assert calls[0] <= 64, calls
+
+
+def test_fuel_is_charged_before_allocating():
+    for t in (identity(2 ** 16), kron(identity(256), identity(256))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FuelExhausted):
+                Rewriter(fuel=1000).normalize(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
 
 def test_zero_normal_form():
