@@ -49,9 +49,12 @@ class NotInReducedShape(QDiracError):
 
 
 class FuelExhausted(QDiracError):
-    def __init__(self, budget: int):
+    """`where` names the node whose evaluation ran out."""
+
+    def __init__(self, budget: int, where: str):
         self.budget = budget
-        super().__init__(f"rewrite fuel exhausted (budget {budget})")
+        self.where = where
+        super().__init__(f"rewrite fuel exhausted (budget {budget}) at {where}")
 
 
 class PatternMismatch(QDiracError):

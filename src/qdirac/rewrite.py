@@ -17,9 +17,13 @@ sum over computational-basis tensor factors.
 When no trace is requested the same normal form is computed directly over
 the sparse sum-of-basis-factors representation (each subterm becomes a map
 from basis row/column bit strings to exact scalars), which skips the
-intermediate term churn; the step-by-step pipeline is the traced mode and
-the two are required to agree exactly.  The traced mode's last step,
-collecting the reduced term, runs the same sparse evaluator.
+intermediate term churn, and keeps tensor structure where that saves
+work: a product of aligned tensor products is the tensor product of its
+per-slot products (L13), and a tensor layer acts on a ket one factor at a
+time, passing identity blocks through unexpanded.  The step-by-step
+pipeline is the traced mode and the two are required to agree exactly.
+The traced mode's last step, collecting the reduced term, runs the same
+sparse evaluator.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .errors import FuelExhausted, NotAnOperator, NotInReducedShape
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
-    Term, add, dag, gate, identity, ket0, ket1, kron, kron_all, mul, render, render_scaled,
-    scale, zero,
+    Term, add, dag, gate, identity, ket0, ket1, kron, kron_all, mul, render, render_head,
+    render_scaled, scale, zero,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -59,10 +63,9 @@ def _factors_from_bits(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> tuple[
     """Canonical factor tuple for a summand |rbits><cbits|: paired |b><b'|
     slots first, then the leftover ket or bra slots."""
     k = min(len(rbits), len(cbits))
-    out = [f_kb(rbits[i], cbits[i]) for i in range(k)]
-    out.extend(F_K0 + b for b in rbits[k:])
-    out.extend(F_B0 + b for b in cbits[k:])
-    return tuple(out)
+    paired = tuple([F_KB + 2 * b + bp for b, bp in zip(rbits, cbits)])
+    # a ket factor F_K0 + b is the bit b itself
+    return paired + rbits[k:] + tuple([F_B0 + b for b in cbits[k:]])
 
 
 @dataclass(frozen=True)
@@ -337,12 +340,13 @@ class Rewriter:
         self.trace = trace
         self._memo: dict[Term, Term] = {}
         self._sparse_memo: dict[Term, dict] = {}
+        self._columns: dict[Term, dict] = {}  # layer factor -> its map by column bits
 
     # -- bookkeeping
     def _log(self, law: str, path, before: Term, after: Term):
         self.steps += 1
         if self.steps > self.fuel:
-            raise FuelExhausted(self.fuel)
+            raise self._out_of_fuel(before, f"law {law}")
         if self.trace is not None:
             self.trace.append(law, path, before, after)
 
@@ -548,7 +552,7 @@ class Rewriter:
                 if 2 ** slots != n:
                     raise _SparseUnsupported(n)
                 if self.steps + n > self.fuel:  # charge fuel before allocating
-                    raise FuelExhausted(self.fuel)
+                    raise self._out_of_fuel(t, f"map of {n} entries")
                 one = Scalar.one()
                 out = {(bits, bits): one for bits in product((0, 1), repeat=slots)}
         elif kind == SCALE:
@@ -562,70 +566,159 @@ class Rewriter:
                 (cbits, rbits): _cconj(s)
                 for (rbits, cbits), s in self._sparse(t.children[0]).items()
             }
-        elif kind == ADD:
-            out = dict(self._sparse(t.children[0]))
-            for k, s in self._sparse(t.children[1]).items():
-                cur = out.get(k)
-                merged = s if cur is None else _cadd(cur, s)
-                if merged.is_zero():
-                    del out[k]
-                else:
-                    out[k] = merged
+        elif kind == ADD:  # merge the whole spine into one map, memoized at the top
+            a, b = t.children  # a sum of two non-sums, the common case, needs no walk
+            parts = self._spine(t) if a.kind == ADD or b.kind == ADD else t.children
+            out = dict(self._sparse(parts[0]))
+            for part in parts[1:]:
+                for k, s in self._sparse(part).items():
+                    cur = out.get(k)
+                    merged = s if cur is None else _cadd(cur, s)
+                    if merged.is_zero():
+                        del out[k]
+                    else:
+                        out[k] = merged
         elif kind == KRON:
             left = self._sparse(t.children[0])
             right = self._sparse(t.children[1])
             if self.steps + len(left) * len(right) > self.fuel:
-                raise FuelExhausted(self.fuel)
+                raise self._out_of_fuel(t, f"map of {len(left) * len(right)} entries")
             out = {}
             for (ra, ca), sa in left.items():
                 for (rb, cb), sb in right.items():
                     out[(ra + rb, ca + cb)] = _cmul(sa, sb)
-        else:  # MUL: contract column bits against row bits, vector end first
-            chain = self._mul_chain(t)
-            if chain[-1].cols == 1:
-                out = self._sparse(chain[-1])
-                for f in reversed(chain[:-1]):
-                    out = self._mul_maps(self._sparse(f), out)
-            else:
-                out = self._sparse(chain[0])
-                for f in chain[1:]:
-                    out = self._mul_maps(out, self._sparse(f))
+        else:  # MUL
+            a, b = t.children
+            aligned = _try_mult_kron(a, b) if a.kind == KRON and b.kind == KRON else None
+            if aligned is not None:  # L13: the KRON of the per-segment products
+                out = self._sparse(aligned)
+            elif a.kind == IDENT or b.kind == IDENT:  # L8, with nothing expanded
+                out = self._sparse(b if a.kind == IDENT else a)
+            else:  # contract column bits against row bits, vector end first
+                chain = self._spine(t)
+                if chain[-1].cols == 1:
+                    out = self._sparse(chain[-1])
+                    for f in reversed(chain[:-1]):
+                        if f.kind == KRON and f not in self._sparse_memo:
+                            out = self._apply_layer(f, out, t)
+                        else:
+                            out = self._mul_maps(self._sparse(f), out, t)
+                else:
+                    out = self._sparse(chain[0])
+                    for f in chain[1:]:
+                        out = self._mul_maps(out, self._sparse(f), t)
         self.steps += len(out)
         if self.steps > self.fuel:
-            raise FuelExhausted(self.fuel)
+            raise self._out_of_fuel(t, f"map of {len(out)} entries")
         self._sparse_memo[t] = out
         return out
 
-    def _mul_chain(self, t: Term) -> list[Term]:
-        """Flatten a MatMul spine, keeping already-evaluated subterms whole."""
+    def _out_of_fuel(self, t: Term, detail: str) -> FuelExhausted:
+        """The error naming the node whose evaluation ran out of fuel."""
+        where = f"{t.kind} {t.rows}x{t.cols} ({detail}): {render_head(t, 60)}"
+        return FuelExhausted(self.fuel, where)
+
+    def _spine(self, t: Term) -> list[Term]:
+        """Flatten a MUL or ADD spine, keeping already-evaluated subterms whole."""
+        kind, memo = t.kind, self._sparse_memo
         out: list[Term] = []
         stack = [t.children[1], t.children[0]]
         while stack:
             cur = stack.pop()
-            if cur.kind == MUL and cur not in self._sparse_memo:
-                stack.append(cur.children[1])
-                stack.append(cur.children[0])
+            if cur.kind == kind and cur not in memo:
+                stack += reversed(cur.children)
             else:
                 out.append(cur)
         return out
 
-    def _mul_maps(self, left: dict, right: dict) -> dict:
+    def _mul_maps(self, left: dict, right: dict, node: Term) -> dict:
+        """left * right for maps of any shape; node is the MUL being evaluated."""
         by_row: dict[tuple[int, ...], list] = {}
         for (rb, cb), sb in right.items():
             by_row.setdefault(rb, []).append((cb, sb))
+        budget = self.fuel - self.steps
         out: dict = {}
         for (ra, ca), sa in left.items():
             for cb, sb in by_row.get(ca, ()):
                 key = (ra, cb)
                 prod = _cmul(sa, sb)
                 cur = out.get(key)
-                merged = prod if cur is None else _cadd(cur, prod)
+                if cur is None:
+                    if len(out) >= budget:  # charge fuel while the map grows
+                        raise self._out_of_fuel(node, f"map passing {len(out)} entries")
+                    out[key] = prod
+                    continue
+                merged = _cadd(cur, prod)
                 if merged.is_zero():
-                    out.pop(key, None)
+                    del out[key]
                 else:
                     out[key] = merged
         self.steps += len(out)
         return out
+
+    def _apply_factor(self, f: Term, lo: int, hi: int, vec: dict, node: Term) -> dict:
+        """f * vec where f acts on the row bits [lo:hi] of vec's keys and the
+        bits around them pass through.  (Slicing every key this way made
+        _mul_maps slower on small products, so the general case keeps its
+        own loop.)"""
+        by_col = self._columns.get(f)
+        if by_col is None:  # kept, since layers share their factors
+            by_col = self._columns[f] = {}
+            for (ra, ca), sa in self._sparse(f).items():
+                by_col.setdefault(ca, []).append((ra, sa))
+        budget = self.fuel - self.steps
+        out: dict = {}
+        for (rb, cb), sb in vec.items():
+            hits = by_col.get(rb[lo:hi])
+            if hits is None:
+                continue
+            head, tail = rb[:lo], rb[hi:]
+            for ra, sa in hits:
+                key = (head + ra + tail, cb)
+                prod = _cmul(sa, sb)
+                cur = out.get(key)
+                if cur is None:
+                    if len(out) >= budget:  # charge fuel while the map grows
+                        raise self._out_of_fuel(node, f"map passing {len(out)} entries")
+                    out[key] = prod
+                    continue
+                merged = _cadd(cur, prod)
+                if merged.is_zero():
+                    del out[key]
+                else:
+                    out[key] = merged
+        self.steps += len(out)
+        return out
+
+    def _apply_layer(self, layer: Term, vec: dict, node: Term) -> dict:
+        """layer * vec for a KRON layer, one factor at a time: each factor's
+        map acts on its slot of the vector keys' row bits, and the bits of
+        identity factors pass through unexpanded.
+
+        The layer's whole map is multiplied instead when the vector is dense
+        and that map has no more entries than the passes would visit: it is
+        then no dearer, and memoized for reuse.  So it is when a dim is not
+        a power of two (a product of dims is one only when each factor's
+        is), since such dims have no bit slots."""
+        if layer.rows & (layer.rows - 1) or layer.cols & (layer.cols - 1):
+            return self._mul_maps(self._sparse(layer), vec, node)
+        factors = _flatten_kron(layer)
+        if layer.cols <= len(vec):
+            flat, passes = 1, 0
+            for f in factors:
+                if f.kind == IDENT:
+                    flat *= f.rows
+                else:
+                    flat *= len(self._sparse(f))
+                    passes += 1
+            if flat <= passes * len(vec):
+                return self._mul_maps(self._sparse(layer), vec, node)
+        lo = 0
+        for f in factors:
+            if f.kind != IDENT:
+                vec = self._apply_factor(f, lo, lo + f.cols.bit_length() - 1, vec, node)
+            lo += f.rows.bit_length() - 1
+        return vec
 
 
 # --- normal-form collection (the unified_base step) --------------------

@@ -163,6 +163,42 @@ def _render(t: Term, prec: int) -> str:
     raise ValueError(f"unknown node kind {t.kind}")
 
 
+_BINARY = {MUL: (" * ", _PREC_MUL), ADD: (" + ", _PREC_ADD), KRON: (" # ", _PREC_KRON)}
+
+
+def render_head(t: Term, limit: int) -> str:
+    """render(t) cut to `limit` characters.  Iterative, and it stops at the
+    limit, so a deep or widely shared term costs no more than its prefix.
+    (`_render` stays recursive: building a piece list per node, as here,
+    made rendering traces twice as slow.)"""
+    out, size = [], 0
+    stack: list = [(t, _PREC_ADD)]
+    while stack and size <= limit:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            size += len(item)
+            continue
+        node, prec = item
+        if node.kind in _BINARY:
+            op, body_prec = _BINARY[node.kind]
+            pieces = [(node.children[0], body_prec), op, (node.children[1], body_prec)]
+        elif node.kind == SCALE:
+            body_prec = _PREC_SCALE
+            pieces = [render_scaled(node.payload, ""), (node.children[0], _PREC_SCALE)]
+        elif node.kind == DAG and node.children[0].kind not in (KET0, KET1):
+            body_prec = _PREC_ATOM
+            pieces = [(node.children[0], _PREC_ATOM), "^"]
+        else:  # a leaf or a bra
+            stack.append(_render(node, prec))
+            continue
+        if body_prec < prec:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    text = "".join(out)
+    return text if not stack and len(text) <= limit else text[:limit - 3] + "..."
+
+
 def render_scaled(c: Scalar, body: str) -> str:
     """`c .* body`, with c parenthesized when it renders as a sum."""
     s = str(c)

@@ -120,3 +120,72 @@ def rand_term(rng: random.Random, max_qubits: int = 3, closed: bool = True):
     if rng.random() < 0.5:
         return rand_state(rng, qubits, closed=closed)
     return rand_op(rng, qubits, closed=closed)
+
+
+def rand_layer(rng: random.Random, qubits: int, closed: bool = True):
+    """A tensor layer: I(2^k) blocks with k >= 2, one- and two-qubit gates,
+    some factors daggered or scaled, nested either way."""
+    parts = []
+    remaining = qubits
+    while remaining > 0:
+        r = rng.random()
+        if remaining >= 2 and r < 0.3:
+            k = rng.randint(2, remaining)
+            parts.append(identity(2 ** k))
+            remaining -= k
+            continue
+        if remaining >= 2 and r < 0.6:
+            part = gate(rng.choice(("CX", "XC", "SWAP", "CZ")))
+            remaining -= 2
+        else:
+            part = gate(rng.choice(_SINGLE_GATES))
+            remaining -= 1
+        r = rng.random()
+        if r < 0.15:
+            part = dag(part)
+        elif r < 0.3:
+            part = scale(rand_scalar(rng, closed), part)
+        parts.append(part)
+    if len(parts) == 1:
+        return parts[0]
+    if rng.random() < 0.5:
+        return kron_all(parts)
+    out = parts[0]
+    for p in parts[1:]:
+        out = kron(out, p)
+    return out
+
+
+def rand_circuit(rng: random.Random, qubits: int, closed: bool = True):
+    """Random layers applied to a product or summed ket, or to one another.
+
+    Consecutive layers split the qubits at independent points, so two-qubit
+    gates and identity blocks straddle each other's boundaries as often as
+    they line up; a whole layer is sometimes daggered or scaled.
+    """
+    layers = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        layer = rand_layer(rng, qubits, closed)
+        r = rng.random()
+        if r < 0.1:
+            layer = dag(layer)
+        elif r < 0.2:
+            layer = scale(rand_scalar(rng, closed), layer)
+        layers.append(layer)
+    if rng.random() < 0.25:
+        layers.append(rand_layer(rng, qubits, closed))
+    else:
+        state = kron_all([_leaf_state(rng) for _ in range(qubits)])
+        if rng.random() < 0.4:
+            other = kron_all([_leaf_state(rng) for _ in range(qubits)])
+            state = add(state, scale(rand_scalar(rng, closed), other))
+        layers.append(state)
+    if rng.random() < 0.5:
+        out = layers[-1]
+        for layer in reversed(layers[:-1]):
+            out = mul(layer, out)
+        return out
+    out = layers[0]
+    for layer in layers[1:]:
+        out = mul(out, layer)
+    return out

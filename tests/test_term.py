@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -10,9 +11,11 @@ from qdirac.errors import ArityMismatch, DimMismatch, UnknownGate
 from qdirac.oracle import DenseMatrix, SampleEnv, eval_dense, mat_equiv
 from qdirac.term import (
     add, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n, mul, render,
-    scale, uf, zero,
+    render_head, scale, uf, zero,
 )
 from qdirac.scalar import Scalar
+
+from conftest import rand_term
 
 S2 = 1 / math.sqrt(2)
 
@@ -146,3 +149,23 @@ def test_render_round_readable():
     assert render(mul(identity(2), ket0())) == "I(2) * |0>"
     s = scale(Scalar.inv_sqrt2(), add(ket0(), ket1()))
     assert render(s) == "1/2*sqrt2 .* (|0> + |1>)"
+
+
+def test_render_head_is_a_cut_render():
+    rng = random.Random(17)
+    for _ in range(300):
+        t = rand_term(rng, closed=False)
+        full = render(t)
+        assert render_head(t, len(full)) == full
+        cut = full if len(full) <= 40 else full[:37] + "..."
+        assert render_head(t, 40) == cut
+    # deep and widely shared terms cost only the prefix: no recursion limit,
+    # no 2^40 leaves
+    deep = ket0()
+    for _ in range(5000):
+        deep = add(deep, ket1())
+    assert render_head(deep, 20) == "|0> + |1> + |1> +..."
+    wide = ket0()
+    for _ in range(40):
+        wide = add(wide, wide)
+    assert render_head(wide, 11) == "|0> + |0..."
