@@ -11,9 +11,7 @@ from .term import (
     kron_n, mul, render, scale, uf, zero,
 )
 from .rewrite import (
-    NormalForm, RewriteTrace, Rewriter, assoc_right, base_reduce, cancel_zero,
-    contract_inner, dagger_push, distribute, gate_reduce, mult_kron,
-    operate_reduce, render_nf, replay, unified_base,
+    NormalForm, RewriteTrace, Rewriter, operate_reduce, render_nf, replay, unified_base,
 )
 from .oracle import (
     DenseMatrix, ObsResult, SampleEnv, eval_dense, mat_equiv, obs_equiv,

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .bench import CASES, bench_case, render_table
-from .corpus import RunConfig, run_file
+from .corpus import NESTED_TOO_DEEPLY, RunConfig, run_file
 from .errors import QDiracError
 from .oracle import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL
 from .parser import parse
@@ -133,11 +133,11 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(args)
         return cmd_bench(args)
-    except QDiracError as exc:
+    except (QDiracError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print(f"error: {NESTED_TOO_DEEPLY}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -30,6 +30,8 @@ from .scalar import Scalar
 from .term import Term
 
 KINDS = ("EQ", "MATEQ", "OBS", "MIXEQ")
+# what a RecursionError from the recursive parser or rewriter is reported as
+NESTED_TOO_DEEPLY = "input nested too deeply (Python recursion limit)"
 
 
 @dataclass
@@ -230,6 +232,9 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
     except QDiracError as exc:
         res.verdict = "error"
         res.witness = f"{type(exc).__name__}: {exc}"
+    except RecursionError:
+        res.verdict = "error"
+        res.witness = f"RecursionError: {NESTED_TOO_DEEPLY}"
     return res
 
 

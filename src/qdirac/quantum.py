@@ -132,14 +132,12 @@ def total_mass(m: MixedState, norm_pairs: NormPairs = ()) -> Scalar:
 
 
 def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_TOL,
-              seed: int = DEFAULT_SEED, norm_pairs: NormPairs = (),
-              multiset: bool = False) -> bool:
-    """Branchwise equality: exact probabilities, numeric operators."""
+              seed: int = DEFAULT_SEED, norm_pairs: NormPairs = ()) -> bool:
+    """Ordered branchwise equality: exact probabilities, numeric operators."""
     return _branches_equal(
         a, b, norm_pairs,
         lambda x, y: mat_equiv(x, y, samples=samples, tol=tol, seed=seed,
                                norm_pairs=norm_pairs),
-        multiset=multiset,
     )
 
 
@@ -155,25 +153,11 @@ def sym_mix_equal(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
 
 
 def _branches_equal(a: MixedState, b: MixedState, norm_pairs: NormPairs,
-                    ops_equal: Callable[[Term, Term], bool], multiset: bool = False) -> bool:
-    """Pair branches in order (or as multisets); paired branches need a zero
-    probability difference under the hypotheses, equal dims and ops_equal."""
-    if len(a.branches) != len(b.branches):
-        return False
-
-    def same(x, y) -> bool:
-        (pa, oa), (pb, ob) = x, y
-        return ((pa - pb).apply_norm_hypothesis(norm_pairs).is_zero()
-                and oa.dims == ob.dims and ops_equal(oa, ob))
-
-    if not multiset:
-        return all(same(x, y) for x, y in zip(a.branches, b.branches))
-    remaining = list(b.branches)
-    for branch in a.branches:
-        for i, other in enumerate(remaining):
-            if same(branch, other):
-                remaining.pop(i)
-                break
-        else:
-            return False
-    return True
+                    ops_equal: Callable[[Term, Term], bool]) -> bool:
+    """Pair branches in order; paired branches need a zero probability
+    difference under the hypotheses, equal dims and ops_equal."""
+    return len(a.branches) == len(b.branches) and all(
+        (pa - pb).apply_norm_hypothesis(norm_pairs).is_zero()
+        and oa.dims == ob.dims and ops_equal(oa, ob)
+        for (pa, oa), (pb, ob) in zip(a.branches, b.branches)
+    )

@@ -3,16 +3,18 @@
 The catalog follows the usual algebra of scaled matrix expressions: inner
 products of basis vectors collapse to scalars (L1), associativity (L2),
 scalar/zero/identity absorption (L3-L10), distribution (L11/L12), the
-mixed-product law for tensors (L13) and conjugate-transpose pushing
-(L14-L16).  Two derived lookup tables speed up the common cases: B_db for
-the four basis matrices acting on single-qubit states, and G_db for the
-Pauli/Hadamard gates; their entries are computed from the primitive laws at
-import time, not written down by hand.
+mixed-product law for tensors (L13, which splits an I(2^k) block into I(2)
+slots where it straddles a cut) and conjugate-transpose pushing (L14-L16).
+Derived lookup tables speed up the common cases: B_db for the four basis
+matrices acting on single-qubit states, G_db for the Pauli/Hadamard gates,
+and D_db for daggers of identity and zero blocks; the B_db and G_db
+entries are computed by the sparse evaluator at import time, not written
+down by hand.
 
-The driver is a deterministic staged pipeline: push daggers to the leaves,
-reduce to a fixpoint under the inner rule set (outermost-first, retrying a
-node after its children change), then collect the result into a canonical
-sum over computational-basis tensor factors.
+The traced driver is a deterministic staged pipeline over that one law set,
+tried in a fixed order: push daggers to the leaves, reduce to a fixpoint
+(outermost-first, retrying a node after its children change), then collect
+the result into a canonical sum over computational-basis tensor factors.
 
 When no trace is requested the same normal form is computed directly over
 the sparse sum-of-basis-factors representation (each subterm becomes a map
@@ -20,10 +22,9 @@ from basis row/column bit strings to exact scalars), which skips the
 intermediate term churn, and keeps tensor structure where that saves
 work: a product of aligned tensor products is the tensor product of its
 per-slot products (L13), and a tensor layer acts on a ket one factor at a
-time, passing identity blocks through unexpanded.  The step-by-step
-pipeline is the traced mode and the two are required to agree exactly.
-The traced mode's last step, collecting the reduced term, runs the same
-sparse evaluator.
+time, passing identity blocks through unexpanded.  The two modes are
+required to agree exactly, and the traced mode's last step, collecting the
+reduced term, runs the same sparse evaluator.
 """
 
 from __future__ import annotations
@@ -222,10 +223,6 @@ def replay(t: Term, trace: RewriteTrace) -> Term:
 # --- cached exact-scalar arithmetic for the sparse evaluator -----------
 
 
-class _SparseUnsupported(Exception):
-    """Raised for dims the basis-factor representation cannot express."""
-
-
 _S_ONE = Scalar.one()
 _S_INTERN: dict[Scalar, Scalar] = {_S_ONE: _S_ONE}
 _SMUL_CACHE: dict[tuple[Scalar, Scalar], Scalar] = {}
@@ -271,12 +268,7 @@ def _cconj(a: Scalar) -> Scalar:
     return hit
 
 
-# --- rule groups -------------------------------------------------------
-
-ALL_GROUPS = frozenset(
-    ["assoc", "scale", "zero", "ident", "contract", "gate_db", "base_db",
-     "mult_kron", "distribute"]
-)
+# --- the law set ------------------------------------------------------
 
 _PLUS = gate("ket_plus")
 _MINUS = gate("ket_minus")
@@ -299,10 +291,9 @@ def _flatten_kron(t: Term) -> list[Term]:
     return out
 
 
-def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
-    fa, fb = _flatten_kron(a), _flatten_kron(b)
-    if len(fa) == 1 and len(fb) == 1:
-        return None
+def _align(fa: list[Term], fb: list[Term]) -> Optional[list]:
+    """Pair runs of fa's factors with runs of fb's whose column and row dims
+    match, or None unless that cuts both into at least two segments."""
     segments = []
     i = j = 0
     while i < len(fa) and j < len(fb):
@@ -326,19 +317,40 @@ def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
         segments.append((acc_l, acc_r))
     if i < len(fa) or j < len(fb) or len(segments) < 2:
         return None
+    return segments
+
+
+def _split_identities(factors: list[Term]) -> list[Term]:
+    """The factors with each I(2^k), k >= 2, written as k slots of I(2)."""
+    out = []
+    for f in factors:
+        if f.kind == IDENT and f.payload > 2:
+            out += [identity(2)] * (f.payload.bit_length() - 1)
+        else:
+            out.append(f)
+    return out
+
+
+def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
+    """L13: (a1 # ... # an) * (b1 # ... # bm) as the tensor product of the
+    per-segment products, splitting identity blocks that straddle a cut."""
+    fa, fb = _flatten_kron(a), _flatten_kron(b)
+    if len(fa) == 1 and len(fb) == 1:
+        return None
+    segments = _align(fa, fb) or _align(_split_identities(fa), _split_identities(fb))
+    if segments is None:
+        return None
     return kron_all([mul(kron_all(l), kron_all(r)) for l, r in segments])
 
 
 class Rewriter:
-    """Stateful driver: fuel accounting, optional trace, memoized reduction."""
+    """Stateful driver: fuel accounting, and either the traced law pipeline
+    or the memoized sparse evaluator."""
 
-    def __init__(self, groups=ALL_GROUPS, fuel: int = DEFAULT_FUEL,
-                 trace: RewriteTrace | None = None):
-        self.groups = frozenset(groups)
+    def __init__(self, fuel: int = DEFAULT_FUEL, trace: RewriteTrace | None = None):
         self.fuel = fuel
         self.steps = 0
         self.trace = trace
-        self._memo: dict[Term, Term] = {}
         self._sparse_memo: dict[Term, dict] = {}
         self._columns: dict[Term, dict] = {}  # layer factor -> its map by column bits
 
@@ -350,45 +362,37 @@ class Rewriter:
         if self.trace is not None:
             self.trace.append(law, path, before, after)
 
-    # -- the inner rule set, tried at the root of a node
+    # -- the law set, tried at the root of a node
     def _rewrite_root(self, t: Term):
-        g = self.groups
         kind = t.kind
         if kind == SCALE:
             c, x = t.payload, t.children[0]
-            if "scale" in g and x.kind == SCALE:
+            if x.kind == SCALE:
                 return "L2", scale(c * x.payload, x.children[0])
-            if "zero" in g:
-                if c.is_zero():
-                    return "L3", zero(*t.dims)
-                if x.kind == ZERO:
-                    return "L3", zero(*t.dims)
-                if c.is_one():
-                    return "L3", x
+            if c.is_zero() or x.kind == ZERO:
+                return "L3", zero(*t.dims)
+            if c.is_one():
+                return "L3", x
             return None
         if kind == MUL:
             a, b = t.children
-            if "zero" in g and (a.kind == ZERO or b.kind == ZERO):
+            if a.kind == ZERO or b.kind == ZERO:
                 return "L7", zero(a.rows, b.cols)
-            if "scale" in g:
-                if a.kind == SCALE:
-                    return "L5", scale(a.payload, mul(a.children[0], b))
-                if b.kind == SCALE:
-                    return "L5", scale(b.payload, mul(a, b.children[0]))
-            if "ident" in g:
-                if a.kind == IDENT:
-                    return "L8", b
-                if b.kind == IDENT:
-                    return "L8", a
-            if "gate_db" in g:
-                hit = G_TABLE.get((a, b))
-                if hit is not None:
-                    return "G_db", hit
-            if "base_db" in g:
-                hit = B_TABLE.get((a, b))
-                if hit is not None:
-                    return "B_db", hit
-            if "contract" in g and a.kind == DAG and a.children[0].kind in (KET0, KET1):
+            if a.kind == SCALE:
+                return "L5", scale(a.payload, mul(a.children[0], b))
+            if b.kind == SCALE:
+                return "L5", scale(b.payload, mul(a, b.children[0]))
+            if a.kind == IDENT:
+                return "L8", b
+            if b.kind == IDENT:
+                return "L8", a
+            hit = G_TABLE.get((a, b))
+            if hit is not None:
+                return "G_db", hit
+            hit = B_TABLE.get((a, b))
+            if hit is not None:
+                return "B_db", hit
+            if a.kind == DAG and a.children[0].kind in (KET0, KET1):
                 bra_bit = 0 if a.children[0].kind == KET0 else 1
                 if b.kind in (KET0, KET1):
                     ket_bit = 0 if b.kind == KET0 else 1
@@ -398,61 +402,49 @@ class Rewriter:
                     if bra_bit == ket_bit:
                         return "L1", b.children[1]
                     return "L1", zero(1, b.cols)
-            if "assoc" in g and a.kind == MUL:
+            if a.kind == MUL:
                 return "L2", mul(a.children[0], mul(a.children[1], b))
-            if "mult_kron" in g and (a.kind == KRON or b.kind == KRON):
+            if a.kind == KRON or b.kind == KRON:
                 out = _try_mult_kron(a, b)
                 if out is not None:
                     return "L13", out
-            if "distribute" in g:
-                if a.kind == ADD:
-                    return "L11", add(mul(a.children[0], b), mul(a.children[1], b))
-                if b.kind == ADD:
-                    return "L11", add(mul(a, b.children[0]), mul(a, b.children[1]))
+            if a.kind == ADD:
+                return "L11", add(mul(a.children[0], b), mul(a.children[1], b))
+            if b.kind == ADD:
+                return "L11", add(mul(a, b.children[0]), mul(a, b.children[1]))
             return None
         if kind == KRON:
             a, b = t.children
-            if "zero" in g and (a.kind == ZERO or b.kind == ZERO):
+            if a.kind == ZERO or b.kind == ZERO:
                 return "L10", zero(*t.dims)
-            if "scale" in g:
-                if a.kind == SCALE:
-                    return "L6", scale(a.payload, kron(a.children[0], b))
-                if b.kind == SCALE:
-                    return "L6", scale(b.payload, kron(a, b.children[0]))
-            if "ident" in g:
-                if a.kind == IDENT and a.payload == 1:
-                    return "L8", b
-                if b.kind == IDENT and b.payload == 1:
-                    return "L8", a
-                if a.kind == IDENT and b.kind == IDENT:
-                    return "L8", identity(a.payload * b.payload)
-            if "assoc" in g and a.kind == KRON:
+            if a.kind == SCALE:
+                return "L6", scale(a.payload, kron(a.children[0], b))
+            if b.kind == SCALE:
+                return "L6", scale(b.payload, kron(a, b.children[0]))
+            if a.kind == IDENT and a.payload == 1:
+                return "L8", b
+            if b.kind == IDENT and b.payload == 1:
+                return "L8", a
+            if a.kind == IDENT and b.kind == IDENT:
+                return "L8", identity(a.payload * b.payload)
+            if a.kind == KRON:
                 return "L2", kron(a.children[0], kron(a.children[1], b))
-            if "distribute" in g:
-                if a.kind == ADD and a not in _PROTECTED:
-                    return "L12", add(kron(a.children[0], b), kron(a.children[1], b))
-                if b.kind == ADD and b not in _PROTECTED:
-                    return "L12", add(kron(a, b.children[0]), kron(a, b.children[1]))
+            if a.kind == ADD and a not in _PROTECTED:
+                return "L12", add(kron(a.children[0], b), kron(a.children[1], b))
+            if b.kind == ADD and b not in _PROTECTED:
+                return "L12", add(kron(a, b.children[0]), kron(a, b.children[1]))
             return None
         if kind == ADD:
             a, b = t.children
-            if "zero" in g:
-                if a.kind == ZERO:
-                    return "L9", b
-                if b.kind == ZERO:
-                    return "L9", a
-            if "assoc" in g and a.kind == ADD:
+            if a.kind == ZERO:
+                return "L9", b
+            if b.kind == ZERO:
+                return "L9", a
+            if a.kind == ADD:
                 return "L2", add(a.children[0], add(a.children[1], b))
-            return None
         return None
 
     def reduce(self, t: Term, _path: tuple[int, ...] = ()) -> Term:
-        memo_ok = self.trace is None
-        if memo_ok:
-            hit = self._memo.get(t)
-            if hit is not None:
-                return hit
-        start = t
         while True:
             r = self._rewrite_root(t)
             if r is not None:
@@ -471,9 +463,6 @@ class Rewriter:
             if not changed:
                 break
             t = _rebuild(t, new_children)
-        if memo_ok:
-            self._memo[start] = t
-            self._memo[t] = t
         return t
 
     # -- dagger pushing (L14-L16), run as a first stage
@@ -518,13 +507,9 @@ class Rewriter:
         return t
 
     def normalize(self, t: Term) -> NormalForm:
-        if self.trace is None and self.groups == ALL_GROUPS:
-            try:
-                return self._normalize_sparse(t)
-            except _SparseUnsupported:
-                pass
-        reduced = self.reduce(self.push_daggers(t))
-        return unified_base(reduced)
+        if self.trace is None:
+            return self._normalize_sparse(t)
+        return unified_base(self.reduce(self.push_daggers(t)))
 
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
@@ -545,16 +530,10 @@ class Rewriter:
             out = {}
         elif kind == IDENT:
             n = t.payload
-            if n == 1:
-                out = {((), ()): Scalar.one()}
-            else:
-                slots = n.bit_length() - 1
-                if 2 ** slots != n:
-                    raise _SparseUnsupported(n)
-                if self.steps + n > self.fuel:  # charge fuel before allocating
-                    raise self._out_of_fuel(t, f"map of {n} entries")
-                one = Scalar.one()
-                out = {(bits, bits): one for bits in product((0, 1), repeat=slots)}
+            if self.steps + n > self.fuel:  # charge fuel before allocating
+                raise self._out_of_fuel(t, f"map of {n} entries")
+            one = Scalar.one()
+            out = {(bits, bits): one for bits in product((0, 1), repeat=n.bit_length() - 1)}
         elif kind == SCALE:
             c = _intern_scalar(t.payload)
             if c.is_zero():
@@ -697,11 +676,7 @@ class Rewriter:
 
         The layer's whole map is multiplied instead when the vector is dense
         and that map has no more entries than the passes would visit: it is
-        then no dearer, and memoized for reuse.  So it is when a dim is not
-        a power of two (a product of dims is one only when each factor's
-        is), since such dims have no bit slots."""
-        if layer.rows & (layer.rows - 1) or layer.cols & (layer.cols - 1):
-            return self._mul_maps(self._sparse(layer), vec, node)
+        then no dearer, and memoized for reuse."""
         factors = _flatten_kron(layer)
         if layer.cols <= len(vec):
             flat, passes = 1, 0
@@ -726,7 +701,7 @@ class Rewriter:
 
 def _check_reduced(t: Term) -> None:
     """Raise NotInReducedShape unless t is built by SCALE, ADD and KRON from
-    zeros, basis kets and bras, |b><b'| and identities of dim 2^k."""
+    zeros, basis kets and bras, |b><b'| and identities."""
     stack, seen = [t], set()
     while stack:
         t = stack.pop()
@@ -739,15 +714,12 @@ def _check_reduced(t: Term) -> None:
         elif kind == DAG:
             if t.children[0].kind not in (KET0, KET1):
                 raise NotInReducedShape(f"irreducible dagger: {render(t)}")
-        elif kind == IDENT:
-            if t.payload & (t.payload - 1):
-                raise NotInReducedShape(f"identity of non-power-of-two dim {t.payload}")
         elif kind == MUL:
             a, b = t.children
             if not (a.kind in (KET0, KET1) and b.kind == DAG
                     and b.children[0].kind in (KET0, KET1)):
                 raise NotInReducedShape(f"irreducible product: {render(t)}")
-        elif kind not in (ZERO, KET0, KET1):
+        elif kind not in (ZERO, IDENT, KET0, KET1):
             raise NotInReducedShape(f"unexpected node in reduced term: {render(t)}")
 
 
@@ -757,60 +729,11 @@ def unified_base(t: Term) -> NormalForm:
     return Rewriter()._normalize_sparse(t)
 
 
-# --- public single-purpose passes and pipelines ------------------------
+# --- public pipeline ---------------------------------------------------
 
 
 def operate_reduce(t: Term, rewriter: Rewriter | None = None) -> NormalForm:
     return (rewriter or Rewriter()).normalize(t)
-
-
-def _pass(t: Term, groups) -> Term:
-    return Rewriter(groups=frozenset(groups)).reduce(t)
-
-
-def contract_inner(t: Term) -> Term:
-    return _pass(t, {"contract"})
-
-
-def base_reduce(t: Term) -> Term:
-    return _pass(t, {"base_db", "contract", "assoc", "scale", "zero", "ident"})
-
-
-def gate_reduce(t: Term) -> Term:
-    return _pass(t, {"gate_db", "scale", "zero", "ident"})
-
-
-def assoc_right(t: Term) -> Term:
-    return _pass(t, {"assoc"})
-
-
-def mult_kron(t: Term) -> Term:
-    return _pass(t, {"mult_kron"})
-
-
-def distribute(t: Term) -> Term:
-    out = _pass(t, {"distribute", "scale"})
-    return _distribute_scale_over_add(out)
-
-
-def _distribute_scale_over_add(t: Term) -> Term:
-    if t.kind == SCALE and t.children[0].kind == ADD:
-        a, b = t.children[0].children
-        return add(
-            _distribute_scale_over_add(scale(t.payload, a)),
-            _distribute_scale_over_add(scale(t.payload, b)),
-        )
-    if not t.children:
-        return t
-    return _rebuild(t, tuple(_distribute_scale_over_add(c) for c in t.children))
-
-
-def cancel_zero(t: Term) -> Term:
-    return _pass(t, {"zero", "ident"})
-
-
-def dagger_push(t: Term) -> Term:
-    return Rewriter().push_daggers(t)
 
 
 # --- derived tables (B_db, G_db) ---------------------------------------

@@ -3,7 +3,8 @@
 Terms are immutable and hash-consed: structurally equal terms are the same
 object, so equality checks used by the rewrite tables are O(1).  Dimension
 errors can only arise at construction time; every rewrite therefore maps
-well-formed terms to well-formed terms.
+well-formed terms to well-formed terms.  Every dim is a power of two, so a
+term acts on whole qubit slots.
 """
 
 from __future__ import annotations
@@ -66,15 +67,19 @@ def ket1() -> Term:
     return Term(KET1, None, (), 2, 1)
 
 
+def _is_power_of_two(n: int) -> bool:
+    return n >= 1 and not n & (n - 1)
+
+
 def zero(rows: int, cols: int) -> Term:
-    if rows < 1 or cols < 1:
-        raise DimMismatch("positive dims", (rows, cols), "zero")
+    if not (_is_power_of_two(rows) and _is_power_of_two(cols)):
+        raise DimMismatch("power-of-two dims", (rows, cols), "zero")
     return Term(ZERO, (rows, cols), (), rows, cols)
 
 
 def identity(n: int) -> Term:
-    if n < 1:
-        raise DimMismatch("positive dim", n, "identity")
+    if not _is_power_of_two(n):
+        raise DimMismatch("power-of-two dim", n, "identity")
     return Term(IDENT, n, (), n, n)
 
 

@@ -148,6 +148,28 @@ def test_cli_normalize_bad_input(capsys):
                        ("|0> |1>", "trailing input '|1>'")):
         assert main(["normalize", src]) == EXIT_INPUT
         assert found in capsys.readouterr().err, src
+    # every dim is a power of two, even where the block would cancel
+    assert main(["normalize", "I(3) * O(3,3)"]) == EXIT_INPUT
+    assert "power-of-two dim" in capsys.readouterr().err
+
+
+def test_cli_deep_input_is_an_input_error(tmp_path, capsys):
+    """Input deeper than the recursion limit ends in one error line, exit 2."""
+    nested = "(" * 200 + "|0>" + ")" * 200
+    chain = " * ".join(["H"] * 300) + " * |0>"
+    long_sum = " + ".join(["|0>"] * 3000)
+    for argv in (["normalize", nested], ["normalize", "--trace", chain],
+                 ["normalize", "--trace", long_sum]):
+        assert main(argv) == EXIT_INPUT, argv[-1][:20]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # check reports such an assertion as an error and goes on
+    path = tmp_path / "deep.qd"
+    path.write_text(f"deep: EQ {nested} == |0>\nflip: EQ X * |0> == |1>\n")
+    assert main(["check", str(path), "--json"]) == EXIT_FAIL
+    results = json.loads(capsys.readouterr().out)["files"][0]["results"]
+    assert [r["verdict"] for r in results] == ["error", "pass"]
+    assert results[0]["witness"].startswith("RecursionError: ")
 
 
 def test_readme_quick_tour_normalize(capsys):

@@ -136,7 +136,6 @@ def test_mix_equal_ordered_and_multiset():
     swapped = MixedState((a.branches[1], a.branches[0]))
     assert mix_equal(a, a)
     assert not mix_equal(a, swapped)
-    assert mix_equal(a, swapped, multiset=True)
     assert not mix_equal(a, pure_mix(density(ket0())))
     different_p = MixedState(((QUARTER, a.branches[0][1]), a.branches[1]))
     assert not mix_equal(a, different_p)

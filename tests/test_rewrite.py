@@ -14,9 +14,7 @@ from qdirac.errors import FuelExhausted, NotInReducedShape
 from qdirac.oracle import eval_dense, mat_equiv
 from qdirac.parser import parse
 from qdirac.rewrite import (
-    NormalForm, RewriteTrace, Rewriter, assoc_right, base_reduce, cancel_zero,
-    contract_inner, dagger_push, distribute, gate_reduce, mult_kron,
-    operate_reduce, render_nf, replay, unified_base,
+    NormalForm, RewriteTrace, Rewriter, operate_reduce, render_nf, replay, unified_base,
 )
 from qdirac.scalar import Scalar
 from qdirac.term import (
@@ -33,66 +31,127 @@ def nf_of(t) -> NormalForm:
     return Rewriter().normalize(t)
 
 
+def first_step(t, push=False):
+    """The law and result of the first step a traced Rewriter records on t,
+    in its dagger-pushing stage if push, else in its reduction."""
+    trace = RewriteTrace()
+    rw = Rewriter(trace=trace)
+    (rw.push_daggers if push else rw.reduce)(t)
+    step = trace.steps[0]
+    return step.law, step.after
+
+
 def test_contract_inner():
-    assert contract_inner(mul(dag(ket0()), ket0())) is identity(1)
-    assert contract_inner(mul(dag(ket1()), ket0())) is zero(1, 1)
+    assert first_step(mul(dag(ket0()), ket0())) == ("L1", identity(1))
+    assert first_step(mul(dag(ket1()), ket0())) == ("L1", zero(1, 1))
+    assert first_step(mul(dag(ket0()), mul(ket0(), dag(ket1())))) == ("L1", dag(ket1()))
 
 
 def test_base_reduce():
-    assert base_reduce(mul(gate("B0"), ket0())) is ket0()
-    assert base_reduce(mul(gate("B1"), ket0())) is zero(2, 1)
-    assert base_reduce(mul(gate("B3"), ket1())) is ket1()
+    assert first_step(mul(gate("B0"), ket0())) == ("B_db", ket0())
+    assert first_step(mul(gate("B1"), ket0())) == ("B_db", zero(2, 1))
+    assert first_step(mul(gate("B3"), ket1())) == ("B_db", ket1())
 
 
 def test_gate_reduce():
-    assert gate_reduce(mul(gate("X"), ket0())) is ket1()
-    assert gate_reduce(mul(gate("H"), gate("ket_plus"))) is ket0()
-    assert gate_reduce(mul(identity(2), ket1())) is ket1()
-    assert gate_reduce(mul(gate("H"), gate("ket_minus"))) is ket1()
+    assert first_step(mul(gate("X"), ket0())) == ("G_db", ket1())
+    assert first_step(mul(gate("H"), gate("ket_plus"))) == ("G_db", ket0())
+    assert first_step(mul(identity(2), ket1())) == ("L8", ket1())
+    assert first_step(mul(gate("H"), gate("ket_minus"))) == ("G_db", ket1())
 
 
 def test_assoc_right():
     a, b, c = gate("X"), gate("Y"), gate("Z")
-    assert assoc_right(mul(mul(a, b), c)) is mul(a, mul(b, c))
-    assert assoc_right(kron(kron(ket0(), ket0()), ket0())) \
-        is kron(ket0(), kron(ket0(), ket0()))
+    assert first_step(mul(mul(a, b), c)) == ("L2", mul(a, mul(b, c)))
+    assert first_step(kron(kron(ket0(), ket0()), ket0())) \
+        == ("L2", kron(ket0(), kron(ket0(), ket0())))
+    assert first_step(add(add(a, b), c)) == ("L2", add(a, add(b, c)))
 
 
 def test_mult_kron():
-    lhs = mul(kron(gate("H"), kron(identity(2), identity(2))),
-              kron(ket0(), kron(ket0(), ket0())))
-    out = mult_kron(lhs)
-    assert out is kron(mul(gate("H"), ket0()),
-                       kron(mul(identity(2), ket0()), mul(identity(2), ket0())))
-    untouched = mul(kron(gate("H"), gate("H")), identity(4))
-    assert mult_kron(untouched) is untouched
+    h, i2, x = gate("H"), identity(2), gate("X")
+    lhs = mul(kron(h, kron(i2, i2)), kron(ket0(), kron(ket0(), ket0())))
+    assert first_step(lhs) == ("L13", kron(mul(h, ket0()),
+                                           kron(mul(i2, ket0()), mul(i2, ket0()))))
+    # an identity block that straddles the other side's cut is split into I(2) slots
+    straddling = mul(kron(identity(4), x), kron(x, identity(4)))
+    assert first_step(straddling) == ("L13", kron(mul(i2, x), kron(mul(i2, i2), mul(x, i2))))
+    # no cut lines up even then, so the first step is inside a factor
+    trace = RewriteTrace()
+    untouched = mul(kron(gate("CX"), x), kron(x, gate("CX")))
+    Rewriter(trace=trace).reduce(untouched)
+    assert trace.steps[0].path != b""
 
 
 def test_distribute():
-    b1, b2 = gate("B1"), gate("B2")
-    out = distribute(mul(add(b1, b2), ket0()))
-    assert out is add(mul(b1, ket0()), mul(b2, ket0()))
-    c = Scalar.rational(1, 2)
-    out = distribute(scale(c, add(ket0(), ket1())))
-    assert out is add(scale(c, ket0()), scale(c, ket1()))
+    b1, b3 = gate("B1"), gate("B3")
+    assert first_step(mul(add(b1, b3), ket0())) == ("L11", add(mul(b1, ket0()), mul(b3, ket0())))
+    bra = dag(ket0())
+    assert first_step(mul(bra, add(ket0(), ket1()))) == ("L11", add(mul(bra, ket0()), mul(bra, ket1())))
+    assert first_step(kron(add(ket0(), ket1()), ket0())) \
+        == ("L12", add(kron(ket0(), ket0()), kron(ket1(), ket0())))
 
 
 def test_cancel_zero():
-    assert cancel_zero(mul(zero(2, 2), gate("H"))) is zero(2, 2)
-    assert cancel_zero(scale(Scalar.zero(), gate("X"))) is zero(2, 2)
-    assert cancel_zero(add(gate("X"), zero(2, 2))) is gate("X")
-    assert cancel_zero(mul(identity(2), gate("H"))) is gate("H")
+    assert first_step(mul(zero(2, 2), gate("H"))) == ("L7", zero(2, 2))
+    assert first_step(scale(Scalar.zero(), gate("X"))) == ("L3", zero(2, 2))
+    assert first_step(add(gate("X"), zero(2, 2))) == ("L9", gate("X"))
+    assert first_step(kron(zero(2, 1), ket0())) == ("L10", zero(4, 1))
+    assert first_step(mul(identity(2), gate("H"))) == ("L8", gate("H"))
 
 
 def test_dagger_push():
     a, b = gate("X"), gate("H")
-    # pushing continues to the leaves, so compare with the pushed expansions
-    assert dagger_push(dag(mul(a, b))) is dagger_push(mul(dag(b), dag(a)))
-    assert dagger_push(dag(kron(a, b))) is dagger_push(kron(dag(a), dag(b)))
-    assert dagger_push(dag(dag(a))) is a
+    assert first_step(dag(mul(a, b)), push=True) == ("L14", mul(dag(b), dag(a)))
+    assert first_step(dag(kron(a, b)), push=True) == ("L15", kron(dag(a), dag(b)))
+    assert first_step(dag(add(a, b)), push=True) == ("L15", add(dag(a), dag(b)))
+    assert first_step(dag(dag(a)), push=True) == ("L16", a)
     c = Scalar.i()
-    assert dagger_push(dag(scale(c, a))) is dagger_push(scale(c.conj(), dag(a)))
-    assert dagger_push(dag(ket0())) is dag(ket0())
+    assert first_step(dag(scale(c, a)), push=True) == ("L14", scale(c.conj(), dag(a)))
+    assert first_step(dag(identity(4)), push=True) == ("D_db", identity(4))
+    assert first_step(dag(zero(2, 1)), push=True) == ("D_db", zero(1, 2))
+    trace = RewriteTrace()  # a bra is a leaf
+    assert Rewriter(trace=trace).push_daggers(dag(ket0())) is dag(ket0())
+    assert not trace.steps
+
+
+def test_every_law_fires():
+    """Each law _rewrite_root or push_daggers can emit fires on some input."""
+    c = Scalar.rational(1, 2)
+    h, x = gate("H"), gate("X")
+    cases = {
+        "L1": mul(dag(ket0()), ket0()),
+        "L2": mul(mul(h, x), ket0()),
+        "L3": scale(Scalar.one(), ket0()),
+        "L5": mul(scale(c, h), ket0()),
+        "L6": kron(scale(c, ket0()), ket1()),
+        "L7": mul(zero(2, 2), ket0()),
+        "L8": kron(identity(1), ket0()),
+        "L9": add(ket0(), zero(2, 1)),
+        "L10": kron(ket0(), zero(2, 1)),
+        "L11": mul(add(gate("B1"), gate("B3")), ket0()),
+        "L12": kron(add(ket0(), ket1()), ket0()),
+        "L13": mul(kron(h, x), kron(ket0(), ket1())),
+        "L14": dag(mul(h, x)),
+        "L15": dag(kron(h, x)),
+        "L16": dag(dag(h)),
+        "G_db": mul(h, ket0()),
+        "B_db": mul(gate("B2"), ket0()),
+        "D_db": dag(identity(2)),
+    }
+    assert set(cases) == LAW_IDS - {"L4"}
+    for law, t in cases.items():
+        trace = RewriteTrace()
+        Rewriter(trace=trace).normalize(t)
+        assert law in {s.law for s in trace.steps}, law
+
+
+def test_traced_steps_are_pinned():
+    for text, steps in [("H * X * H", 244), ("H * H * H * H * |0>", 1458),
+                        ("(H # I(2)) * CX * (H # H) * |0,1>", 117)]:
+        rw = Rewriter(trace=RewriteTrace())
+        rw.normalize(parse(text))
+        assert rw.steps == steps, text
 
 
 def test_operate_reduce_ghz():
@@ -193,23 +252,13 @@ def test_tensor_paths_agree_with_traced_and_dense(monkeypatch):
     fast = [nf_of(t) for t in cases]
     assert fired["L13"] >= 10 and fired["layer"] >= 10, fired
     monkeypatch.undo()  # the traced pipeline applies L13 through the same function
-    untraceable = 0
     for t, nf in zip(cases, fast):
         assert mat_equiv(t, nf.to_term(), samples=3), repr(t)
         trace = RewriteTrace()
         rw = Rewriter(trace=trace)
         reduced = rw.reduce(rw.push_daggers(t))
         assert replay(t, trace) is reduced
-        try:
-            slow = unified_base(reduced)
-        except NotInReducedShape:
-            # No law splits I(2^k) for k >= 2, so the traced pipeline cannot
-            # multiply a product whose identity block straddles the other
-            # side's factors, e.g. (I(4) # X) * (X # I(4)).
-            untraceable += 1
-            continue
-        assert slow == nf, repr(t)
-    assert untraceable <= 6, untraceable
+        assert unified_base(reduced) == nf, repr(t)
 
 
 def test_trace_rendering():
@@ -264,7 +313,6 @@ def test_unified_base_rejects_irreducible():
     cases = [
         (mul(gate("H"), ket0()), "irreducible product"),
         (dag(gate("H")), "irreducible dagger"),
-        (identity(3), "identity of non-power-of-two dim 3"),
         (mul(ket0(), scale(Scalar.var("c"), dag(ket1()))), "irreducible product"),
     ]
     for t, message in cases:

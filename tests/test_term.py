@@ -49,7 +49,7 @@ def test_basic_dims():
     assert mul(gate("H"), ket0()).dims == (2, 1)
     assert dag(ket0()).dims == (1, 2)
     assert identity(4).dims == (4, 4)
-    assert zero(3, 5).dims == (3, 5)
+    assert zero(2, 8).dims == (2, 8)
 
 
 def test_dim_mismatch_at_construction():
@@ -59,6 +59,10 @@ def test_dim_mismatch_at_construction():
         add(ket0(), identity(2))
     with pytest.raises(DimMismatch):
         mul(gate("CX"), ket0())
+    # every dim is a power of two
+    for bad in (lambda: identity(3), lambda: identity(0), lambda: zero(3, 2), lambda: zero(2, 6)):
+        with pytest.raises(DimMismatch, match="power-of-two"):
+            bad()
 
 
 def test_interning_makes_equal_terms_identical():
