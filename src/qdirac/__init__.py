@@ -1,17 +1,17 @@
 """Symbolic rewriting and equivalence checking for Dirac-notation circuits."""
 
 from .errors import (
-    ArityMismatch, DimMismatch, FuelExhausted, InvalidQubitIndex,
+    DimMismatch, FuelExhausted, InvalidQubitIndex,
     NonInvertibleScalar, NotAnOperator, NotAVector, NotInReducedShape, NotSquare,
     ParseError, PatternMismatch, QDiracError, UnboundAtom, UnknownCase, UnknownGate,
 )
 from .scalar import Coefficient, Scalar
 from .term import (
-    Term, add, dag, gate, gate_names, identity, ket0, ket1, ket_string, kron,
-    kron_n, mul, render, scale, uf, zero,
+    Term, add, ce, dag, gate, gate_names, identity, ket0, ket1, ket_string, kron,
+    kron_n, mea, mul, render, scale, uf, zero,
 )
 from .rewrite import (
-    NormalForm, RewriteTrace, Rewriter, operate_reduce, render_nf, replay, unified_base,
+    NormalForm, RewriteTrace, Rewriter, render_nf, replay, unified_base,
 )
 from .oracle import (
     DenseMatrix, ObsResult, SampleEnv, eval_dense, mat_equiv, obs_equiv,

@@ -22,10 +22,6 @@ class UnknownGate(QDiracError):
     pass
 
 
-class ArityMismatch(QDiracError):
-    pass
-
-
 class UnboundAtom(QDiracError):
     def __init__(self, name: str):
         self.name = name

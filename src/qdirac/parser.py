@@ -17,8 +17,8 @@ from .errors import ParseError
 from .quantum import MixExpr, MixedState, density, pure_mix, super_
 from .scalar import Scalar
 from .term import (
-    Term, dag, gate, gate_names, identity, ket_string, kron, kron_n, mul, scale,
-    uf, zero, add,
+    Term, add, ce, dag, gate, gate_names, identity, ket_string, kron, kron_n, mea, mul,
+    scale, uf, zero,
 )
 
 _KET_CHARS = set("01+-,")
@@ -101,8 +101,7 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
-_SCALAR_KEYWORDS = {"i", "sqrt2", "conj", "e"}
-_FUNCTIONS = {"density", "super", "uf", "Uf", "kron_n", "I", "O"}
+_FUNCTIONS = {"density", "super", "uf", "Uf", "kron_n", "I", "O", "CE", "Mea0", "Mea1", "Mea"}
 
 
 class Parser:
@@ -271,14 +270,14 @@ class Parser:
             if angle.kind != "ident":
                 raise ParseError("CE takes an angle name", angle.line, angle.col)
             self.expect_op(")")
-            return gate("CE", angle.text)
+            return ce(angle.text)
         if name in ("Mea0", "Mea1", "Mea"):
             self.expect_op("(")
             n = self._num()
             self.expect_op(",")
             k = self._num()
             self.expect_op(")")
-            return gate(name, n, k)
+            return mea(name, n, k)
         if name in self.defs:
             return self.defs[name]
         if name in self.gates:

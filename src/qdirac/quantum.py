@@ -9,9 +9,9 @@ from .errors import (
     DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, PatternMismatch,
 )
 from .oracle import DEFAULT_SEED, DEFAULT_TOL, mat_equiv
-from .rewrite import NormalForm, Rewriter, operate_reduce
+from .rewrite import NormalForm, Rewriter
 from .scalar import Scalar
-from .term import Term, dag, gate, mul, render
+from .term import Term, dag, mea, mul, render
 
 NormPairs = tuple[tuple[str, str], ...]
 
@@ -38,8 +38,8 @@ def super_reduce(m: Term, psi: Term, norm_pairs: NormPairs = (),
     if m.cols != psi.rows:
         raise DimMismatch((m.rows, psi.rows), psi.dims, "super_reduce operand")
     rw = rewriter or Rewriter()
-    v = operate_reduce(mul(m, psi), rewriter=rw).to_term()
-    return operate_reduce(mul(v, dag(v)), rewriter=rw).apply_norm_hypothesis(norm_pairs)
+    v = rw.normalize(mul(m, psi)).to_term()
+    return rw.normalize(mul(v, dag(v))).apply_norm_hypothesis(norm_pairs)
 
 
 def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = ()) -> Scalar:
@@ -48,7 +48,7 @@ def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = ()) -> Scalar:
     if m_op.rows != m_op.cols or m_op.cols != psi.rows:
         raise DimMismatch((psi.rows, psi.rows), m_op.dims, "measurement operator")
     expr = mul(dag(psi), mul(dag(m_op), mul(m_op, psi)))
-    return operate_reduce(expr).as_scalar().apply_norm_hypothesis(norm_pairs)
+    return Rewriter().normalize(expr).as_scalar().apply_norm_hypothesis(norm_pairs)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def eval_mix(expr: MixExpr, norm_pairs: NormPairs = ()) -> MixedState:
 def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = ()) -> MixedState:
     out = []
     for p, op in m.branches:
-        nf = operate_reduce(super_(u, op)).apply_norm_hypothesis(norm_pairs)
+        nf = Rewriter().normalize(super_(u, op)).apply_norm_hypothesis(norm_pairs)
         out.append((p, nf.to_term()))
     return MixedState(tuple(out))
 
@@ -107,13 +107,13 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = ()) -> MixedS
         if rho.rows != 2 ** (n + 1):
             raise DimMismatch((2 ** (n + 1), 2 ** (n + 1)), rho.dims, "mea_mix branch")
         for proj_name in ("Mea0", "Mea1"):
-            proj = gate(proj_name, n, k)
+            proj = mea(proj_name, n, k)
             # projective, so tr(M rho M) = tr(M rho)
-            prob_nf = operate_reduce(mul(proj, rho)).apply_norm_hypothesis(norm_pairs)
+            prob_nf = Rewriter().normalize(mul(proj, rho)).apply_norm_hypothesis(norm_pairs)
             branch_p = prob_nf.trace().apply_norm_hypothesis(norm_pairs)
             if branch_p.is_zero():
                 continue
-            post_nf = operate_reduce(mul(proj, mul(rho, proj)))
+            post_nf = Rewriter().normalize(mul(proj, mul(rho, proj)))
             post_nf = post_nf.apply_norm_hypothesis(norm_pairs)
             try:
                 inv = branch_p.reciprocal()

@@ -14,17 +14,17 @@ down by hand.
 The traced driver is a deterministic staged pipeline over that one law set,
 tried in a fixed order: push daggers to the leaves, reduce to a fixpoint
 (outermost-first, retrying a node after its children change), then collect
-the result into a canonical sum over computational-basis tensor factors.
+the result into a canonical sum of basis matrices |rbits><cbits|.
 
 When no trace is requested the same normal form is computed directly over
-the sparse sum-of-basis-factors representation (each subterm becomes a map
-from basis row/column bit strings to exact scalars), which skips the
-intermediate term churn, and keeps tensor structure where that saves
-work: a product of aligned tensor products is the tensor product of its
-per-slot products (L13), and a tensor layer acts on a ket one factor at a
-time, passing identity blocks through unexpanded.  The two modes are
-required to agree exactly, and the traced mode's last step, collecting the
-reduced term, runs the same sparse evaluator.
+the sparse representation (each subterm becomes a map from basis
+(row bits, column bits) keys to exact scalars, the keys a normal form's
+summands keep), which skips the intermediate term churn, and keeps tensor
+structure where that saves work: a product of aligned tensor products is
+the tensor product of its per-slot products (L13), and a tensor layer acts
+on a ket one factor at a time, passing identity blocks through unexpanded.
+The two modes are required to agree exactly, and the traced mode's last
+step, collecting the reduced term, runs the same sparse evaluator.
 """
 
 from __future__ import annotations
@@ -43,38 +43,17 @@ from .term import (
 
 DEFAULT_FUEL = 10 ** 6
 
-# Basis factors of a normal form, one per 2-dimensional tensor slot.
-F_K0, F_K1 = 0, 1
-F_B0, F_B1 = 2, 3          # bras <0|, <1|
-F_KB = 4                   # F_KB + 2*b + b' encodes |b><b'|
-
-
-def f_kb(b: int, bp: int) -> int:
-    return F_KB + 2 * b + bp
-
-
-_DIAGONAL = (f_kb(0, 0), f_kb(1, 1))
-_FACTOR_NAMES = {
-    F_K0: "|0>", F_K1: "|1>", F_B0: "<0|", F_B1: "<1|",
-    f_kb(0, 0): "B0", f_kb(0, 1): "B1", f_kb(1, 0): "B2", f_kb(1, 1): "B3",
-}
-
-
-def _factors_from_bits(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical factor tuple for a summand |rbits><cbits|: paired |b><b'|
-    slots first, then the leftover ket or bra slots."""
-    k = min(len(rbits), len(cbits))
-    paired = tuple([F_KB + 2 * b + bp for b, bp in zip(rbits, cbits)])
-    # a ket factor F_K0 + b is the bit b itself
-    return paired + rbits[k:] + tuple([F_B0 + b for b in cbits[k:]])
-
-
 @dataclass(frozen=True)
 class NormalForm:
-    """Canonical sum of scalar-weighted tensor products of basis factors."""
+    """Canonical sum of scalar-weighted basis matrices |rbits><cbits|.
+
+    Each summand is (scalar, (rbits, cbits)), the key the sparse evaluator
+    uses, with log2(rows) row bits and log2(cols) column bits; summands are
+    sorted by that key, the row-major order of the matrix entries, and
+    every scalar is nonzero."""
 
     dims: tuple[int, int]
-    summands: tuple[tuple[Scalar, tuple[int, ...]], ...]
+    summands: tuple[tuple[Scalar, tuple[tuple[int, ...], tuple[int, ...]]], ...]
 
     def is_zero(self) -> bool:
         return not self.summands
@@ -91,12 +70,14 @@ class NormalForm:
     def to_term(self) -> Term:
         if not self.summands:
             return zero(*self.dims)
+        kets, bras = (ket0(), ket1()), (dag(ket0()), dag(ket1()))
         parts = []
-        for s, factors in self.summands:
-            if factors:
-                body = kron_all([_factor_term(f) for f in factors])
-            else:
-                body = identity(1)
+        for s, (rbits, cbits) in self.summands:
+            # per-slot |b><b'| first, then the leftover kets, then the leftover bras
+            k = min(len(rbits), len(cbits))
+            factors = [mul(kets[b], bras[bp]) for b, bp in zip(rbits, cbits)]
+            factors += [kets[b] for b in rbits[k:]] + [bras[b] for b in cbits[k:]]
+            body = kron_all(factors) if factors else identity(1)
             parts.append(body if s.is_one() else scale(s, body))
         out = parts[-1]
         for p in reversed(parts[:-1]):
@@ -105,10 +86,10 @@ class NormalForm:
 
     def map_scalars(self, fn) -> "NormalForm":
         items = {}
-        for s, factors in self.summands:
+        for s, key in self.summands:
             s2 = fn(s)
             if not s2.is_zero():
-                items[factors] = s2
+                items[key] = s2
         return _sorted_nf(self.dims, items)
 
     def trace(self) -> Scalar:
@@ -116,8 +97,8 @@ class NormalForm:
         if self.dims[0] != self.dims[1]:
             raise NotAnOperator("trace of a non-operator normal form")
         total = Scalar.zero()
-        for s, factors in self.summands:
-            if all(f in _DIAGONAL for f in factors):
+        for s, (rbits, cbits) in self.summands:
+            if rbits == cbits:
                 total = total + s
         return total
 
@@ -132,21 +113,8 @@ class NormalForm:
 
 
 def _sorted_nf(dims: tuple[int, int], acc: dict) -> NormalForm:
-    """The canonical normal form of a factors -> nonzero scalar map."""
-    return NormalForm(dims, tuple(sorted(((s, f) for f, s in acc.items()), key=lambda kv: kv[1])))
-
-
-def _factor_term(f: int) -> Term:
-    if f == F_K0:
-        return ket0()
-    if f == F_K1:
-        return ket1()
-    if f == F_B0:
-        return dag(ket0())
-    if f == F_B1:
-        return dag(ket1())
-    b, bp = divmod(f - F_KB, 2)
-    return mul(ket0() if b == 0 else ket1(), dag(ket0() if bp == 0 else ket1()))
+    """The canonical normal form of a (rbits, cbits) -> nonzero scalar map."""
+    return NormalForm(dims, tuple([(s, key) for key, s in sorted(acc.items())]))
 
 
 # --- rewrite trace -----------------------------------------------------
@@ -513,9 +481,7 @@ class Rewriter:
 
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
-        entries = self._sparse(t)
-        acc = {_factors_from_bits(rbits, cbits): s for (rbits, cbits), s in entries.items()}
-        return _sorted_nf(t.dims, acc)
+        return _sorted_nf(t.dims, self._sparse(t))
 
     def _sparse(self, t: Term) -> dict:
         hit = self._sparse_memo.get(t)
@@ -729,13 +695,6 @@ def unified_base(t: Term) -> NormalForm:
     return Rewriter()._normalize_sparse(t)
 
 
-# --- public pipeline ---------------------------------------------------
-
-
-def operate_reduce(t: Term, rewriter: Rewriter | None = None) -> NormalForm:
-    return (rewriter or Rewriter()).normalize(t)
-
-
 # --- derived tables (B_db, G_db) ---------------------------------------
 
 _STATES = {
@@ -754,15 +713,15 @@ def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
     |0>, |1>, |+>, |->; decided by comparing amplitudes, never by dividing."""
     if not summands:
         return None
-    s0, first = summands[0]
-    spread = [i for i in range(len(first)) if any(f[i] != first[i] for _, f in summands)]
+    s0, (first, _) = summands[0]
+    spread = [i for i in range(len(first)) if any(r[i] != first[i] for _, (r, _) in summands)]
     k = len(spread)
     if len(summands) != 1 << k:
         return None
     # The support is every bit combination on the spread positions, and
     # canonical order counts through them in binary: summand j has bits j,
     # so summand 2^(k-1-m) is the one with a 1 at spread[m] only.
-    tokens = ["|0>" if f == F_K0 else "|1>" for f in first]
+    tokens = [f"|{b}>" for b in first]
     neg = -s0
     minus_mask = 0
     for m, i in enumerate(spread):
@@ -796,17 +755,11 @@ def _resugar_state(nf: NormalForm) -> Term:
 
 # The sparse evaluator reads no G_db/B_db table, so it builds them.
 def _init_tables():
-    states = list(_STATES.values())
-    for name in ("X", "Y", "Z", "H"):
-        body = gate(name)
-        for s in states:
-            nf = Rewriter().normalize(mul(body, s))
-            G_TABLE[(body, s)] = _resugar_state(nf)
-    for name in ("B0", "B1", "B2", "B3"):
-        body = gate(name)
-        for s in states:
-            nf = Rewriter().normalize(mul(body, s))
-            B_TABLE[(body, s)] = _resugar_state(nf)
+    for table, names in ((G_TABLE, ("X", "Y", "Z", "H")), (B_TABLE, ("B0", "B1", "B2", "B3"))):
+        for name in names:
+            body = gate(name)
+            for s in _STATES.values():
+                table[(body, s)] = _resugar_state(Rewriter().normalize(mul(body, s)))
 
 
 _init_tables()
@@ -820,15 +773,9 @@ _KNOWN_OPERATORS: list[tuple[str, Term]] = [
 ]
 
 
-def _nf_key(nf: NormalForm):
-    return (nf.dims, nf.summands)
-
-
-_KNOWN_OPERATOR_NFS = {
-    _nf_key(Rewriter().normalize(t)): name for name, t in _KNOWN_OPERATORS
-}
+_KNOWN_OPERATOR_NFS = {Rewriter().normalize(t): name for name, t in _KNOWN_OPERATORS}
 for _n in (2, 4, 8):
-    _KNOWN_OPERATOR_NFS[_nf_key(unified_base(identity(_n)))] = f"I({_n})"
+    _KNOWN_OPERATOR_NFS[unified_base(identity(_n))] = f"I({_n})"
 
 
 def _join_tokens(tokens: list[str]) -> str:
@@ -840,7 +787,7 @@ def _join_tokens(tokens: list[str]) -> str:
 def render_nf(nf: NormalForm) -> str:
     if nf.is_zero():
         return f"O({nf.dims[0]},{nf.dims[1]})"
-    name = _KNOWN_OPERATOR_NFS.get(_nf_key(nf))
+    name = _KNOWN_OPERATOR_NFS.get(nf)
     if name is not None:
         return name
     rows, cols = nf.dims
@@ -855,15 +802,17 @@ def render_nf(nf: NormalForm) -> str:
                 body = f"({body})"
             return render_scaled(s, body)
     parts = []
-    for s, factors in nf.summands:
-        if not factors:
+    for s, (rbits, cbits) in nf.summands:
+        if not rbits and not cbits:
             parts.append(str(s))
             continue
         if cols == 1:
-            body = "|" + ",".join("01"[f] for f in factors) + ">"
+            body = "|" + ",".join(map(str, rbits)) + ">"
         elif rows == 1:
-            body = "<" + ",".join("01"[f - F_B0] for f in factors) + "|"
-        else:
-            body = " # ".join(_FACTOR_NAMES[f] for f in factors)
+            body = "<" + ",".join(map(str, cbits)) + "|"
+        else:  # slot i of |rbits><cbits| is the basis matrix B(2*r_i + c_i)
+            k = min(len(rbits), len(cbits))
+            body = " # ".join([f"B{2 * b + bp}" for b, bp in zip(rbits, cbits)]
+                              + [f"|{b}>" for b in rbits[k:]] + [f"<{b}|" for b in cbits[k:]])
         parts.append(body if s.is_one() else render_scaled(s, body))
     return " + ".join(parts)

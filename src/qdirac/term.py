@@ -9,7 +9,7 @@ term acts on whole qubit slots.
 
 from __future__ import annotations
 
-from .errors import ArityMismatch, DimMismatch, InvalidQubitIndex, UnknownGate
+from .errors import DimMismatch, InvalidQubitIndex, UnknownGate
 from .scalar import Scalar
 
 KET0 = "ket0"
@@ -304,46 +304,32 @@ def _build_library() -> dict[str, Term]:
 
 _LIBRARY = _build_library()
 
-# Parameterised entries: name -> number of parameters.
-_PARAMETRIC = {"CE": 1, "Mea0": 2, "Mea1": 2, "Mea": 2, "Uf": 1, "kron_n": 2}
-
 
 def gate_names() -> list[str]:
-    return sorted(_LIBRARY) + sorted(_PARAMETRIC)
+    return sorted(_LIBRARY)
 
 
-def gate(name: str, *params) -> Term:
-    if name in _LIBRARY:
-        if params:
-            raise ArityMismatch(f"{name} takes no parameters")
-        return _LIBRARY[name]
-    if name not in _PARAMETRIC:
+def gate(name: str) -> Term:
+    """The constant gate or state of the library with this name."""
+    if name not in _LIBRARY:
         raise UnknownGate(name)
-    if len(params) != _PARAMETRIC[name]:
-        raise ArityMismatch(f"{name} takes {_PARAMETRIC[name]} parameter(s), got {len(params)}")
-    if name == "CE":
-        return _ce(params[0])
-    if name in ("Mea0", "Mea1", "Mea"):
-        return _mea(name, int(params[0]), int(params[1]))
-    if name == "Uf":
-        return uf(int(params[0]))
-    if name == "kron_n":
-        return kron_n(int(params[0]), params[1])
-    raise UnknownGate(name)
+    return _LIBRARY[name]
 
 
-def _ce(angle: str) -> Term:
+def ce(angle: str) -> Term:
+    """The controlled phase gate |0><0| # I + |1><1| # e(angle) I."""
     phase = Scalar.phase(angle)
     b0, b3, i2 = _LIBRARY["B0"], _LIBRARY["B3"], _LIBRARY["I2"]
     return add(kron(b0, i2), kron(b3, add(scale(phase, b0), scale(phase, b3))))
 
 
-def _mea(name: str, n: int, k: int) -> Term:
+def mea(name: str, n: int, k: int) -> Term:
+    """The projector Mea0 or Mea1 onto qubit k of n+1 being 0 or 1, or their sum Mea."""
     if n < 0 or k < 0 or k > n:
         raise InvalidQubitIndex(f"measurement index k={k} outside 0..{n}")
     proj = _LIBRARY["B0"] if name == "Mea0" else _LIBRARY["B3"]
     if name == "Mea":
-        return add(_mea("Mea0", n, k), _mea("Mea1", n, k))
+        return add(mea("Mea0", n, k), mea("Mea1", n, k))
     return kron(identity(2 ** k), kron(proj, identity(2 ** (n - k))))
 
 

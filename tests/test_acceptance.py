@@ -16,7 +16,7 @@ from qdirac.corpus import RunConfig, build_defs, parse_corpus, run_file
 from qdirac.oracle import mat_equiv, obs_equiv
 from qdirac.parser import Parser, parse
 from qdirac.quantum import density, mea_mix, pure_mix, total_mass, unit_mix
-from qdirac.rewrite import Rewriter, operate_reduce
+from qdirac.rewrite import Rewriter
 from qdirac.scalar import Scalar
 from qdirac.term import (
     add, dag, gate, identity, kron, ket_string, mul, scale, zero,
@@ -328,8 +328,8 @@ def test_phase_distinctions():
                     ctrl(scale(Scalar.rational(-1), identity(2))),
                     tol=TOL, seed=SEED)
     assert not res.equivalent
-    nf_a = operate_reduce(ctrl(identity(2)))
-    nf_b = operate_reduce(ctrl(scale(Scalar.rational(-1), identity(2))))
+    nf_a = Rewriter().normalize(ctrl(identity(2)))
+    nf_b = Rewriter().normalize(ctrl(scale(Scalar.rational(-1), identity(2))))
     assert nf_a != nf_b
 
 

@@ -15,8 +15,8 @@ from qdirac.quantum import MixedState, eval_mix
 from qdirac.rewrite import Rewriter, render_nf
 from qdirac.scalar import Scalar
 from qdirac.term import (
-    add, dag, gate, identity, ket0, ket1, ket_string, kron, mul, render, scale,
-    zero,
+    add, ce, dag, gate, identity, ket0, ket1, ket_string, kron, mea, mul, render,
+    scale, zero,
 )
 
 from conftest import CORPUS_DIR, REPO_DIR
@@ -33,8 +33,8 @@ def test_parse_literals_and_sugar():
     assert parse("I(4)") is identity(4)
     assert parse("O(2,1)") is zero(2, 1)
     assert parse("H") is gate("H")
-    assert parse("Mea0(1,0)") is gate("Mea0", 1, 0)
-    assert parse("CE(u)") is gate("CE", "u")
+    assert parse("Mea0(1,0)") is mea("Mea0", 1, 0)
+    assert parse("CE(u)") is ce("u")
     assert parse("uf(2)").dims == (8, 8)
 
 

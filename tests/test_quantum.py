@@ -12,10 +12,10 @@ from qdirac.quantum import (
     MixedState, density, mea_mix, mix_equal, probability, pure_mix,
     super_, super_reduce, total_mass, unit_mix,
 )
-from qdirac.rewrite import Rewriter, operate_reduce
+from qdirac.rewrite import Rewriter
 from qdirac.scalar import Scalar
 from qdirac.term import (
-    add, dag, gate, identity, ket0, ket1, ket_string, kron, mul, scale,
+    add, dag, gate, identity, ket0, ket1, ket_string, kron, mea, mul, scale,
 )
 
 from conftest import rand_op, rand_state
@@ -41,7 +41,7 @@ def test_super_reduce_matches_direct_normalization():
         psi = rand_state(rng, qubits, closed=True)
         m = rand_op(rng, qubits, closed=True)
         via_vector = super_reduce(m, psi)
-        direct = operate_reduce(super_(m, density(psi)))
+        direct = Rewriter().normalize(super_(m, density(psi)))
         assert via_vector == direct, (repr(m), repr(psi))
 
 
@@ -51,23 +51,23 @@ def test_global_phase_vanishes_in_density():
     for _ in range(40):
         psi = rand_state(rng, rng.randint(1, 2), closed=True)
         phased = scale(Scalar.phase("u"), psi)
-        a = operate_reduce(density(phased), rewriter=rw)
-        b = operate_reduce(density(psi), rewriter=rw)
+        a = rw.normalize(density(phased))
+        b = rw.normalize(density(psi))
         assert a == b, repr(psi)
 
 
 def test_measurement_projectivity():
     for n in range(3):
         for k in range(n + 1):
-            m0 = gate("Mea0", n, k)
-            assert operate_reduce(mul(m0, m0)) == operate_reduce(m0), (n, k)
+            m0 = mea("Mea0", n, k)
+            assert Rewriter().normalize(mul(m0, m0)) == Rewriter().normalize(m0), (n, k)
 
 
 def test_sym_trace_examples():
-    assert operate_reduce(gate("B0")).trace() == Scalar.one()
-    assert operate_reduce(identity(4)).trace() == Scalar.rational(4)
-    assert operate_reduce(gate("X")).trace() == Scalar.zero()
-    rho = operate_reduce(density(gate("ket_plus")))
+    assert Rewriter().normalize(gate("B0")).trace() == Scalar.one()
+    assert Rewriter().normalize(identity(4)).trace() == Scalar.rational(4)
+    assert Rewriter().normalize(gate("X")).trace() == Scalar.zero()
+    rho = Rewriter().normalize(density(gate("ket_plus")))
     assert rho.trace() == Scalar.one()
     with pytest.raises(NotAnOperator):
         Rewriter().normalize(ket0()).trace()

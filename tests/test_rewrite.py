@@ -10,11 +10,11 @@ import pytest
 
 import qdirac.rewrite as rewrite_module
 from qdirac.cli import EXIT_INPUT, main
-from qdirac.errors import FuelExhausted, NotInReducedShape
+from qdirac.errors import FuelExhausted, NotAnOperator, NotInReducedShape
 from qdirac.oracle import eval_dense, mat_equiv
 from qdirac.parser import parse
 from qdirac.rewrite import (
-    NormalForm, RewriteTrace, Rewriter, operate_reduce, render_nf, replay, unified_base,
+    NormalForm, RewriteTrace, Rewriter, render_nf, replay, unified_base,
 )
 from qdirac.scalar import Scalar
 from qdirac.term import (
@@ -159,14 +159,14 @@ def test_operate_reduce_ghz():
                   mul(kron(gate("CX"), identity(2)),
                       mul(kron(gate("H"), kron(identity(2), identity(2))),
                           ket_string("000"))))
-    nf = operate_reduce(circuit)
+    nf = Rewriter().normalize(circuit)
     assert len(nf.summands) == 2
     assert render_nf(nf) == "1/2*sqrt2 .* |0,0,0> + 1/2*sqrt2 .* |1,1,1>"
 
 
 def test_operate_reduce_plus_minus_sugar():
     t = mul(kron(gate("H"), gate("H")), kron(ket0(), ket1()))
-    assert render_nf(operate_reduce(t)) == "|+> # |->"
+    assert render_nf(Rewriter().normalize(t)) == "|+> # |->"
 
 
 def test_product_state_render_compares_scalars(monkeypatch):
@@ -192,10 +192,10 @@ def test_product_state_render_compares_scalars(monkeypatch):
 
 
 def test_normalize_operator_identities():
-    assert operate_reduce(mul(gate("X"), gate("X"))) == unified_base(identity(2))
+    assert Rewriter().normalize(mul(gate("X"), gate("X"))) == unified_base(identity(2))
     hxh = mul(gate("H"), mul(gate("X"), gate("H")))
-    assert operate_reduce(hxh) == nf_of(gate("Z"))
-    assert operate_reduce(mul(gate("CX"), gate("CX"))) == unified_base(identity(4))
+    assert Rewriter().normalize(hxh) == nf_of(gate("Z"))
+    assert Rewriter().normalize(mul(gate("CX"), gate("CX"))) == unified_base(identity(4))
 
 
 def test_normal_form_invariants():
@@ -203,9 +203,11 @@ def test_normal_form_invariants():
     for _ in range(120):
         nf = nf_of(rand_term(rng, closed=False))
         assert all(not s.is_zero() for s, _ in nf.summands)
-        factor_lists = [f for _, f in nf.summands]
-        assert factor_lists == sorted(factor_lists)
-        assert len(set(factor_lists)) == len(factor_lists)
+        keys = [key for _, key in nf.summands]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        row_bits, col_bits = (d.bit_length() - 1 for d in nf.dims)
+        assert all(len(r) == row_bits and len(c) == col_bits for r, c in keys)
 
 
 def test_denotation_preserved():
@@ -289,7 +291,7 @@ def test_nf_uniqueness_with_atoms():
 
 
 def test_scalar_coercion():
-    nf = operate_reduce(mul(dag(ket0()), ket0()))
+    nf = Rewriter().normalize(mul(dag(ket0()), ket0()))
     assert nf.as_scalar() == Scalar.one()
     with pytest.raises(NotInReducedShape):
         nf_of(ket0()).as_scalar()
@@ -438,3 +440,29 @@ def test_zero_normal_form():
 def test_known_operator_rendering():
     assert render_nf(nf_of(mul(gate("H"), mul(gate("X"), gate("H"))))) == "Z"
     assert render_nf(nf_of(mul(gate("X"), gate("X")))) == "I(2)"
+
+
+def test_operator_summands_are_row_major():
+    # CX * (H # I(2)) has no name, so it prints as |rbits><cbits| summands,
+    # slot i as B(2*r_i + c_i), in the row-major order of its matrix entries
+    r = "1/2*sqrt2 .* "
+    assert render_nf(nf_of(parse("CX * (H # I(2))"))) == (
+        f"{r}B0 # B0 + {r}B1 # B0 + {r}B0 # B3 + {r}B1 # B3 + "
+        f"{r}B2 # B1 + -{r}B3 # B1 + {r}B2 # B2 + -{r}B3 # B2"
+    )
+
+
+def test_non_square_operator_normal_forms():
+    r = "1/2*sqrt2 .* "
+    cases = {
+        "H # <1|": f"{r}B0 # <1| + {r}B1 # <1| + {r}B2 # <1| + -{r}B3 # <1|",
+        "X # |0> + i .* (B0 # |1>)": "B1 # |0> + i .* B0 # |1> + B2 # |0>",
+    }
+    for src, text in cases.items():
+        nf = nf_of(parse(src))
+        assert nf.dims in ((2, 4), (4, 2)), src
+        assert render_nf(nf) == text
+        assert nf_of(parse(text)) == nf
+        assert nf_of(nf.to_term()) == nf
+        with pytest.raises(NotAnOperator):
+            nf.trace()

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
-from qdirac.errors import ArityMismatch, DimMismatch, UnknownGate
+from qdirac.errors import DimMismatch, ParseError, UnknownGate
 from qdirac.oracle import DenseMatrix, SampleEnv, eval_dense, mat_equiv
 from qdirac.term import (
-    add, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n, mul, render,
+    add, ce, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n, mea, mul, render,
     render_head, scale, uf, zero,
 )
+from qdirac.parser import parse, parse_scalar
 from qdirac.scalar import Scalar
 
 from conftest import rand_term
@@ -74,10 +76,15 @@ def test_interning_makes_equal_terms_identical():
 def test_gate_errors():
     with pytest.raises(UnknownGate):
         gate("NOPE")
-    with pytest.raises(ArityMismatch):
-        gate("Mea0", 2)
-    with pytest.raises(ArityMismatch):
-        gate("H", 3)
+    # parameters are syntax: the parser builds CE, Mea0/Mea1/Mea, uf and kron_n
+    for src, message in (("Mea0(1)", "expected ',', found )"),
+                         ("H(1)", "unexpected trailing input '('"),
+                         ("CE(1)", "CE takes an angle name"),
+                         ("Mea0(1,2,3)", "expected ')', found ,")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(src)
+    with pytest.raises(ParseError, match="'CE' is not a scalar"):
+        parse_scalar("CE")
 
 
 def test_gates_match_explicit_matrices():
@@ -107,7 +114,7 @@ def test_library_gates_are_unitary():
 
 
 def test_phase_gate_unitary_under_sampling():
-    u = gate("CE", "u")
+    u = ce("u")
     assert mat_equiv(mul(dag(u), u), identity(u.rows), samples=4)
 
 
@@ -127,12 +134,12 @@ def test_kron_n():
 
 
 def test_measurement_operators():
-    assert gate("Mea0", 2, 0).dims == (8, 8)
+    assert mea("Mea0", 2, 0).dims == (8, 8)
     for n in range(4):
         for k in range(n + 1):
-            total = gate("Mea", n, k)
+            total = mea("Mea", n, k)
             assert mat_equiv(total, identity(2 ** (n + 1))), (n, k)
-            m0 = gate("Mea0", n, k)
+            m0 = mea("Mea0", n, k)
             assert mat_equiv(mul(m0, m0), m0), (n, k)
 
 
