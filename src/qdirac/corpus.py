@@ -24,10 +24,10 @@ from .oracle import (
     mat_equiv, obs_equiv,
 )
 from .parser import Parser
-from .quantum import eval_mix, mix_equal, sym_mix_equal
+from .quantum import MixedState, eval_mix, mix_equal, sym_mix_difference
 from .rewrite import NormalForm, Rewriter, render_nf
 from .scalar import Scalar
-from .term import Term
+from .term import Term, render_head
 
 KINDS = ("EQ", "MATEQ", "OBS", "MIXEQ")
 # what a RecursionError from the recursive parser or rewriter is reported as
@@ -172,6 +172,14 @@ def _sym_obs_equal(a: NormalForm, b: NormalForm) -> bool:
     )
 
 
+def _branch_text(m: MixedState, i: int) -> str:
+    """Branch i of m as `[p : op]`, op cut to 120 characters."""
+    if i >= len(m.branches):
+        return f"no branch {i} (of {len(m.branches)})"
+    p, op = m.branches[i]
+    return f"[{p} : {render_head(op, 120)}]"
+
+
 def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> AssertionResult:
     res = AssertionResult(a.name, a.kind, "error")
     rewriter = Rewriter()
@@ -180,9 +188,11 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
         if a.kind == "MIXEQ":
             lhs = eval_mix(Parser(a.lhs, defs).parse_mixed(), a.hypotheses)
             rhs = eval_mix(Parser(a.rhs, defs).parse_mixed(), a.hypotheses)
-            sym_ok = sym_mix_equal(lhs, rhs, a.hypotheses, rewriter)
+            diff = sym_mix_difference(lhs, rhs, a.hypotheses, rewriter)
+            sym_ok = diff is None
             if not sym_ok:
-                res.witness = f"mixed states differ: [{lhs}] vs [{rhs}]"
+                res.witness = (f"mixed states differ at branch {diff}: "
+                               f"{_branch_text(lhs, diff)} vs {_branch_text(rhs, diff)}")
         else:
             lhs = Parser(a.lhs, defs).parse_term()
             rhs = Parser(a.rhs, defs).parse_term()

@@ -208,8 +208,13 @@ def eval_dense(t: Term, env: SampleEnv | None = None) -> DenseMatrix:
         return eval_dense(t.children[0], env).scale(t.payload.evaluate(env.bindings))
     if kind == MUL:
         return eval_dense(t.children[0], env).matmul(eval_dense(t.children[1], env))
-    if kind == ADD:
-        return eval_dense(t.children[0], env).add(eval_dense(t.children[1], env))
+    if kind == ADD:  # walk the right spine, so a long sum recurses once, not per summand
+        out = eval_dense(t.children[0], env)
+        t = t.children[1]
+        while t.kind == ADD:
+            out = out.add(eval_dense(t.children[0], env))
+            t = t.children[1]
+        return out.add(eval_dense(t, env))
     if kind == KRON:
         return eval_dense(t.children[0], env).kron(eval_dense(t.children[1], env))
     return eval_dense(t.children[0], env).dagger()

@@ -134,30 +134,35 @@ def total_mass(m: MixedState, norm_pairs: NormPairs = ()) -> Scalar:
 def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_TOL,
               seed: int = DEFAULT_SEED, norm_pairs: NormPairs = ()) -> bool:
     """Ordered branchwise equality: exact probabilities, numeric operators."""
-    return _branches_equal(
+    return len(a.branches) == len(b.branches) and _first_difference(
         a, b, norm_pairs,
         lambda x, y: mat_equiv(x, y, samples=samples, tol=tol, seed=seed,
                                norm_pairs=norm_pairs),
-    )
+    ) is None
 
 
-def sym_mix_equal(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
-                  rewriter: Rewriter | None = None) -> bool:
-    """Ordered branchwise equality, operators compared by normal form."""
+def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
+                       rewriter: Rewriter | None = None) -> int | None:
+    """Ordered branchwise comparison, operators compared by normal form: the
+    index of the first branch that differs, or None if the states are equal."""
     rw = rewriter or Rewriter()
 
     def nf(t: Term) -> NormalForm:
         return rw.normalize(t).apply_norm_hypothesis(norm_pairs)
 
-    return _branches_equal(a, b, norm_pairs, lambda x, y: nf(x) == nf(y))
+    return _first_difference(a, b, norm_pairs, lambda x, y: nf(x) == nf(y))
 
 
-def _branches_equal(a: MixedState, b: MixedState, norm_pairs: NormPairs,
-                    ops_equal: Callable[[Term, Term], bool]) -> bool:
+def _first_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs,
+                      ops_equal: Callable[[Term, Term], bool]) -> int | None:
     """Pair branches in order; paired branches need a zero probability
-    difference under the hypotheses, equal dims and ops_equal."""
-    return len(a.branches) == len(b.branches) and all(
-        (pa - pb).apply_norm_hypothesis(norm_pairs).is_zero()
-        and oa.dims == ob.dims and ops_equal(oa, ob)
-        for (pa, oa), (pb, ob) in zip(a.branches, b.branches)
-    )
+    difference under the hypotheses, equal dims and ops_equal.  The index of
+    the first pair that fails, the shorter length if one state runs out
+    first, or None."""
+    for i, ((pa, oa), (pb, ob)) in enumerate(zip(a.branches, b.branches)):
+        if not ((pa - pb).apply_norm_hypothesis(norm_pairs).is_zero()
+                and oa.dims == ob.dims and ops_equal(oa, ob)):
+            return i
+    if len(a.branches) != len(b.branches):
+        return min(len(a.branches), len(b.branches))
+    return None

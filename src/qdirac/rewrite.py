@@ -2,19 +2,26 @@
 
 The catalog follows the usual algebra of scaled matrix expressions: inner
 products of basis vectors collapse to scalars (L1), associativity (L2),
-scalar/zero/identity absorption (L3-L10), distribution (L11/L12), the
-mixed-product law for tensors (L13, which splits an I(2^k) block into I(2)
-slots where it straddles a cut) and conjugate-transpose pushing (L14-L16).
-Derived lookup tables speed up the common cases: B_db for the four basis
-matrices acting on single-qubit states, G_db for the Pauli/Hadamard gates,
-and D_db for daggers of identity and zero blocks; the B_db and G_db
-entries are computed by the sparse evaluator at import time, not written
-down by hand.
+scalar/zero/identity absorption (L3, L5-L10), a scalar distributed over a
+sum (L4), distribution (L11/L12), the mixed-product law for tensors (L13,
+which splits an I(2^k) block into I(2) slots where it straddles a cut) and
+conjugate-transpose pushing (L14-L16); Lsum merges the like summands
+c1 .* x + ... + c2 .* x of a sum into (c1 + c2) .* x.  Derived lookup tables
+speed up the common cases: B_db for the four basis matrices acting on
+single-qubit states, G_db for the Pauli/Hadamard gates, and D_db for daggers
+of identity and zero blocks; the B_db and G_db entries are computed by the
+sparse evaluator at import time, not written down by hand.
 
 The traced driver is a deterministic staged pipeline over that one law set,
-tried in a fixed order: push daggers to the leaves, reduce to a fixpoint
-(outermost-first, retrying a node after its children change), then collect
-the result into a canonical sum of basis matrices |rbits><cbits|.
+tried in a fixed order: push daggers to the leaves, reduce to a fixpoint,
+then collect the result into a canonical sum of basis matrices
+|rbits><cbits|.  Reduction tries a node's laws before its children's and
+retries the node after they change, except that a product whose result is
+a vector reduces that vector first, and Lsum runs once per sum, at its top,
+after its summands.  Each Rewriter remembers the fixpoints it has reached,
+so a repeated irreducible subterm costs a lookup.  On gate chains applied to
+kets and on H^n * H^n the steps grow with the gates times the size of the
+answer; products of operators are still distributed outermost-first.
 
 When no trace is requested the same normal form is computed directly over
 the sparse representation (each subterm becomes a map from basis
@@ -37,8 +44,8 @@ from .errors import FuelExhausted, NotAnOperator, NotInReducedShape
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
-    Term, add, dag, gate, identity, ket0, ket1, kron, kron_all, mul, render, render_head,
-    render_scaled, scale, zero,
+    Term, add, add_all, dag, gate, identity, ket0, ket1, kron, kron_all, mul, render,
+    render_head, render_scaled, scale, zero,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -311,6 +318,34 @@ def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
     return kron_all([mul(kron_all(l), kron_all(r)) for l, r in segments])
 
 
+def _collect_like(t: Term):
+    """Lsum: the ADD spine t with the like summands c1 .* x, c2 .* x, ... of
+    each body x merged into (c1 + c2 + ...) .* x at its first occurrence, and
+    dropped if the scalars cancel; None if no body occurs twice.  Bodies are
+    interned, so one pass keyed by them finds the like summands."""
+    parts = []
+    while t.kind == ADD:
+        parts.append(t.children[0])
+        t = t.children[1]
+    parts.append(t)
+    groups: dict[Term, list[Term]] = {}  # body -> its summands, first seen first
+    for p in parts:
+        groups.setdefault(p.children[0] if p.kind == SCALE else p, []).append(p)
+    if len(groups) == len(parts):
+        return None
+    out = []
+    for body, like in groups.items():
+        if len(like) == 1:
+            out.append(like[0])
+            continue
+        c = Scalar.zero()
+        for p in like:
+            c = _cadd(c, p.payload if p.kind == SCALE else _S_ONE)
+        if not c.is_zero():
+            out.append(body if c.is_one() else scale(c, body))
+    return "Lsum", add_all(out) if out else zero(t.rows, t.cols)
+
+
 class Rewriter:
     """Stateful driver: fuel accounting, and either the traced law pipeline
     or the memoized sparse evaluator."""
@@ -321,6 +356,8 @@ class Rewriter:
         self.trace = trace
         self._sparse_memo: dict[Term, dict] = {}
         self._columns: dict[Term, dict] = {}  # layer factor -> its map by column bits
+        self._irreducible: set[Term] = set()  # fixpoints of reduce
+        self._irreducible_in_sum: set[Term] = set()  # inner ADD nodes: all laws but Lsum
 
     # -- bookkeeping
     def _log(self, law: str, path, before: Term, after: Term):
@@ -336,11 +373,13 @@ class Rewriter:
         if kind == SCALE:
             c, x = t.payload, t.children[0]
             if x.kind == SCALE:
-                return "L2", scale(c * x.payload, x.children[0])
+                return "L2", scale(_cmul(c, x.payload), x.children[0])
             if c.is_zero() or x.kind == ZERO:
                 return "L3", zero(*t.dims)
             if c.is_one():
                 return "L3", x
+            if x.kind == ADD and x not in _PROTECTED:
+                return "L4", add(scale(c, x.children[0]), scale(c, x.children[1]))
             return None
         if kind == MUL:
             a, b = t.children
@@ -412,25 +451,54 @@ class Rewriter:
                 return "L2", add(a.children[0], add(a.children[1], b))
         return None
 
-    def reduce(self, t: Term, _path: tuple[int, ...] = ()) -> Term:
+    def reduce(self, t: Term, _path: tuple[int, ...] = (), _in_sum: bool = False) -> Term:
+        """Rewrite t to a fixpoint of the law set.
+
+        A MUL whose result is a vector reduces its vector operand first, so
+        gates meet reduced states.  Lsum runs at the top of an ADD spine once
+        its summands are reduced, never at the spine's inner ADD nodes
+        (_in_sum).  Fixpoints are remembered, an inner node's apart, since
+        Lsum may still fire on it at a top; a remembered one is returned at
+        once and logs no step, as reducing it again would log none."""
+        if t in self._irreducible or (_in_sum and t in self._irreducible_in_sum):
+            return t
         while True:
+            if t.kind == MUL and t.cols == 1:
+                b = t.children[1]
+                rb = self.reduce(b, _path + (1,))
+                if rb is not b:
+                    t = mul(t.children[0], rb)
             r = self._rewrite_root(t)
-            if r is not None:
-                law, new = r
-                self._log(law, _path, t, new)
-                t = new
-                continue
-            if not t.children:
-                break
-            changed = False
-            new_children = []
-            for i, c in enumerate(t.children):
-                rc = self.reduce(c, _path + (i,))
-                new_children.append(rc)
-                changed = changed or rc is not c
-            if not changed:
-                break
-            t = _rebuild(t, new_children)
+            if r is None:
+                if not t.children:
+                    break
+                is_sum = t.kind == ADD
+                changed = False
+                new_children = []
+                for i, c in enumerate(t.children):
+                    rc = self.reduce(c, _path + (i,), is_sum)
+                    new_children.append(rc)
+                    changed = changed or rc is not c
+                if changed:
+                    t = _rebuild(t, new_children)
+                    continue
+                if not is_sum or _in_sum:
+                    break
+                r = _collect_like(t)
+                if r is None:
+                    break
+            law, new = r
+            self._log(law, _path, t, new)
+            t = new
+        if _in_sum and t.kind == ADD:
+            self._irreducible_in_sum.add(t)
+            return t
+        # a reduced spine has no like summands, so neither have its suffixes
+        spine = t
+        while spine.kind == ADD:
+            self._irreducible.add(spine)
+            spine = spine.children[1]
+        self._irreducible.add(spine)
         return t
 
     # -- dagger pushing (L14-L16), run as a first stage

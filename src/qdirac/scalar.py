@@ -161,7 +161,7 @@ def _conj_monomial(m: Monomial) -> Monomial:
 class Scalar:
     """Canonical finite sum of Coefficient-weighted monomials."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_text")
 
     def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
         items = {}
@@ -173,6 +173,7 @@ class Scalar:
             sorted(items.items(), key=lambda kv: kv[0])
         )
         self._hash = None
+        self._text = None
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -337,12 +338,10 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        rendered = []
-        for mono, coeff in self.terms:
-            rendered.append(_render_term(mono, coeff))
-        return " + ".join(rendered)
+        # kept, as _hash is: a scalar is immutable, and a trace prints it once per step
+        if self._text is None:
+            self._text = " + ".join(_render_term(m, c) for m, c in self.terms) or "0"
+        return self._text
 
 
 def _remove_pair(mono: Monomial, pair) -> Monomial | None:

@@ -158,11 +158,13 @@ def test_cli_deep_input_is_an_input_error(tmp_path, capsys):
     nested = "(" * 200 + "|0>" + ")" * 200
     chain = " * ".join(["H"] * 300) + " * |0>"
     long_sum = " + ".join(["|0>"] * 3000)
-    for argv in (["normalize", nested], ["normalize", "--trace", chain],
-                 ["normalize", "--trace", long_sum]):
+    for argv in (["normalize", nested], ["normalize", "--trace", long_sum]):
         assert main(argv) == EXIT_INPUT, argv[-1][:20]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the traced chain is reduced one gate at a time, so it is decided
+    assert main(["normalize", "--trace", chain]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "|0>"
     # check reports such an assertion as an error and goes on
     path = tmp_path / "deep.qd"
     path.write_text(f"deep: EQ {nested} == |0>\nflip: EQ X * |0> == |1>\n")
@@ -170,6 +172,16 @@ def test_cli_deep_input_is_an_input_error(tmp_path, capsys):
     results = json.loads(capsys.readouterr().out)["files"][0]["results"]
     assert [r["verdict"] for r in results] == ["error", "pass"]
     assert results[0]["witness"].startswith("RecursionError: ")
+
+
+def test_cli_check_matches_golden_output(monkeypatch, capsys):
+    """`qdirac check corpus/*.qd --json --seed 42`, run from the repository
+    root, prints tests/data/check_corpus_seed42.json byte for byte."""
+    monkeypatch.chdir(REPO_DIR)
+    paths = sorted(f"corpus/{p.name}" for p in CORPUS_DIR.glob("*.qd"))
+    assert main(["check", *paths, "--json", "--seed", "42"]) == EXIT_OK
+    golden = (REPO_DIR / "tests" / "data" / "check_corpus_seed42.json").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def test_readme_quick_tour_normalize(capsys):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qdirac.corpus import RunConfig, parse_corpus, run_assertion
 from qdirac.errors import DimMismatch, NotAnOperator, NotAVector
 from qdirac.oracle import mat_equiv
 from qdirac.quantum import (
@@ -148,6 +149,23 @@ def test_mixed_state_validation_and_render():
         MixedState(((HALF, identity(2)), (HALF, identity(4))))
     text = str(pure_mix(identity(2)))
     assert text == "1 : I(2)"
+
+
+def test_false_mixeq_names_the_first_differing_branch():
+    """A false MIXEQ fails with a witness naming the first branch that
+    differs, its operators cut short, even when they have 1024 summands."""
+    src = ("big: MIXEQ unitmix(kron_n(5, H), mix1(density(kron_n(5, |0>))))"
+           " == unitmix(kron_n(5, H), mix1(density(kron_n(5, |1>))))\n"
+           "short: MIXEQ [1/2 : density(|0>) ; 1/2 : density(|1>)] == [1/2 : density(|0>)]\n")
+    results = [run_assertion(a, {}, RunConfig()) for a in parse_corpus(src).assertions]
+    assert [r.verdict for r in results] == ["fail", "fail"]
+    big, short = (r.witness for r in results)
+    prefix = "mixed states differ at branch 0: "
+    assert big.startswith(prefix)
+    sides = big[len(prefix):].split(" vs ")
+    assert len(sides) == 2 and sides[0] != sides[1]
+    assert all(s.startswith("[1 : ") and s.endswith("...]") and len(s) == 126 for s in sides)
+    assert short == "mixed states differ at branch 1: [1/2 : |1> * <1|] vs no branch 1 (of 1)"
 
 
 def test_mea_mix_dim_check():

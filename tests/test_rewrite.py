@@ -7,6 +7,7 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qdirac.rewrite as rewrite_module
 from qdirac.cli import EXIT_INPUT, main
@@ -18,13 +19,13 @@ from qdirac.rewrite import (
 )
 from qdirac.scalar import Scalar
 from qdirac.term import (
-    ADD, MUL, add, dag, gate, identity, ket0, ket1, ket_string, kron, kron_all, kron_n,
+    ADD, MUL, add, add_all, dag, gate, identity, ket0, ket1, ket_string, kron, kron_all, kron_n,
     mul, render, scale, uf, zero,
 )
 
-from conftest import rand_circuit, rand_term
+from conftest import rand_circuit, rand_op, rand_scalar, rand_state, rand_term
 
-LAW_IDS = {f"L{i}" for i in range(1, 17)} | {"G_db", "B_db", "D_db"}
+LAW_IDS = {f"L{i}" for i in range(1, 17)} | {"Lsum", "G_db", "B_db", "D_db"}
 
 
 def nf_of(t) -> NormalForm:
@@ -123,6 +124,7 @@ def test_every_law_fires():
         "L1": mul(dag(ket0()), ket0()),
         "L2": mul(mul(h, x), ket0()),
         "L3": scale(Scalar.one(), ket0()),
+        "L4": scale(c, add(gate("B1"), gate("B3"))),
         "L5": mul(scale(c, h), ket0()),
         "L6": kron(scale(c, ket0()), ket1()),
         "L7": mul(zero(2, 2), ket0()),
@@ -138,8 +140,9 @@ def test_every_law_fires():
         "G_db": mul(h, ket0()),
         "B_db": mul(gate("B2"), ket0()),
         "D_db": dag(identity(2)),
+        "Lsum": add(ket0(), add(ket1(), ket0())),
     }
-    assert set(cases) == LAW_IDS - {"L4"}
+    assert set(cases) == LAW_IDS
     for law, t in cases.items():
         trace = RewriteTrace()
         Rewriter(trace=trace).normalize(t)
@@ -147,11 +150,84 @@ def test_every_law_fires():
 
 
 def test_traced_steps_are_pinned():
-    for text, steps in [("H * X * H", 244), ("H * H * H * H * |0>", 1458),
-                        ("(H # I(2)) * CX * (H # H) * |0,1>", 117)]:
+    for text, steps in [("H * X * H", 260), ("H * H * H * H * |0>", 7),
+                        ("(H # I(2)) * CX * (H # H) * |0,1>", 25)]:
         rw = Rewriter(trace=RewriteTrace())
         rw.normalize(parse(text))
         assert rw.steps == steps, text
+
+
+def test_traced_steps_track_the_answer():
+    """Traced steps grow with gates times normal-form size.  Each case runs
+    on fuel just above its bound, so a blow-up stops at once."""
+    h = gate("H")
+    cases = [(parse(" * ".join(["H"] * n) + " * |0>"), 2 * n + 1) for n in range(2, 65)]
+    cases += [(mul(kron_n(n, h), kron_n(n, h)), 2000) for n in range(4, 9)]
+    cases += [(mul(kron_n(n, h), kron_n(n, ket0())), 4 * n) for n in range(2, 11)]
+    for t, bound in cases:
+        rw = Rewriter(fuel=bound + 1, trace=RewriteTrace())
+        assert rw.normalize(t) == nf_of(t), render(t)[:60]
+        assert rw.steps <= bound, (render(t)[:60], rw.steps)
+
+
+def _like_sum(rng: random.Random):
+    """A sum of scaled copies of two like-shaped terms, some copies cancelling."""
+    q = rng.randint(1, 2)
+    make = rand_state if rng.random() < 0.5 else rand_op
+    bodies = [make(rng, q, depth=1, closed=False) for _ in range(2)]
+    parts = []
+    for _ in range(rng.randint(2, 5)):
+        body, c = rng.choice(bodies), rand_scalar(rng, closed=False)
+        parts.append(rng.choice((body, scale(c, body))))
+        if rng.random() < 0.3:
+            parts.append(scale(-c, body))
+    rng.shuffle(parts)
+    if rng.random() < 0.5:
+        return add_all(parts)
+    out = parts[0]  # nested to the left, as the parser builds a sum
+    for p in parts[1:]:
+        out = add(out, p)
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_traced_normal_form_is_the_untraced_one(seed):
+    rng = random.Random(seed)
+    pick = rng.randrange(3)
+    if pick == 0:
+        t = rand_term(rng, closed=False)
+    elif pick == 1:
+        t = rand_circuit(rng, rng.randint(1, 3), closed=False)
+    else:
+        t = _like_sum(rng)
+    trace = RewriteTrace()
+    rw = Rewriter(trace=trace)
+    pushed = rw.push_daggers(t)
+    reduced = rw.reduce(pushed)
+    assert unified_base(reduced) == nf_of(t)
+    assert replay(t, trace) is reduced
+    assert {s.law for s in trace.steps} <= LAW_IDS
+    # a fresh rewriter, with nothing remembered, finds no law to apply
+    fresh = Rewriter(trace=RewriteTrace())
+    assert fresh.reduce(reduced) is reduced and not fresh.trace.steps
+    # what rw remembers changes nothing: a subterm reduced again takes the
+    # steps a fresh rewriter takes
+    sub = pushed
+    while sub.children and rng.random() < 0.7:
+        sub = rng.choice(sub.children)
+    fresh, logged = Rewriter(trace=RewriteTrace()), len(trace.steps)
+    assert rw.reduce(sub) is fresh.reduce(sub)
+    assert len(trace.steps) - logged == len(fresh.trace.steps)
+
+
+def test_inner_sums_are_remembered_apart():
+    """A sum reduced as the inner part of a longer sum is not a fixpoint
+    where it stands alone, since Lsum runs only at a sum's top."""
+    rw = Rewriter(trace=RewriteTrace())
+    pair = add(ket1(), ket1())
+    assert rw.reduce(add(ket0(), pair)) is add(ket0(), scale(Scalar.rational(2), ket1()))
+    assert rw.reduce(pair) is scale(Scalar.rational(2), ket1())
 
 
 def test_operate_reduce_ghz():
