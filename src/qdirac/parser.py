@@ -1,17 +1,29 @@
-"""Tokenizer and recursive-descent parser for the ASCII surface syntax.
+"""Tokenizer and precedence-climbing parser for the ASCII surface syntax.
 
-Precedence, tightest first: postfix `^` (dagger), `.*` (scalar multiple),
-`#` (tensor), `*` (matrix product), `+`/binary `-`.  Kets support the
-comma sugar `|0,1,1>` and the `+`/`-` superposition components; `I(n)` and
-`O(r,c)` build identity and zero terms.  Scalars use the same syntax the
-renderer emits: rationals, `i`, `sqrt2`, free atoms, `conj(a)` or `a^*`,
-and phase factors `e(u)` / `e(-u)` / `e(k*u)`.
+Terms and scalars share one grammar.  Every operand parses to a `Term` or a
+`Scalar`, and the operator table is keyed by the operator and by which of
+the two its left operand is.  Binding, tightest first: postfix `^` (dagger
+of a term; `^*` conjugates a scalar), `*` between scalars, `.*` (scalar
+multiple), `#` (tensor), `*` between terms (matrix product), then `+` and
+binary `-`.  `.*` nests to the right, every other chain to the left.  So
+`a * b .* X` scales by the product `a * b`, and a scalar sum needs
+parentheses: `(1 + i) .* X`.  A parenthesised group is read once, and what
+it parses to decides which operators may follow it.
+
+Kets take the comma sugar `|0,1,1>` and the `+`/`-` components; `I(n)` and
+`O(r,c)` build identity and zero terms.  Scalars use the syntax the
+renderer emits: rationals `p/q` with ASCII digits, `i`, `sqrt2`, a prefix
+`-`, free atoms, `conj(a)` or `a^*`, and phase factors `e(u)` / `e(-u)` /
+`e(k*u)`.  A name that is neither a call, a DEF nor a gate is a free atom,
+so it is a scalar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import operator
+import re
+from functools import partial
+from typing import NamedTuple, Optional
 
 from .errors import ParseError
 from .quantum import MixExpr, MixedState, density, pure_mix, super_
@@ -21,87 +33,84 @@ from .term import (
     scale, uf, zero,
 )
 
-_KET_CHARS = set("01+-,")
-_PUNCT2 = (".*",)
-_PUNCT1 = "()^*+-#/:;[],="
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ket", "bra", "num", "ident", "op", "eof"
     text: str
     line: int
     col: int
 
 
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<ket>\|,*[01+-][01+,-]*>)|(?P<bra><,*[01+-][01+,-]*\|)"
+                    r"|(?P<num>[0-9]+)|(?P<ident>[^\W\d]\w*)"
+                    r"|(?P<op>\.\*|[()^*+\-#/:;\[\],=])")
+
+
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "|":
-            j = i + 1
-            while j < n and src[j] in _KET_CHARS:
-                j += 1
-            if j < n and src[j] == ">" and j > i + 1:
-                tokens.append(Token("ket", src[i:j + 1], start_line, start_col))
-                col += j + 1 - i
-                i = j + 1
-                continue
-            raise ParseError("malformed ket literal", start_line, start_col)
-        if ch == "<":
-            j = i + 1
-            while j < n and src[j] in _KET_CHARS:
-                j += 1
-            if j < n and src[j] == "|" and j > i + 1:
-                tokens.append(Token("bra", src[i:j + 1], start_line, start_col))
-                col += j + 1 - i
-                i = j + 1
-                continue
-            raise ParseError("malformed bra literal", start_line, start_col)
-        if src.startswith(".*", i):
-            tokens.append(Token("op", ".*", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(Token("num", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("op", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("eof", "", line, col))
+    pos, line, line_start = 0, 1, 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        col = pos - line_start + 1
+        ch = src[pos]
+        # a name starts with a letter or '_', not with a numeral such as '²'
+        if m is None or (m.lastgroup == "ident" and not (ch.isalpha() or ch == "_")):
+            if ch in "|<":
+                raise ParseError(f"malformed {'ket' if ch == '|' else 'bra'} literal", line, col)
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        text = m.group()
+        if m.lastgroup != "space":
+            tokens.append(Token(m.lastgroup, text, line, col))
+        elif "\n" in text:
+            line += text.count("\n")
+            line_start = pos + text.rfind("\n") + 1
+        pos = m.end()
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
-_FUNCTIONS = {"density", "super", "uf", "Uf", "kron_n", "I", "O", "CE", "Mea0", "Mea1", "Mea"}
+_GATES = frozenset(gate_names())
+_MINUS_ONE = Scalar.rational(-1)
+
+# (operator, left operand is a Scalar) -> (left binding power, right binding
+# power, right operand is a Scalar, builder).  A right binding power equal to
+# the left one nests to the right.
+_INFIX = {
+    ("+", False): (1, 2, False, add),
+    ("-", False): (1, 2, False, lambda a, b: add(a, scale(_MINUS_ONE, b))),
+    ("+", True): (1, 2, True, operator.add),
+    ("-", True): (1, 2, True, operator.sub),
+    ("*", False): (2, 3, False, mul),
+    ("#", False): (3, 4, False, kron),
+    (".*", True): (4, 4, False, scale),
+    ("*", True): (5, 6, True, operator.mul),
+}
+_NEGATED = 6  # a prefix `-` negates one factor with its postfix `^*`
+
+# name -> (what it builds, argument kinds, builder); a call without argument
+# kinds takes no parentheses
+_CALLS = {
+    "i": (Scalar, (), Scalar.i),
+    "sqrt2": (Scalar, (), Scalar.sqrt2),
+    "conj": (Scalar, ("atom",), Scalar.conj_var),
+    "e": (Scalar, ("phase",), lambda phase: Scalar.phase(*phase)),
+    "I": (Term, ("num",), identity),
+    "O": (Term, ("num", "num"), zero),
+    "density": (Term, ("term",), density),
+    "super": (Term, ("term", "term"), super_),
+    "uf": (Term, ("num",), uf),
+    "Uf": (Term, ("num",), uf),
+    "kron_n": (Term, ("num", "term"), kron_n),
+    "CE": (Term, ("angle",), ce),
+    **{name: (Term, ("num", "num"), partial(mea, name)) for name in ("Mea0", "Mea1", "Mea")},
+}
+
+# the mixed-state grammar: an unevaluated expression, see quantum.eval_mix
+_MIXES = {
+    "meamix": (("num", "num", "mix"), lambda n, k, inner: ("meamix", n, k, inner)),
+    "unitmix": (("term", "mix"), lambda u, inner: ("unitmix", u, inner)),
+    "mix1": (("term",), pure_mix),
+}
 
 
 class Parser:
@@ -109,310 +118,173 @@ class Parser:
         self.tokens = tokenize(src)
         self.pos = 0
         self.defs = defs or {}
-        self.gates = set(gate_names())
 
-    # -- token helpers
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
+    def expect_op(self, text: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
-
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'}",
                              tok.line, tok.col)
-        return self.next()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        self.pos += 1
 
     # -- entry points
     def parse_term(self) -> Term:
-        t = self.parse_add()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        return t
+        return self._end(self.term())
 
     def parse_mixed(self) -> MixExpr:
-        m = self.parse_mix()
-        tok = self.peek()
+        return self._end(self.mix())
+
+    def _end(self, value):
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        return m
+        return value
 
-    # -- term grammar
-    def parse_add(self) -> Term:
-        t = self.parse_mul()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.next().text
-            rhs = self.parse_mul()
-            if op == "-":
-                rhs = scale(Scalar.rational(-1), rhs)
-            t = add(t, rhs)
+    # -- terms and scalars
+    def term(self) -> Term:
+        start = self.pos
+        t = self.expr(0)
+        if isinstance(t, Scalar):
+            raise self._not_a_term(start)
         return t
 
-    def parse_mul(self) -> Term:
-        t = self.parse_kron()
-        while self.at_op("*"):
-            self.next()
-            t = mul(t, self.parse_kron())
-        return t
+    def expr(self, min_bp: int, scalar: bool = False):
+        """The longest operand whose operators bind at least `min_bp`: a Term
+        or a Scalar, and only a Scalar when `scalar` is set."""
+        start = self.pos
+        left = self.primary(scalar)
+        tokens = self.tokens
+        while True:
+            text = tokens[self.pos].text
+            is_scalar = isinstance(left, Scalar)
+            if text == "^" and not is_scalar:  # postfix binds tightest
+                self.pos += 1
+                left = dag(left)
+                continue
+            if text == "^" and tokens[self.pos + 1].text == "*":  # `a^*` conjugates
+                self.pos += 2
+                left = left.conj()
+                continue
+            rule = _INFIX.get((text, is_scalar))
+            if rule is None or rule[0] < min_bp or (scalar and not rule[2]):
+                break
+            _, right_bp, right_scalar, build = rule
+            self.pos += 1
+            right_start = self.pos
+            right = self.expr(right_bp, scalar)
+            if isinstance(right, Scalar) != right_scalar:
+                # a scalar in a term's place: the right operand, or the left beside a term
+                raise self._not_a_term(start if right_scalar else right_start)
+            left = build(left, right)
+        return left
 
-    def parse_kron(self) -> Term:
-        t = self.parse_scaled()
-        while self.at_op("#"):
-            self.next()
-            t = kron(t, self.parse_scaled())
-        return t
-
-    def parse_scaled(self) -> Term:
-        save = self.pos
-        try:
-            c = self.parse_scalar_product()
-            if self.at_op(".*"):
-                self.next()
-                return scale(c, self.parse_scaled())
-        except ParseError:
-            # no term starts with a number or '-', so the scalar's error stands
-            first = self.tokens[save]
-            if first.kind == "num" or (first.kind == "op" and first.text == "-"):
-                raise
-        self.pos = save
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Term:
-        t = self.parse_atom()
-        while self.at_op("^"):
-            self.next()
-            t = dag(t)
-        return t
-
-    def parse_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
-            t = self.parse_add()
-            self.expect_op(")")
-            return t
-        if tok.kind == "ket":
-            self.next()
-            return self._ket(tok)
-        if tok.kind == "bra":
-            self.next()
-            return dag(self._ket(tok))
+    def _not_a_term(self, start: int) -> ParseError:
+        while self.tokens[start].text == "(":
+            start += 1
+        tok = self.tokens[start]
         if tok.kind == "ident":
-            return self.parse_ident_atom()
-        raise ParseError(f"expected an expression, found {tok.text or 'end of input'}",
-                         tok.line, tok.col)
+            return ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
+        return ParseError(f"expected an expression, found {tok.text}", tok.line, tok.col)
 
-    def _ket(self, tok: Token) -> Term:
-        bits = tok.text[1:-1].replace(",", "")
-        if not bits:
-            raise ParseError("empty ket literal", tok.line, tok.col)
-        try:
-            return ket_string(bits)
-        except Exception:
-            raise ParseError(f"malformed ket components {tok.text!r}", tok.line, tok.col)
+    def primary(self, scalar: bool):
+        tok = self.tokens[self.pos]
+        self.pos += 1  # steps past eof only on the way to the error below
+        kind, text = tok.kind, tok.text
+        if kind == "num":
+            if self.tokens[self.pos].text != "/":
+                return Scalar.rational(int(text))
+            self.pos += 1
+            den = self.tokens[self.pos]
+            q = self._num()
+            if q == 0:
+                raise ParseError("division by zero", den.line, den.col)
+            return Scalar.rational(int(text), q)
+        if text == "(":
+            inner = self.expr(0, scalar)
+            self.expect_op(")")
+            return inner
+        if text == "-":
+            return -self.expr(_NEGATED, True)
+        if kind == "ident":
+            return self._name(tok, scalar)
+        if kind in ("ket", "bra") and not scalar:
+            t = ket_string(text[1:-1].replace(",", ""))
+            return t if kind == "ket" else dag(t)
+        raise ParseError(f"expected {'a scalar' if scalar else 'an expression'}, "
+                         f"found {text or 'end of input'}", tok.line, tok.col)
 
-    def parse_ident_atom(self) -> Term:
-        tok = self.next()
+    def _name(self, tok: Token, scalar: bool):
         name = tok.text
-        if name == "I":
-            self.expect_op("(")
-            n = self._num()
-            self.expect_op(")")
-            return identity(n)
-        if name == "O":
-            self.expect_op("(")
-            r = self._num()
-            self.expect_op(",")
-            c = self._num()
-            self.expect_op(")")
-            return zero(r, c)
-        if name == "density":
-            self.expect_op("(")
-            t = self.parse_add()
-            self.expect_op(")")
-            return density(t)
-        if name == "super":
-            self.expect_op("(")
-            m = self.parse_add()
-            self.expect_op(",")
-            rho = self.parse_add()
-            self.expect_op(")")
-            return super_(m, rho)
-        if name in ("uf", "Uf"):
-            self.expect_op("(")
-            n = self._num()
-            self.expect_op(")")
-            return uf(n)
-        if name == "kron_n":
-            self.expect_op("(")
-            n = self._num()
-            self.expect_op(",")
-            base = self.parse_add()
-            self.expect_op(")")
-            return kron_n(n, base)
-        if name == "CE":
-            self.expect_op("(")
-            angle = self.next()
-            if angle.kind != "ident":
-                raise ParseError("CE takes an angle name", angle.line, angle.col)
-            self.expect_op(")")
-            return ce(angle.text)
-        if name in ("Mea0", "Mea1", "Mea"):
-            self.expect_op("(")
-            n = self._num()
-            self.expect_op(",")
-            k = self._num()
-            self.expect_op(")")
-            return mea(name, n, k)
-        if name in self.defs:
-            return self.defs[name]
-        if name in self.gates:
-            return gate(name)
-        raise ParseError(f"unknown name {name!r}", tok.line, tok.col)
+        call = _CALLS.get(name)
+        builds = call[0] if call else Term if name in self.defs or name in _GATES else Scalar
+        if scalar and builds is Term:
+            raise ParseError(f"{name!r} is not a scalar", tok.line, tok.col)
+        if call:
+            return call[2](*self._args(name, call[1]))
+        if builds is Scalar:
+            return Scalar.var(name)  # a free atom
+        return self.defs[name] if name in self.defs else gate(name)
+
+    def _args(self, name: str, kinds: tuple[str, ...]) -> list:
+        if not kinds:
+            return []
+        self.expect_op("(")
+        args = []
+        for kind in kinds:
+            if args:
+                self.expect_op(",")
+            args.append(self._arg(name, kind))
+        self.expect_op(")")
+        return args
+
+    def _arg(self, name: str, kind: str):
+        if kind == "num":
+            return self._num()
+        if kind == "term":
+            return self.term()
+        if kind == "mix":
+            return self.mix()
+        if kind == "phase":  # [-][k*]angle
+            k = 1
+            if self.tokens[self.pos].text == "-":
+                self.pos += 1
+                k = -1
+            if self.tokens[self.pos].kind == "num":
+                k *= self._num()
+                self.expect_op("*")
+            return self._arg(name, "angle"), k
+        tok = self.tokens[self.pos]  # an angle or atom name
+        self.pos += 1
+        if tok.kind != "ident":
+            raise ParseError(f"{name} takes an {kind} name", tok.line, tok.col)
+        return tok.text
 
     def _num(self) -> int:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "num":
             raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
-        self.next()
+        self.pos += 1
         return int(tok.text)
 
-    # -- scalar grammar
-    def parse_scalar(self) -> Scalar:
-        s = self.parse_scalar_product()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.next().text
-            rhs = self.parse_scalar_product()
-            s = s + rhs if op == "+" else s - rhs
-        return s
-
-    def parse_scalar_product(self) -> Scalar:
-        s = self.parse_scalar_factor()
-        while self.at_op("*"):
-            self.next()
-            s = s * self.parse_scalar_factor()
-        return s
-
-    def parse_scalar_factor(self) -> Scalar:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            return -self.parse_scalar_factor()
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
-            s = self.parse_scalar()
-            self.expect_op(")")
-            return s
-        if tok.kind == "num":
-            self.next()
-            p = int(tok.text)
-            if self.at_op("/"):
-                self.next()
-                den = self.peek()
-                q = self._num()
-                if q == 0:
-                    raise ParseError("division by zero", den.line, den.col)
-                return Scalar.rational(p, q)
-            return Scalar.rational(p)
-        if tok.kind == "ident":
-            name = tok.text
-            if name == "i":
-                self.next()
-                return Scalar.i()
-            if name == "sqrt2":
-                self.next()
-                return Scalar.sqrt2()
-            if name == "conj":
-                self.next()
-                self.expect_op("(")
-                inner = self.next()
-                if inner.kind != "ident":
-                    raise ParseError("conj takes an atom name", inner.line, inner.col)
-                self.expect_op(")")
-                return Scalar.conj_var(inner.text)
-            if name == "e":
-                self.next()
-                self.expect_op("(")
-                k = 1
-                if self.at_op("-"):
-                    self.next()
-                    k = -1
-                if self.peek().kind == "num":
-                    k *= self._num()
-                    self.expect_op("*")
-                angle = self.next()
-                if angle.kind != "ident":
-                    raise ParseError("e(...) takes an angle name", angle.line, angle.col)
-                self.expect_op(")")
-                return Scalar.phase(angle.text, k)
-            if name in self.gates or name in _FUNCTIONS or name in self.defs:
-                raise ParseError(f"{name!r} is not a scalar", tok.line, tok.col)
-            self.next()
-            # a^* is the conjugate of atom a
-            if self.at_op("^") and self.peek(1).kind == "op" and self.peek(1).text == "*":
-                self.next()
-                self.next()
-                return Scalar.conj_var(name)
-            return Scalar.var(name)
-        raise ParseError(f"expected a scalar, found {tok.text or 'end of input'}",
-                         tok.line, tok.col)
-
-    # -- mixed-state grammar: an unevaluated expression, see quantum.eval_mix
-    def parse_mix(self) -> MixExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "[":
-            self.next()
+    # -- mixed states
+    def mix(self) -> MixExpr:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok.text == "[":
             branches = [self._branch()]
-            while self.at_op(";"):
-                self.next()
+            while self.tokens[self.pos].text == ";":
+                self.pos += 1
                 branches.append(self._branch())
             self.expect_op("]")
             return MixedState(tuple(branches))
-        if tok.kind == "ident" and tok.text == "meamix":
-            self.next()
-            self.expect_op("(")
-            n = self._num()
-            self.expect_op(",")
-            k = self._num()
-            self.expect_op(",")
-            inner = self.parse_mix()
-            self.expect_op(")")
-            return ("meamix", n, k, inner)
-        if tok.kind == "ident" and tok.text == "unitmix":
-            self.next()
-            self.expect_op("(")
-            u = self.parse_add()
-            self.expect_op(",")
-            inner = self.parse_mix()
-            self.expect_op(")")
-            return ("unitmix", u, inner)
-        if tok.kind == "ident" and tok.text == "mix1":
-            self.next()
-            self.expect_op("(")
-            op = self.parse_add()
-            self.expect_op(")")
-            return pure_mix(op)
+        if tok.kind == "ident" and tok.text in _MIXES:
+            kinds, build = _MIXES[tok.text]
+            return build(*self._args(tok.text, kinds))
         raise ParseError("expected a mixed state", tok.line, tok.col)
 
     def _branch(self) -> tuple[Scalar, Term]:
-        p = self.parse_scalar()
+        p = self.expr(0, True)
         self.expect_op(":")
-        op = self.parse_add()
-        return p, op
+        return p, self.term()
 
 
 def parse(src: str, defs: Optional[dict[str, Term]] = None) -> Term:
@@ -425,8 +297,4 @@ def parse_mixed(src: str, defs: Optional[dict[str, Term]] = None) -> MixExpr:
 
 def parse_scalar(src: str) -> Scalar:
     p = Parser(src)
-    s = p.parse_scalar()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return s
+    return p._end(p.expr(0, True))

@@ -842,8 +842,14 @@ _KNOWN_OPERATORS: list[tuple[str, Term]] = [
 
 
 _KNOWN_OPERATOR_NFS = {Rewriter().normalize(t): name for name, t in _KNOWN_OPERATORS}
-for _n in (2, 4, 8):
-    _KNOWN_OPERATOR_NFS[unified_base(identity(_n))] = f"I({_n})"
+
+
+def _is_identity(nf: NormalForm) -> bool:
+    """Square with exactly the diagonal keys, each with scalar 1; the keys are
+    distinct, so counting them suffices."""
+    rows, cols = nf.dims
+    return rows == cols > 1 and len(nf.summands) == rows and all(
+        rbits == cbits and s.is_one() for s, (rbits, cbits) in nf.summands)
 
 
 def _join_tokens(tokens: list[str]) -> str:
@@ -855,10 +861,12 @@ def _join_tokens(tokens: list[str]) -> str:
 def render_nf(nf: NormalForm) -> str:
     if nf.is_zero():
         return f"O({nf.dims[0]},{nf.dims[1]})"
+    rows, cols = nf.dims
+    if _is_identity(nf):
+        return f"I({rows})"
     name = _KNOWN_OPERATOR_NFS.get(nf)
     if name is not None:
         return name
-    rows, cols = nf.dims
     if cols == 1 and rows > 1:
         factored = _product_state(nf.summands)
         if factored is not None:

@@ -9,7 +9,7 @@ term acts on whole qubit slots.
 
 from __future__ import annotations
 
-from .errors import DimMismatch, InvalidQubitIndex, UnknownGate
+from .errors import DimMismatch, InvalidQubitIndex, QDiracError, UnknownGate
 from .scalar import Scalar
 
 KET0 = "ket0"
@@ -343,9 +343,16 @@ def uf(n: int) -> Term:
     return mul(wing, mul(kron(identity(2), uf(n - 1)), wing))
 
 
+# A KRON node stores its dims as integers of up to n bits, so building
+# kron_n takes memory quadratic in n; wider powers are refused up front.
+KRON_N_MAX = 1024
+
+
 def kron_n(n: int, base: Term) -> Term:
     if n < 0:
         raise ValueError("kron_n needs n >= 0")
+    if n > KRON_N_MAX:
+        raise QDiracError(f"kron_n width {n} exceeds the limit of {KRON_N_MAX}")
     if n == 0:
         return identity(1)
     out = base

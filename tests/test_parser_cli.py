@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdirac.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
-from qdirac.corpus import parse_corpus
+from qdirac.corpus import KINDS, parse_corpus
 from qdirac.errors import DimMismatch, ParseError
 from qdirac.parser import parse, parse_mixed, parse_scalar
 from qdirac.quantum import MixedState, eval_mix
@@ -151,20 +156,30 @@ def test_cli_normalize_bad_input(capsys):
     # every dim is a power of two, even where the block would cancel
     assert main(["normalize", "I(3) * O(3,3)"]) == EXIT_INPUT
     assert "power-of-two dim" in capsys.readouterr().err
+    # numbers are ASCII digits; kron_n is refused above its width limit
+    # before any node is built
+    for src, found in (("I(\u00b2)", "unexpected character '\u00b2'"),
+                       ("kron_n(\u00b3, H)", "unexpected character '\u00b3'"),
+                       ("kron_n(300000, H)", "kron_n width 300000 exceeds the limit of 1024")):
+        assert main(["normalize", src]) == EXIT_INPUT, src
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and found in err, err
 
 
 def test_cli_deep_input_is_an_input_error(tmp_path, capsys):
     """Input deeper than the recursion limit ends in one error line, exit 2."""
-    nested = "(" * 200 + "|0>" + ")" * 200
+    nested = "(" * 2000 + "|0>" + ")" * 2000
     chain = " * ".join(["H"] * 300) + " * |0>"
     long_sum = " + ".join(["|0>"] * 3000)
     for argv in (["normalize", nested], ["normalize", "--trace", long_sum]):
         assert main(argv) == EXIT_INPUT, argv[-1][:20]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the parser reads each group once, so 200 levels are decided;
     # the traced chain is reduced one gate at a time, so it is decided
-    assert main(["normalize", "--trace", chain]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[-1] == "|0>"
+    for argv in (["normalize", "(" * 200 + "|0>" + ")" * 200], ["normalize", "--trace", chain]):
+        assert main(argv) == EXIT_OK, argv[-1][:20]
+        assert capsys.readouterr().out.splitlines()[-1] == "|0>"
     # check reports such an assertion as an error and goes on
     path = tmp_path / "deep.qd"
     path.write_text(f"deep: EQ {nested} == |0>\nflip: EQ X * |0> == |1>\n")
@@ -281,3 +296,55 @@ def test_cli_bench_json_and_table(capsys):
 def test_cli_bench_unknown_case(capsys):
     assert main(["bench", "no_such_case"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+# Token soup over the grammar's alphabet: kets, operators, call names, atoms
+# and gates, and numbers 0..20 (large arguments have their own tests).
+_SOUP = st.one_of(
+    st.sampled_from([
+        "|0>", "|1>", "|+>", "|->", "|0,1>", "<0|", "<1|",
+        "+", "-", "*", "#", ".*", "^", "^*", "(", ")", ",", "/", "[", "]", ":", ";",
+        "I", "O", "density", "super", "uf", "kron_n", "CE", "Mea0", "Mea", "conj", "e",
+        "meamix", "unitmix", "mix1", "H", "X", "CX", "a", "b", "u", "i", "sqrt2",
+    ]),
+    st.integers(min_value=0, max_value=20).map(str),
+)
+_EXPR = st.lists(_SOUP, min_size=1, max_size=14).map(" ".join)
+_ASSERTION = st.tuples(st.sampled_from(KINDS), _EXPR, _EXPR).map(lambda t: "{} {} == {}".format(*t))
+# at most one line that may reject the whole file: a DEF, a HYP or bare soup
+_PREAMBLE = st.lists(st.one_of(_EXPR.map("DEF p = {}".format), st.just("HYP norm(a,b)"), _EXPR),
+                     max_size=1)
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code: int, err: str) -> None:
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_INPUT)
+    if code == EXIT_INPUT:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == "", err
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_EXPR)
+def test_fuzz_normalize_exits_cleanly(src):
+    """Any expression ends in exit 0 or 2, never a traceback."""
+    _assert_clean_exit(*_run_cli(["normalize", src]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_PREAMBLE, st.lists(_ASSERTION, min_size=1, max_size=4))
+def test_fuzz_check_exits_cleanly(preamble, assertions):
+    """Any .qd text ends in exit 0, 1 or 2, never a traceback."""
+    text = "".join(f"{line}\n" for line in preamble)
+    text += "".join(f"n{k}: {a}\n" for k, a in enumerate(assertions))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "soup.qd"
+        path.write_text(text, encoding="utf-8")
+        _assert_clean_exit(*_run_cli(["check", str(path), "--json"]))

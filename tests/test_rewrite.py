@@ -516,6 +516,16 @@ def test_zero_normal_form():
 def test_known_operator_rendering():
     assert render_nf(nf_of(mul(gate("H"), mul(gate("X"), gate("H"))))) == "Z"
     assert render_nf(nf_of(mul(gate("X"), gate("X")))) == "I(2)"
+    # every identity normal form is named, whatever its width
+    for n in range(1, 11):
+        nf = nf_of(parse(f"kron_n({n}, H) * kron_n({n}, H)"))
+        assert render_nf(nf) == f"I({2 ** n})"
+        assert nf_of(parse(render_nf(nf))) == nf
+    # not an identity: a scaled one, one diagonal entry missing, a scalar
+    assert render_nf(nf_of(parse("2 .* I(4)"))) \
+        == "2 .* B0 # B0 + 2 .* B0 # B3 + 2 .* B3 # B0 + 2 .* B3 # B3"
+    assert render_nf(nf_of(parse("I(4) - B3 # B3"))) == "B0 # B0 + B0 # B3 + B3 # B0"
+    assert render_nf(nf_of(parse("I(1)"))) == "1"
 
 
 def test_operator_summands_are_row_major():
