@@ -1,11 +1,13 @@
 """Benchmark harness: symbolic normalization vs dense-matrix evaluation.
 
-Each case is named by the stem of a shipped corpus file.  Both paths check
+Each case is named by the stem of a shipped corpus file.  Both paths take
 the same term-level assertions (mixed-state lines are excluded, since
-checking them is meaningful only through the symbolic engine); the reported
-number is the median total wall time over a number of repeats.  Dense
-evaluation is skipped with an explicit marker once the matrices exceed the
-dimension threshold.
+checking them is meaningful only through the symbolic engine): the symbolic
+path normalizes both sides, and the dense path is the explicit computation,
+`eval_dense` of both sides under each sampled binding.  The reported number
+is the median total wall time over a number of repeats.  Dense evaluation is
+skipped with an explicit marker once the matrices exceed the dimension
+threshold.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from .corpus import build_defs, parse_corpus
 from .errors import UnknownCase
-from .oracle import DENSE_DIM_LIMIT, mat_equiv, obs_equiv
+from .oracle import DENSE_DIM_LIMIT, envs_for, eval_dense
 from .parser import Parser
 from .rewrite import Rewriter
 from .term import Term
@@ -76,11 +78,11 @@ def _run_symbolic(data: list[CaseData]) -> None:
 
 
 def _run_dense(data: list[CaseData], seed: int) -> None:
+    """The explicit computation: both sides' full matrices under each binding."""
     for d in data:
-        if d.kind == "OBS":
-            obs_equiv(d.lhs, d.rhs, seed=seed, norm_pairs=d.hyps)
-        else:
-            mat_equiv(d.lhs, d.rhs, seed=seed, norm_pairs=d.hyps)
+        for env in envs_for(d.lhs, d.rhs, None, seed, d.hyps):
+            eval_dense(d.lhs, env)
+            eval_dense(d.rhs, env)
 
 
 def bench_case(name: str, repeat: int = 5, seed: int = 42) -> BenchRow:

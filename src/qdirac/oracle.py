@@ -1,10 +1,17 @@
-"""Independent dense-matrix evaluator and equivalence predicates.
+"""Independent dense-matrix evaluators and equivalence predicates.
 
 This module deliberately shares nothing with the rewrite engine beyond the
-Term type: terms are evaluated recursively into plain row-major complex
-matrices, and equivalence is decided numerically.  It serves as the test
-oracle for the symbolic side and as the baseline in benchmarks, so the
-kernels are the straightforward O(n^3) dense ones with no sparsity tricks.
+Term type: terms become plain row-major complex matrices, and equivalence is
+decided numerically, entry by entry, under a few sampled bindings of the
+free atoms.  Two evaluators produce those matrices:
+
+- `eval_dense` is the explicit computation, recursive and with the
+  straightforward O(n^3) kernels: every subterm becomes a full matrix.  It
+  is the baseline `qdirac bench` times against the symbolic engine.
+- `Evaluator`, which `mat_equiv` and `obs_equiv` use, makes the same matrices
+  with less work: a product applies its left factor to the right factor's
+  columns, a tensor product acts on them slot by slot, and each small
+  subterm is built once per comparison.
 """
 
 from __future__ import annotations
@@ -220,8 +227,10 @@ def eval_dense(t: Term, env: SampleEnv | None = None) -> DenseMatrix:
     return eval_dense(t.children[0], env).dagger()
 
 
-def _envs_for(a: Term, b: Term, samples: Optional[int], seed: int,
-              norm_pairs: tuple[tuple[str, str], ...]) -> list[SampleEnv]:
+def envs_for(a: Term, b: Term, samples: Optional[int], seed: int,
+             norm_pairs: tuple[tuple[str, str], ...]) -> list[SampleEnv]:
+    """The bindings a comparison of a and b runs under: one empty binding
+    when neither side has atoms or hypotheses, else `samples` seeded ones."""
     va, aa = collect_atoms(a)
     vb, ab = collect_atoms(b)
     variables, angles = va | vb, aa | ab
@@ -233,28 +242,161 @@ def _envs_for(a: Term, b: Term, samples: Optional[int], seed: int,
     ]
 
 
+# Subterms with at most this many entries are built once per comparison.
+SMALL_ENTRIES = 64
+
+
+def _swap_blocks(x: list[complex], r: int, c: int, m: int) -> list[complex]:
+    """x read as an r x c grid of m-entry blocks, written out as the c x r grid."""
+    if r == 1 or c == 1:  # one row or one column of blocks: the order stays
+        return x
+    if m == 1:
+        return [v for k in range(c) for v in x[k::c]]
+    out: list[complex] = []
+    for k in range(c):
+        for i in range(r):
+            s = (i * c + k) * m
+            out += x[s:s + m]
+    return out
+
+
+def _operands(t: Term) -> list[Term]:
+    """The operands of the product, sum or tensor product t, left to right,
+    however it nests: found iteratively, so a thousand gates or summands
+    cost no recursion."""
+    kind = t.kind
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if u.kind == kind:
+            stack += reversed(u.children)
+        else:
+            out.append(u)
+    return out
+
+
+class Evaluator:
+    """The matrices of one comparison's terms under each sampled binding.
+
+    `matrix(t)` builds t.  `act(t, m)` applies t, or its adjoint, to the
+    columns of m without building t: a product applies its factors one by
+    one and a tensor product acts slot by slot, so no Kronecker product of
+    large factors is formed.  The matrix of each subterm with at most
+    SMALL_ENTRIES entries is built once: an atom-free one for the whole
+    comparison, any other once per `bind`.
+    """
+
+    def __init__(self):
+        self.atom_free: dict[Term, bool] = {}
+        self.shared: dict[Term, DenseMatrix] = {}
+        self.local: dict[Term, DenseMatrix] = {}
+        self.bindings: dict[str, complex] = {}
+
+    def bind(self, env: SampleEnv) -> None:
+        self.bindings = env.bindings
+        self.local = {}
+
+    def is_atom_free(self, t: Term) -> bool:
+        """Whether no atom occurs under t.  Iterative, since a normal form's
+        sum can be 1024 summands long; kept for every subterm it visits."""
+        known = self.atom_free
+        if t in known:
+            return known[t]
+        stack = [(t, False)]
+        while stack:
+            u, children_known = stack.pop()
+            if children_known:
+                known[u] = all(known[c] for c in u.children) and (
+                    u.kind != SCALE or u.payload.atoms() == (set(), set()))
+            elif u not in known:
+                stack.append((u, True))
+                stack.extend((c, False) for c in u.children)
+        return known[t]
+
+    def matrix(self, t: Term) -> DenseMatrix:
+        small = t.rows * t.cols <= SMALL_ENTRIES
+        if small:
+            # with no bindings no atom occurs (evaluating one would fail)
+            memo = self.shared if not self.bindings or self.is_atom_free(t) else self.local
+            m = memo.get(t)
+            if m is not None:
+                return m
+        kind = t.kind
+        if kind == MUL:
+            *left, right = _operands(t)
+            m = self.matrix(right)
+            for f in reversed(left):
+                m = self.act(f, m)
+        elif kind == ADD:
+            first, *rest = _operands(t)
+            m = self.matrix(first)
+            for u in rest:
+                m = m.add(self.matrix(u))
+        elif kind == KRON:
+            m = self.matrix(t.children[0]).kron(self.matrix(t.children[1]))
+        elif kind == SCALE:
+            m = self.matrix(t.children[0]).scale(t.payload.evaluate(self.bindings))
+        elif kind == DAG:
+            m = self.matrix(t.children[0]).dagger()
+        else:  # a leaf
+            m = eval_dense(t)
+        if small:
+            memo[t] = m
+        return m
+
+    def act(self, t: Term, m: DenseMatrix, adjoint: bool = False) -> DenseMatrix:
+        """t * m, or t^ * m when adjoint is set."""
+        if t.rows * t.cols <= SMALL_ENTRIES:
+            s = self.matrix(t)
+            return (s.dagger() if adjoint else s).matmul(m)
+        kind = t.kind
+        if kind == MUL:
+            factors = _operands(t)
+            # right to left, or, for the adjoint (f1 * ... * fk)^ = fk^ * ... * f1^
+            for f in (factors if adjoint else reversed(factors)):
+                m = self.act(f, m, adjoint)
+            return m
+        if kind == DAG:
+            return self.act(t.children[0], m, not adjoint)
+        if kind == SCALE:
+            c = t.payload.evaluate(self.bindings)
+            return self.act(t.children[0], m, adjoint).scale(c.conjugate() if adjoint else c)
+        if kind == ADD:
+            first, *rest = _operands(t)
+            out = self.act(first, m, adjoint)
+            for u in rest:
+                out = out.add(self.act(u, m, adjoint))
+            return out
+        if kind == IDENT:
+            return m
+        if kind == ZERO:
+            return DenseMatrix.zero(t.cols if adjoint else t.rows, m.cols)
+        # KRON: a row of m is an index per slot.  Apply each factor to its
+        # slot in turn: move the slot index to the front, act, move it back.
+        # One loop, so only the current block and the next are alive.
+        w = m.cols
+        done, todo = 1, m.rows  # row counts of the slots applied and still to apply
+        for f in _operands(t):
+            f_in, f_out = (f.rows, f.cols) if adjoint else (f.cols, f.rows)
+            todo //= f_in
+            rest = todo * w
+            m = self.act(f, DenseMatrix(f_in, done * rest,
+                                        _swap_blocks(m.entries, done, f_in, rest)), adjoint)
+            m = DenseMatrix(done * f_out * todo, w, _swap_blocks(m.entries, f_out, done, rest))
+            done *= f_out
+        return m
+
+
 def mat_equiv(a: Term, b: Term, samples: Optional[int] = None,
               tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-              norm_pairs: tuple[tuple[str, str], ...] = (),
-              basis: bool = False) -> bool:
-    """Numeric equality of a and b, sampled over free atoms.
-
-    With basis=True the comparison applies both terms to every computational
-    basis column vector instead of comparing raw entries; the two paths agree
-    by linearity and both are exposed for cross-checking.
-    """
+              norm_pairs: tuple[tuple[str, str], ...] = ()) -> bool:
+    """Entrywise numeric equality of a and b, sampled over free atoms."""
     if a.dims != b.dims:
         raise DimMismatch(a.dims, b.dims)
-    for env in _envs_for(a, b, samples, seed, norm_pairs):
-        ma = eval_dense(a, env)
-        mb = eval_dense(b, env)
-        if basis:
-            for j in range(a.cols):
-                e = DenseMatrix.zero(a.cols, 1)
-                e.entries[j] = 1 + 0j
-                if not ma.matmul(e).approx_eq(mb.matmul(e), tol):
-                    return False
-        elif not ma.approx_eq(mb, tol):
+    ev = Evaluator()
+    for env in envs_for(a, b, samples, seed, norm_pairs):
+        ev.bind(env)
+        if not ev.matrix(a).approx_eq(ev.matrix(b), tol):
             return False
     return True
 
@@ -280,9 +422,11 @@ def obs_equiv(a: Term, b: Term, samples: Optional[int] = None,
     if a.dims != b.dims:
         raise DimMismatch(a.dims, b.dims)
     phase: complex | None = None
-    for env in _envs_for(a, b, samples, seed, norm_pairs):
-        ma = eval_dense(a, env)
-        mb = eval_dense(b, env)
+    ev = Evaluator()
+    for env in envs_for(a, b, samples, seed, norm_pairs):
+        ev.bind(env)
+        ma = ev.matrix(a)
+        mb = ev.matrix(b)
         i, j = ma.max_abs_index()
         xa, xb = ma.get(i, j), mb.get(i, j)
         if abs(xa) <= tol:

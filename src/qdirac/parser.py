@@ -69,6 +69,14 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # more digits than Python converts
+        raise ParseError(f"number of {len(tok.text)} digits is too long",
+                         tok.line, tok.col) from None
+
+
 _GATES = frozenset(gate_names())
 _MINUS_ONE = Scalar.rational(-1)
 
@@ -190,14 +198,15 @@ class Parser:
         self.pos += 1  # steps past eof only on the way to the error below
         kind, text = tok.kind, tok.text
         if kind == "num":
+            p = _int(tok)
             if self.tokens[self.pos].text != "/":
-                return Scalar.rational(int(text))
+                return Scalar.rational(p)
             self.pos += 1
             den = self.tokens[self.pos]
             q = self._num()
             if q == 0:
                 raise ParseError("division by zero", den.line, den.col)
-            return Scalar.rational(int(text), q)
+            return Scalar.rational(p, q)
         if text == "(":
             inner = self.expr(0, scalar)
             self.expect_op(")")
@@ -263,7 +272,7 @@ class Parser:
         if tok.kind != "num":
             raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
         self.pos += 1
-        return int(tok.text)
+        return _int(tok)
 
     # -- mixed states
     def mix(self) -> MixExpr:

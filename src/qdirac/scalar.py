@@ -100,7 +100,8 @@ class Coefficient:
         return num * Coefficient(inv_dr, inv_di)
 
     def evaluate(self) -> complex:
-        return complex(self.ar + _SQRT2 * self.br, self.ai + _SQRT2 * self.bi)
+        return complex(float(self.ar) + _SQRT2 * float(self.br),
+                       float(self.ai) + _SQRT2 * float(self.bi))
 
     def __repr__(self):
         return f"Coefficient({self.ar}, {self.ai}, {self.br}, {self.bi})"

@@ -325,6 +325,7 @@ def ce(angle: str) -> Term:
 
 def mea(name: str, n: int, k: int) -> Term:
     """The projector Mea0 or Mea1 onto qubit k of n+1 being 0 or 1, or their sum Mea."""
+    _check_width(name, n)
     if n < 0 or k < 0 or k > n:
         raise InvalidQubitIndex(f"measurement index k={k} outside 0..{n}")
     proj = _LIBRARY["B0"] if name == "Mea0" else _LIBRARY["B3"]
@@ -334,25 +335,33 @@ def mea(name: str, n: int, k: int) -> Term:
 
 
 def uf(n: int) -> Term:
-    """The CX-ladder oracle on n+1 qubits used by the Deutsch-Jozsa family."""
+    """The CX-ladder oracle on n+1 qubits used by the Deutsch-Jozsa family:
+    uf(0) = I(2), uf(n) = W * (I(2) # uf(n-1)) * W with W = CX # I(2^(n-1))."""
     if n < 0:
         raise ValueError("uf needs n >= 0")
-    if n == 0:
-        return identity(2)
-    wing = kron(_LIBRARY["CX"], identity(2 ** (n - 1)))
-    return mul(wing, mul(kron(identity(2), uf(n - 1)), wing))
+    _check_width("uf", n)
+    out = identity(2)
+    for k in range(1, n + 1):
+        wing = kron(_LIBRARY["CX"], identity(2 ** (k - 1)))
+        out = mul(wing, mul(kron(identity(2), out), wing))
+    return out
 
 
 # A KRON node stores its dims as integers of up to n bits, so building
-# kron_n takes memory quadratic in n; wider powers are refused up front.
+# kron_n takes memory quadratic in n; kron_n, mea and uf refuse a wider n
+# up front.
 KRON_N_MAX = 1024
+
+
+def _check_width(name: str, n: int) -> None:
+    if n > KRON_N_MAX:
+        raise QDiracError(f"{name} width {n} exceeds the limit of {KRON_N_MAX}")
 
 
 def kron_n(n: int, base: Term) -> Term:
     if n < 0:
         raise ValueError("kron_n needs n >= 0")
-    if n > KRON_N_MAX:
-        raise QDiracError(f"kron_n width {n} exceeds the limit of {KRON_N_MAX}")
+    _check_width("kron_n", n)
     if n == 0:
         return identity(1)
     out = base

@@ -9,15 +9,18 @@ import pytest
 
 from qdirac.errors import DimMismatch, NotSquare
 from qdirac.oracle import (
-    DenseMatrix, SampleEnv, collect_atoms, eval_dense, mat_equiv, obs_equiv,
+    DEFAULT_SEED, DenseMatrix, Evaluator, SampleEnv, collect_atoms, envs_for, eval_dense,
+    mat_equiv, obs_equiv,
 )
+from qdirac.parser import parse
+from qdirac.rewrite import Rewriter
 from qdirac.scalar import Scalar
 from qdirac.term import (
     ADD, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
-    add, dag, gate, identity, ket0, kron, mul, scale, zero,
+    add, dag, gate, identity, ket0, kron, kron_n, mul, render_head, scale, zero,
 )
 
-from conftest import rand_op, rand_term
+from conftest import rand_circuit, rand_op, rand_term
 
 TOL = 1e-9
 
@@ -76,6 +79,7 @@ def test_mat_equiv_examples():
 
 
 def test_basis_and_direct_paths_agree():
+    """mat_equiv decides as an entrywise comparison of eval_dense's matrices."""
     rng = random.Random(22)
     for _ in range(200):
         q = rng.randint(1, 3)
@@ -83,9 +87,65 @@ def test_basis_and_direct_paths_agree():
         b = rand_op(rng, q, closed=False)
         if rng.random() < 0.3:
             b = a
-        direct = mat_equiv(a, b)
-        via_basis = mat_equiv(a, b, basis=True)
-        assert direct == via_basis, (repr(a), repr(b))
+        explicit = all(eval_dense(a, env).approx_eq(eval_dense(b, env))
+                       for env in envs_for(a, b, None, DEFAULT_SEED, ()))
+        assert mat_equiv(a, b) == explicit, (repr(a), repr(b))
+
+
+def _assert_evaluator_matches_eval_dense(t, norm_pairs=()):
+    ev = Evaluator()
+    for env in envs_for(t, t, None, DEFAULT_SEED, norm_pairs):
+        ev.bind(env)
+        want = eval_dense(t, env)
+        got = ev.matrix(t)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.approx_eq(want, 1e-12), render_head(t, 200)
+
+
+def test_evaluator_matches_eval_dense():
+    rng = random.Random(23)
+    for _ in range(200):
+        _assert_evaluator_matches_eval_dense(rand_term(rng, closed=False))
+    for _ in range(100):
+        _assert_evaluator_matches_eval_dense(rand_circuit(rng, rng.randint(1, 5), closed=False))
+    # atom-dependent operators too large to be kept, under a dagger and
+    # applied to an atom-free ket
+    phased = parse("(a .* (kron_n(4, H) * (I(8) # (b .* X + conj(b) .* Z))))^"
+                   " * (I(2) # e(u) .* kron_n(3, H))^ * kron_n(4, |+>)")
+    _assert_evaluator_matches_eval_dense(phased, norm_pairs=(("a", "b"),))
+    # tensor products whose factors change the slot sizes: kets and bras
+    widen = parse("(kron_n(3, |+>) # a .* I(4) # <1|)^ * (kron_n(3, |0>) # H # X) * |1,0>")
+    _assert_evaluator_matches_eval_dense(widen)
+    # a product of 600 gates, nested to the left as the parser nests it
+    chain = parse(" * ".join(["H"] * 599 + ["conj(a) .* X"]) + " * |0>")
+    _assert_evaluator_matches_eval_dense(chain)
+
+
+def test_evaluator_on_long_sums():
+    """Sums nest to the right in a normal form and to the left from the
+    parser; neither costs a recursion per summand."""
+    assert mat_equiv(parse(" + ".join(["|1>"] * 1199 + ["a .* |0>"])),
+                     parse("1199 .* |1> + a .* |0>"))
+    # every entry of this density is 1/32: its normal form has 1024 summands
+    branch = Rewriter().normalize(parse("density(kron_n(5, |+>))")).to_term()
+    assert branch.dims == (32, 32)
+    _assert_evaluator_matches_eval_dense(branch)
+    _assert_evaluator_matches_eval_dense(
+        mul(scale(Scalar.var("u"), branch), kron_n(5, ket0())))
+
+
+def test_tensor_products_act_without_large_matrices(monkeypatch):
+    sizes = []
+    init = DenseMatrix.__init__
+
+    def recording_init(self, rows, cols, entries):
+        sizes.append(rows * cols)
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(DenseMatrix, "__init__", recording_init)
+    lhs = mul(kron_n(10, gate("H")), kron_n(10, ket0()))
+    assert mat_equiv(lhs, kron_n(10, gate("ket_plus")))
+    assert sizes and max(sizes) <= 2 ** 10
 
 
 def test_obs_equiv_global_phase():

@@ -156,11 +156,15 @@ def test_cli_normalize_bad_input(capsys):
     # every dim is a power of two, even where the block would cancel
     assert main(["normalize", "I(3) * O(3,3)"]) == EXIT_INPUT
     assert "power-of-two dim" in capsys.readouterr().err
-    # numbers are ASCII digits; kron_n is refused above its width limit
-    # before any node is built
+    # numbers are ASCII digits short enough to convert; kron_n, mea and uf
+    # are refused above the width limit before any node is built
     for src, found in (("I(\u00b2)", "unexpected character '\u00b2'"),
                        ("kron_n(\u00b3, H)", "unexpected character '\u00b3'"),
-                       ("kron_n(300000, H)", "kron_n width 300000 exceeds the limit of 1024")):
+                       ("kron_n(300000, H)", "kron_n width 300000 exceeds the limit of 1024"),
+                       ("Mea0(20000, 0)", "Mea0 width 20000 exceeds the limit of 1024"),
+                       ("Mea1(3000, 2) * kron_n(1001, |0>)", "Mea1 width 3000 exceeds"),
+                       ("uf(1025)", "uf width 1025 exceeds the limit of 1024"),
+                       ("I(1" + "0" * 4400 + ")", "number of 4401 digits is too long")):
         assert main(["normalize", src]) == EXIT_INPUT, src
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and found in err, err
