@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DimMismatch, NotSquare
+from .errors import DimMismatch, NotSquare, show_dim
 from .term import ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term
 
 DEFAULT_TOL = 1e-9
@@ -126,7 +126,7 @@ class DenseMatrix:
 
     def trace(self) -> complex:
         if self.rows != self.cols:
-            raise NotSquare(f"trace of {self.rows}x{self.cols} matrix")
+            raise NotSquare(f"trace of {show_dim(self.rows)}x{show_dim(self.cols)} matrix")
         return sum(self.entries[i * self.cols + i] for i in range(self.rows))
 
     def render(self, precision: int = 4) -> str:
@@ -181,11 +181,12 @@ class SampleEnv:
         return SampleEnv(bindings, seed)
 
 
-def collect_atoms(t: Term) -> tuple[set[str], set[str]]:
-    """All (variable, phase-angle) atom names under Scale nodes of t."""
+def collect_atoms(*terms: Term) -> tuple[set[str], set[str]]:
+    """All (variable, phase-angle) atom names under Scale nodes of the terms,
+    found in one walk, so a subterm they share is visited once."""
     variables: set[str] = set()
     angles: set[str] = set()
-    stack = [t]
+    stack = list(terms)
     seen = set()
     while stack:
         cur = stack.pop()
@@ -231,9 +232,7 @@ def envs_for(a: Term, b: Term, samples: Optional[int], seed: int,
              norm_pairs: tuple[tuple[str, str], ...]) -> list[SampleEnv]:
     """The bindings a comparison of a and b runs under: one empty binding
     when neither side has atoms or hypotheses, else `samples` seeded ones."""
-    va, aa = collect_atoms(a)
-    vb, ab = collect_atoms(b)
-    variables, angles = va | vb, aa | ab
+    variables, angles = collect_atoms(a, b)
     if not variables and not angles and not norm_pairs:
         return [SampleEnv({}, seed)]
     n = samples if samples is not None else DEFAULT_SAMPLES

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import (
-    DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, PatternMismatch,
+    DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, PatternMismatch, show_dim,
 )
 from .oracle import DEFAULT_SEED, DEFAULT_TOL, mat_equiv
 from .rewrite import NormalForm, Rewriter
@@ -18,7 +18,7 @@ NormPairs = tuple[tuple[str, str], ...]
 
 def density(psi: Term) -> Term:
     if psi.cols != 1:
-        raise NotAVector(f"density needs a column vector, got dims {psi.dims}")
+        raise NotAVector(f"density needs a column vector, got dims {show_dim(psi.dims)}")
     return mul(psi, dag(psi))
 
 
@@ -34,7 +34,8 @@ def super_reduce(m: Term, psi: Term, norm_pairs: NormPairs = (),
                  rewriter: Rewriter | None = None) -> NormalForm:
     """Normalize super(m, density(psi)) by reducing the vector side first."""
     if psi.cols != 1:
-        raise PatternMismatch(f"super_reduce needs a density of a vector, got {psi.dims}")
+        raise PatternMismatch(
+            f"super_reduce needs a density of a vector, got {show_dim(psi.dims)}")
     if m.cols != psi.rows:
         raise DimMismatch((m.rows, psi.rows), psi.dims, "super_reduce operand")
     rw = rewriter or Rewriter()
@@ -44,7 +45,7 @@ def super_reduce(m: Term, psi: Term, norm_pairs: NormPairs = (),
 
 def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = ()) -> Scalar:
     if psi.cols != 1:
-        raise NotAVector(f"probability needs a state vector, got {psi.dims}")
+        raise NotAVector(f"probability needs a state vector, got {show_dim(psi.dims)}")
     if m_op.rows != m_op.cols or m_op.cols != psi.rows:
         raise DimMismatch((psi.rows, psi.rows), m_op.dims, "measurement operator")
     expr = mul(dag(psi), mul(dag(m_op), mul(m_op, psi)))
@@ -63,7 +64,7 @@ class MixedState:
             raise DimMismatch(dims.pop(), dims.pop(), "mixed-state branches")
         for _, op in self.branches:
             if op.rows != op.cols:
-                raise NotAnOperator(f"branch operator has dims {op.dims}")
+                raise NotAnOperator(f"branch operator has dims {show_dim(op.dims)}")
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -16,12 +16,12 @@ The traced driver is a deterministic staged pipeline over that one law set,
 tried in a fixed order: push daggers to the leaves, reduce to a fixpoint,
 then collect the result into a canonical sum of basis matrices
 |rbits><cbits|.  Reduction tries a node's laws before its children's and
-retries the node after they change, except that a product whose result is
-a vector reduces that vector first, and Lsum runs once per sum, at its top,
-after its summands.  Each Rewriter remembers the fixpoints it has reached,
-so a repeated irreducible subterm costs a lookup.  On gate chains applied to
-kets and on H^n * H^n the steps grow with the gates times the size of the
-answer; products of operators are still distributed outermost-first.
+retries the node after they change, except that a product reduces its right
+operand first when that operand is a product or the result is a vector, and
+Lsum runs once per sum, at its top, after its summands.  Each Rewriter
+remembers the fixpoints it has reached, so a repeated irreducible subterm
+costs a lookup.  On gate chains, applied to kets or not, and on H^n * H^n
+the steps grow with the gates times the size of the answer.
 
 When no trace is requested the same normal form is computed directly over
 the sparse representation (each subterm becomes a map from basis
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .errors import FuelExhausted, NotAnOperator, NotInReducedShape
+from .errors import FuelExhausted, NotAnOperator, NotInReducedShape, show_dim
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
@@ -68,7 +68,7 @@ class NormalForm:
     def as_scalar(self) -> Scalar:
         """Coerce a 1x1 normal form to its scalar value."""
         if self.dims != (1, 1):
-            raise NotInReducedShape(f"not a 1x1 normal form: dims {self.dims}")
+            raise NotInReducedShape(f"not a 1x1 normal form: dims {show_dim(self.dims)}")
         total = Scalar.zero()
         for s, _ in self.summands:
             total = total + s
@@ -454,16 +454,21 @@ class Rewriter:
     def reduce(self, t: Term, _path: tuple[int, ...] = (), _in_sum: bool = False) -> Term:
         """Rewrite t to a fixpoint of the law set.
 
-        A MUL whose result is a vector reduces its vector operand first, so
-        gates meet reduced states.  Lsum runs at the top of an ADD spine once
-        its summands are reduced, never at the spine's inner ADD nodes
-        (_in_sum).  Fixpoints are remembered, an inner node's apart, since
-        Lsum may still fire on it at a top; a remembered one is returned at
-        once and logs no step, as reducing it again would log none."""
+        A MUL reduces its right operand first when that operand is a MUL or
+        the result is a vector: after L2 a chain is g1 * (g2 * (... * gk)),
+        so its innermost product is reduced first and each gate meets a
+        reduced sum or state, not an unreduced product whose distribution
+        (L11) would multiply out every later gate's summands.  Otherwise a
+        KRON or ADD operand is left whole, for L13 and L11 to use its
+        structure.  Lsum runs at the top of an ADD spine once its summands
+        are reduced, never at the spine's inner ADD nodes (_in_sum).
+        Fixpoints are remembered, an inner node's apart, since Lsum may
+        still fire on it at a top; a remembered one is returned at once and
+        logs no step, as reducing it again would log none."""
         if t in self._irreducible or (_in_sum and t in self._irreducible_in_sum):
             return t
         while True:
-            if t.kind == MUL and t.cols == 1:
+            if t.kind == MUL and (t.cols == 1 or t.children[1].kind == MUL):
                 b = t.children[1]
                 rb = self.reduce(b, _path + (1,))
                 if rb is not b:
@@ -565,7 +570,7 @@ class Rewriter:
         elif kind == IDENT:
             n = t.payload
             if self.steps + n > self.fuel:  # charge fuel before allocating
-                raise self._out_of_fuel(t, f"map of {n} entries")
+                raise self._out_of_fuel(t, f"map of {show_dim(n)} entries")
             one = Scalar.one()
             out = {(bits, bits): one for bits in product((0, 1), repeat=n.bit_length() - 1)}
         elif kind == SCALE:
@@ -628,8 +633,8 @@ class Rewriter:
 
     def _out_of_fuel(self, t: Term, detail: str) -> FuelExhausted:
         """The error naming the node whose evaluation ran out of fuel."""
-        where = f"{t.kind} {t.rows}x{t.cols} ({detail}): {render_head(t, 60)}"
-        return FuelExhausted(self.fuel, where)
+        dims = f"{show_dim(t.rows)}x{show_dim(t.cols)}"
+        return FuelExhausted(self.fuel, f"{t.kind} {dims} ({detail}): {render_head(t, 60)}")
 
     def _spine(self, t: Term) -> list[Term]:
         """Flatten a MUL or ADD spine, keeping already-evaluated subterms whole."""

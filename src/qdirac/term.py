@@ -9,7 +9,7 @@ term acts on whole qubit slots.
 
 from __future__ import annotations
 
-from .errors import DimMismatch, InvalidQubitIndex, QDiracError, UnknownGate
+from .errors import DimMismatch, InvalidQubitIndex, QDiracError, UnknownGate, show_dim
 from .scalar import Scalar
 
 KET0 = "ket0"
@@ -172,7 +172,8 @@ _BINARY = {MUL: (" * ", _PREC_MUL), ADD: (" + ", _PREC_ADD), KRON: (" # ", _PREC
 
 
 def render_head(t: Term, limit: int) -> str:
-    """render(t) cut to `limit` characters.  Iterative, and it stops at the
+    """render(t) cut to `limit` characters, for messages, so with the dims of
+    I and O written as show_dim writes them.  Iterative, and it stops at the
     limit, so a deep or widely shared term costs no more than its prefix.
     (`_render` stays recursive: building a piece list per node, as here,
     made rendering traces twice as slow.)"""
@@ -194,6 +195,12 @@ def render_head(t: Term, limit: int) -> str:
         elif node.kind == DAG and node.children[0].kind not in (KET0, KET1):
             body_prec = _PREC_ATOM
             pieces = [(node.children[0], _PREC_ATOM), "^"]
+        elif node.kind == IDENT:
+            stack.append(f"I({show_dim(node.payload)})")
+            continue
+        elif node.kind == ZERO:
+            stack.append(f"O({show_dim(node.rows)},{show_dim(node.cols)})")
+            continue
         else:  # a leaf or a bra
             stack.append(_render(node, prec))
             continue

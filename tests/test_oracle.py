@@ -61,6 +61,22 @@ def test_eval_dense_matches_numpy():
         assert np.max(np.abs(val - want)) <= 1e-9, repr(t)
 
 
+def test_atoms_of_both_sides_in_one_walk(monkeypatch):
+    """envs_for reads the atoms of both sides in one walk: the names, so the
+    bindings, are those of a walk per side, and a shared subterm is read once."""
+    rng = random.Random(24)
+    for _ in range(100):
+        a, b = rand_term(rng, closed=False), rand_term(rng, closed=False)
+        (va, aa), (vb, ab) = collect_atoms(a), collect_atoms(b)
+        assert collect_atoms(a, b) == (va | vb, aa | ab)
+    reads = []
+    atoms = Scalar.atoms
+    monkeypatch.setattr(Scalar, "atoms", lambda s: reads.append(s) or atoms(s))
+    shared = parse("a .* B1 * e(u) .* B2")  # basis matrices hold no scalars
+    envs = envs_for(mul(shared, gate("B0")), mul(gate("B3"), shared), 3, DEFAULT_SEED, ())
+    assert len(reads) == 2 and [sorted(e.bindings) for e in envs] == [["a", "u"]] * 3
+
+
 def test_basic_evaluations():
     assert eval_dense(ket0()).entries == [1 + 0j, 0j]
     h = eval_dense(gate("H"))

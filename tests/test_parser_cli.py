@@ -164,7 +164,12 @@ def test_cli_normalize_bad_input(capsys):
                        ("Mea0(20000, 0)", "Mea0 width 20000 exceeds the limit of 1024"),
                        ("Mea1(3000, 2) * kron_n(1001, |0>)", "Mea1 width 3000 exceeds"),
                        ("uf(1025)", "uf width 1025 exceeds the limit of 1024"),
-                       ("I(1" + "0" * 4400 + ")", "number of 4401 digits is too long")):
+                       ("I(1" + "0" * 4400 + ")", "number of 4401 digits is too long"),
+                       # a dim above 2^64 is shown as 2^k, even one whose
+                       # decimal digits pass the int-string limit
+                       ("kron_n(16, kron_n(1024, H)) * |0>", "expected 2^16384, got 2"),
+                       ("Mea(1024, 3)", "at ident 2^1021x2^1021 (map of 2^1021 entries)"),
+                       ("I(1" + "0" * 40 + ")", "power-of-two dim, got ~2^132")):
         assert main(["normalize", src]) == EXIT_INPUT, src
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and found in err, err
@@ -184,6 +189,11 @@ def test_cli_deep_input_is_an_input_error(tmp_path, capsys):
     for argv in (["normalize", "(" * 200 + "|0>" + ")" * 200], ["normalize", "--trace", chain]):
         assert main(argv) == EXIT_OK, argv[-1][:20]
         assert capsys.readouterr().out.splitlines()[-1] == "|0>"
+    # a product of operators is reduced from its innermost product out, so
+    # each gate meets a reduced sum and a 300-gate chain is decided too
+    gates = " * ".join(["X", "H"] * 150)
+    assert main(["normalize", "--trace", gates]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "B1 + -1 .* B2"
     # check reports such an assertion as an error and goes on
     path = tmp_path / "deep.qd"
     path.write_text(f"deep: EQ {nested} == |0>\nflip: EQ X * |0> == |1>\n")

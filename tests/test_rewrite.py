@@ -150,7 +150,7 @@ def test_every_law_fires():
 
 
 def test_traced_steps_are_pinned():
-    for text, steps in [("H * X * H", 260), ("H * H * H * H * |0>", 7),
+    for text, steps in [("H * X * H", 140), ("H * H * H * H * |0>", 7),
                         ("(H # I(2)) * CX * (H # H) * |0,1>", 25)]:
         rw = Rewriter(trace=RewriteTrace())
         rw.normalize(parse(text))
@@ -158,12 +158,16 @@ def test_traced_steps_are_pinned():
 
 
 def test_traced_steps_track_the_answer():
-    """Traced steps grow with gates times normal-form size.  Each case runs
-    on fuel just above its bound, so a blow-up stops at once."""
+    """Traced steps grow with gates times normal-form size, on products of
+    operators as on gates applied to a ket.  Each case runs on fuel just
+    above its bound, so a blow-up stops at once."""
     h = gate("H")
     cases = [(parse(" * ".join(["H"] * n) + " * |0>"), 2 * n + 1) for n in range(2, 65)]
     cases += [(mul(kron_n(n, h), kron_n(n, h)), 2000) for n in range(4, 9)]
     cases += [(mul(kron_n(n, h), kron_n(n, ket0())), 4 * n) for n in range(2, 11)]
+    cases += [(parse(" * ".join((["X", "H"] * n)[:n])), 50 * n) for n in range(2, 41)]
+    ladder = "(H # I(2)) * CX * (H # H) * CZ"
+    cases += [(parse(" * ".join([ladder] * r)), 400 * 4 * r) for r in range(1, 9)]
     for t, bound in cases:
         rw = Rewriter(fuel=bound + 1, trace=RewriteTrace())
         assert rw.normalize(t) == nf_of(t), render(t)[:60]
