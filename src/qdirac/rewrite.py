@@ -44,8 +44,8 @@ from .errors import FuelExhausted, NotAnOperator, NotInReducedShape, show_dim
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
-    Term, add, add_all, dag, gate, identity, ket0, ket1, kron, kron_all, mul, render,
-    render_head, render_scaled, scale, zero,
+    Term, add, add_all, dag, dim_text, gate, identity, ket0, ket1, kron, kron_all, mul,
+    render, render_head, render_scaled, render_with, scale, zero,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -134,20 +134,12 @@ class RewriteStep:
     before: Term
     after: Term
 
-    def as_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "path": list(self.path),
-            "before": render(self.before),
-            "after": render(self.after),
-        }
-
-    def as_line(self) -> str:
-        pos = ".".join(map(str, self.path)) or "root"
-        return f"{self.law} @ {pos}: {render(self.before)}  ->  {render(self.after)}"
-
 
 class RewriteTrace:
+    """The steps of a traced normalization.  Their renderings share one memo
+    of subterm texts, freed when the call returns, so a subterm that recurs
+    across steps is rendered once per call, not once per step."""
+
     def __init__(self):
         self.steps: list[RewriteStep] = []
 
@@ -155,10 +147,15 @@ class RewriteTrace:
         self.steps.append(RewriteStep(law, bytes(path), before, after))
 
     def as_lines(self) -> list[str]:
-        return [s.as_line() for s in self.steps]
+        memo: dict = {}
+        return [f"{s.law} @ {'.'.join(map(str, s.path)) or 'root'}: "
+                f"{render_with(s.before, memo)}  ->  {render_with(s.after, memo)}"
+                for s in self.steps]
 
     def as_dicts(self) -> list[dict]:
-        return [s.as_dict() for s in self.steps]
+        memo: dict = {}
+        return [{"law": s.law, "path": list(s.path), "before": render_with(s.before, memo),
+                 "after": render_with(s.after, memo)} for s in self.steps]
 
 
 def _rebuild(t: Term, children) -> Term:
@@ -507,44 +504,66 @@ class Rewriter:
         return t
 
     # -- dagger pushing (L14-L16), run as a first stage
-    def push_daggers(self, t: Term, _path: tuple[int, ...] = ()) -> Term:
+    def push_daggers(self, t: Term) -> Term:
+        """t with every dagger pushed down to a basis ket.  Iterative: the
+        nodes are visited depth first, left to right, each rewritten at its
+        root before its children are visited; a dagger left at a root is a
+        bra, whose ket is not visited."""
+        path: list[int] = []
+        frames = [(self._push_root(t, path), [])]  # (node, its children so far)
+        while True:
+            node, done = frames[-1]
+            if node.kind != DAG and len(done) < len(node.children):
+                path.append(len(done))
+                child = node.children[len(done)]
+                if child.kind == DAG:
+                    child = self._push_root(child, path)
+                if child.children and child.kind != DAG:
+                    frames.append((child, []))
+                else:  # a leaf or a bra
+                    path.pop()
+                    done.append(child)
+                continue
+            frames.pop()
+            if any(d is not c for d, c in zip(done, node.children)):
+                node = _rebuild(node, done)
+            if not frames:
+                return node
+            path.pop()
+            frames[-1][1].append(node)
+
+    def _push_root(self, t: Term, path: list[int]) -> Term:
+        """Apply L14-L16 and D_db at the root of t until none applies."""
         while t.kind == DAG:
             x = t.children[0]
             if x.kind == DAG:
-                self._log("L16", _path, t, x.children[0])
+                self._log("L16", path, t, x.children[0])
                 t = x.children[0]
             elif x.kind == SCALE:
                 new = scale(x.payload.conj(), dag(x.children[0]))
-                self._log("L14", _path, t, new)
+                self._log("L14", path, t, new)
                 t = new
             elif x.kind == MUL:
                 new = mul(dag(x.children[1]), dag(x.children[0]))
-                self._log("L14", _path, t, new)
+                self._log("L14", path, t, new)
                 t = new
             elif x.kind == ADD:
                 new = add(dag(x.children[0]), dag(x.children[1]))
-                self._log("L15", _path, t, new)
+                self._log("L15", path, t, new)
                 t = new
             elif x.kind == KRON:
                 new = kron(dag(x.children[0]), dag(x.children[1]))
-                self._log("L15", _path, t, new)
+                self._log("L15", path, t, new)
                 t = new
             elif x.kind == IDENT:
-                self._log("D_db", _path, t, x)
+                self._log("D_db", path, t, x)
                 t = x
             elif x.kind == ZERO:
                 new = zero(x.cols, x.rows)
-                self._log("D_db", _path, t, new)
+                self._log("D_db", path, t, new)
                 t = new
             else:
                 break  # dagger of a basis ket stays: that is a bra leaf
-        if not t.children or (t.kind == DAG and t.children[0].kind in (KET0, KET1)):
-            return t
-        new_children = tuple(
-            self.push_daggers(c, _path + (i,)) for i, c in enumerate(t.children)
-        )
-        if any(nc is not c for nc, c in zip(new_children, t.children)):
-            t = _rebuild(t, new_children)
         return t
 
     def normalize(self, t: Term) -> NormalForm:
@@ -596,15 +615,24 @@ class Rewriter:
                         del out[k]
                     else:
                         out[k] = merged
-        elif kind == KRON:
-            left = self._sparse(t.children[0])
-            right = self._sparse(t.children[1])
-            if self.steps + len(left) * len(right) > self.fuel:
-                raise self._out_of_fuel(t, f"map of {len(left) * len(right)} entries")
-            out = {}
-            for (ra, ca), sa in left.items():
-                for (rb, cb), sb in right.items():
-                    out[(ra + rb, ca + cb)] = _cmul(sa, sb)
+        elif kind == KRON:  # fold the right spine, from its last factor up
+            levels = []  # (KRON node, its left factor's map), top first
+            node = t
+            while True:  # in the order a recursive evaluation would follow
+                levels.append((node, self._sparse(node.children[0])))
+                node = node.children[1]
+                if node.kind != KRON or node in self._sparse_memo:
+                    break
+            out = self._sparse(node)
+            for node, left in reversed(levels):
+                right, out = out, {}
+                if self.steps + len(left) * len(right) > self.fuel:
+                    raise self._out_of_fuel(node, f"map of {len(left) * len(right)} entries")
+                for (ra, ca), sa in left.items():
+                    for (rb, cb), sb in right.items():
+                        out[(ra + rb, ca + cb)] = _cmul(sa, sb)
+                if node is not t:
+                    self._remember(node, out)
         else:  # MUL
             a, b = t.children
             aligned = _try_mult_kron(a, b) if a.kind == KRON and b.kind == KRON else None
@@ -625,11 +653,15 @@ class Rewriter:
                     out = self._sparse(chain[0])
                     for f in chain[1:]:
                         out = self._mul_maps(out, self._sparse(f), t)
+        self._remember(t, out)
+        return out
+
+    def _remember(self, t: Term, out: dict) -> None:
+        """Charge fuel for t's map and memoize it."""
         self.steps += len(out)
         if self.steps > self.fuel:
             raise self._out_of_fuel(t, f"map of {len(out)} entries")
         self._sparse_memo[t] = out
-        return out
 
     def _out_of_fuel(self, t: Term, detail: str) -> FuelExhausted:
         """The error naming the node whose evaluation ran out of fuel."""
@@ -864,11 +896,11 @@ def _join_tokens(tokens: list[str]) -> str:
 
 
 def render_nf(nf: NormalForm) -> str:
-    if nf.is_zero():
-        return f"O({nf.dims[0]},{nf.dims[1]})"
     rows, cols = nf.dims
+    if nf.is_zero():
+        return f"O({dim_text(rows)},{dim_text(cols)})"
     if _is_identity(nf):
-        return f"I({rows})"
+        return f"I({dim_text(rows)})"
     name = _KNOWN_OPERATOR_NFS.get(nf)
     if name is not None:
         return name

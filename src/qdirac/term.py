@@ -131,52 +131,105 @@ def kron_all(terms) -> Term:
 
 _PREC_ADD, _PREC_MUL, _PREC_KRON, _PREC_SCALE, _PREC_ATOM = 0, 1, 2, 3, 4
 
+# The per-kind table of both renderers: each compound kind's precedence
+# (every other node is an atom), each binary kind's operator, and the
+# texts of the basis kets and bras.
+_PREC = {ADD: _PREC_ADD, MUL: _PREC_MUL, KRON: _PREC_KRON, SCALE: _PREC_SCALE}
+_BINARY = {MUL: " * ", ADD: " + ", KRON: " # "}
+_KETS = {KET0: "|0>", KET1: "|1>"}
+_BRAS = {KET0: "<0|", KET1: "<1|"}
+
+
+def dim_text(d: int) -> str:
+    """A dim as the renderers write it: in decimal, unless it has more
+    digits than Python converts (the parser refuses such a literal too),
+    and then as 2^k, the way show_dim writes it."""
+    try:
+        return str(d)
+    except ValueError:
+        return show_dim(d)
+
+
+def _leaf(t: Term, dim=dim_text) -> str | None:
+    """The text of a leaf or a bra, None for any other node."""
+    kind = t.kind
+    if kind in _KETS:
+        return _KETS[kind]
+    if kind == IDENT:
+        return f"I({dim(t.payload)})"
+    if kind == ZERO:
+        return f"O({dim(t.rows)},{dim(t.cols)})"
+    if kind == DAG:
+        return _BRAS.get(t.children[0].kind)
+    return None
+
 
 def render(t: Term) -> str:
     """Canonical ASCII surface syntax; parse(render(t)) reproduces t's meaning."""
-    return _render(t, _PREC_ADD)
+    return render_with(t, {})
 
 
-def _render(t: Term, prec: int) -> str:
-    if t.kind == KET0:
-        return "|0>"
-    if t.kind == KET1:
-        return "|1>"
-    if t.kind == ZERO:
-        return f"O({t.rows},{t.cols})"
-    if t.kind == IDENT:
-        return f"I({t.payload})"
-    if t.kind == DAG:
-        inner = t.children[0]
-        if inner.kind == KET0:
-            return "<0|"
-        if inner.kind == KET1:
-            return "<1|"
-        return _wrap(_render(inner, _PREC_ATOM) + "^", _PREC_ATOM, prec)
-    if t.kind == SCALE:
-        body = render_scaled(t.payload, _render(t.children[0], _PREC_SCALE))
-        return _wrap(body, _PREC_SCALE, prec)
-    if t.kind == MUL:
-        body = f"{_render(t.children[0], _PREC_MUL)} * {_render(t.children[1], _PREC_MUL)}"
-        return _wrap(body, _PREC_MUL, prec)
-    if t.kind == ADD:
-        body = f"{_render(t.children[0], _PREC_ADD)} + {_render(t.children[1], _PREC_ADD)}"
-        return _wrap(body, _PREC_ADD, prec)
-    if t.kind == KRON:
-        body = f"{_render(t.children[0], _PREC_KRON)} # {_render(t.children[1], _PREC_KRON)}"
-        return _wrap(body, _PREC_KRON, prec)
-    raise ValueError(f"unknown node kind {t.kind}")
+def render_with(t: Term, memo: dict) -> str:
+    """render(t), reading and extending memo, the caller's map from
+    subterms to their text unbracketed.
+
+    Iterative, and each node's text is joined from its operands' texts.  The
+    operands of a sum, product or tensor product are the subterms below it
+    that are not of its kind: its whole chain of that kind, nested either
+    way, is written without brackets.  The operands' texts are memoized, but
+    not t's nor those of the chain nodes between, so rendering a chain of n
+    summands stores no text per suffix."""
+    text = memo.get(t) or _leaf(t)
+    if text is not None:
+        return text
+    frames = [_frame(t, memo)]
+    while True:
+        node, ops, parts, prec = frames[-1]
+        for op in ops[len(parts):]:
+            text = memo.get(op)
+            if text is None:
+                if op.children and (op.kind != DAG or op.children[0].kind not in _KETS):
+                    frames.append(_frame(op, memo))  # render op first, then come back
+                    break
+                text = memo[op] = _leaf(op)
+            parts.append(f"({text})" if prec and _PREC.get(op.kind, _PREC_ATOM) < prec else text)
+        else:
+            kind = node.kind
+            if kind == SCALE:
+                text = render_scaled(node.payload, parts[0])
+            elif kind == DAG:
+                text = parts[0] + "^"
+            else:
+                text = _BINARY[kind].join(parts)
+            frames.pop()
+            if not frames:
+                return text
+            memo[node] = text  # where the parent's loop picks it up
 
 
-_BINARY = {MUL: (" * ", _PREC_MUL), ADD: (" + ", _PREC_ADD), KRON: (" # ", _PREC_KRON)}
+def _frame(t: Term, memo: dict) -> tuple:
+    """(t, its operands, their texts so far, t's precedence) for render_with."""
+    kind = t.kind
+    if kind not in _BINARY:
+        return t, t.children, [], _PREC.get(kind, _PREC_ATOM)
+    a, b = t.children
+    if a.kind != kind and b.kind != kind:
+        return t, t.children, [], _PREC[kind]
+    ops = []
+    chain = [b, a]
+    while chain:
+        c = chain.pop()
+        if c.kind == kind and c not in memo:
+            chain += (c.children[1], c.children[0])
+        else:
+            ops.append(c)
+    return t, ops, [], _PREC[kind]
 
 
 def render_head(t: Term, limit: int) -> str:
     """render(t) cut to `limit` characters, for messages, so with the dims of
-    I and O written as show_dim writes them.  Iterative, and it stops at the
-    limit, so a deep or widely shared term costs no more than its prefix.
-    (`_render` stays recursive: building a piece list per node, as here,
-    made rendering traces twice as slow.)"""
+    I and O written as show_dim writes them.  A lazy walk that stops at the
+    limit, so a deep or widely shared term costs no more than its prefix."""
     out, size = [], 0
     stack: list = [(t, _PREC_ADD)]
     while stack and size <= limit:
@@ -186,24 +239,18 @@ def render_head(t: Term, limit: int) -> str:
             size += len(item)
             continue
         node, prec = item
-        if node.kind in _BINARY:
-            op, body_prec = _BINARY[node.kind]
-            pieces = [(node.children[0], body_prec), op, (node.children[1], body_prec)]
-        elif node.kind == SCALE:
-            body_prec = _PREC_SCALE
+        leaf = _leaf(node, show_dim)
+        if leaf is not None:
+            stack.append(leaf)
+            continue
+        kind = node.kind
+        body_prec = _PREC.get(kind, _PREC_ATOM)
+        if kind in _BINARY:
+            pieces = [(node.children[0], body_prec), _BINARY[kind], (node.children[1], body_prec)]
+        elif kind == SCALE:
             pieces = [render_scaled(node.payload, ""), (node.children[0], _PREC_SCALE)]
-        elif node.kind == DAG and node.children[0].kind not in (KET0, KET1):
-            body_prec = _PREC_ATOM
+        else:  # a dagger
             pieces = [(node.children[0], _PREC_ATOM), "^"]
-        elif node.kind == IDENT:
-            stack.append(f"I({show_dim(node.payload)})")
-            continue
-        elif node.kind == ZERO:
-            stack.append(f"O({show_dim(node.rows)},{show_dim(node.cols)})")
-            continue
-        else:  # a leaf or a bra
-            stack.append(_render(node, prec))
-            continue
         if body_prec < prec:
             pieces = ["(", *pieces, ")"]
         stack.extend(reversed(pieces))
@@ -215,10 +262,6 @@ def render_scaled(c: Scalar, body: str) -> str:
     """`c .* body`, with c parenthesized when it renders as a sum."""
     s = str(c)
     return f"({s}) .* {body}" if " + " in s else f"{s} .* {body}"
-
-
-def _wrap(body: str, body_prec: int, ctx_prec: int) -> str:
-    return f"({body})" if body_prec < ctx_prec else body
 
 
 # --- gate and state library -------------------------------------------

@@ -203,6 +203,27 @@ def test_cli_deep_input_is_an_input_error(tmp_path, capsys):
     assert results[0]["witness"].startswith("RecursionError: ")
 
 
+def test_cli_wide_and_long_inputs_are_decided(capsys):
+    """Inputs within the limits exit 0: a KRON spine is evaluated without
+    recursion, daggers are pushed without recursion, and a dim too long for
+    decimal is written 2^k."""
+    long_sum = " + ".join(["|0>", "|1>"] * 300)
+    dims = "0 .* kron_n(16, kron_n(1024, H))"
+    for argv, last in ((["normalize", dims], "O(2^16384,2^16384)"),
+                       (["normalize", "kron_n(1024, |0>)"], "|" + ",".join("0" * 1024) + ">"),
+                       (["normalize", "kron_n(1024, X) * kron_n(1024, |0>)"],
+                        "|" + ",".join("1" * 1024) + ">"),
+                       (["normalize", "--trace", long_sum], "300*sqrt2 .* |+>"),
+                       (["normalize", "--trace", "kron_n(700, |0>)"],
+                        "|" + ",".join("0" * 700) + ">"),
+                       (["normalize", "--trace", dims], "O(2^16384,2^16384)")):
+        assert main(argv) == EXIT_OK, argv[-1][:20]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == last, lines[-1][:40]
+    # the traced dims input takes one step, whose text has the 2^k dims too
+    assert lines[0].startswith("L3 @ root: 0 .* (") and lines[0].endswith("->  O(2^16384,2^16384)")
+
+
 def test_cli_check_matches_golden_output(monkeypatch, capsys):
     """`qdirac check corpus/*.qd --json --seed 42`, run from the repository
     root, prints tests/data/check_corpus_seed42.json byte for byte."""

@@ -343,6 +343,27 @@ def test_tensor_paths_agree_with_traced_and_dense(monkeypatch):
         assert unified_base(reduced) == nf, repr(t)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_trace_text_is_the_render_of_each_step(seed):
+    """as_lines and as_dicts share one memo of subterm texts across the
+    steps; each step's text is still the fresh render of its terms."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        t = rand_term(rng, closed=False)
+    else:
+        t = rand_circuit(rng, rng.randint(1, 3), closed=False)
+    trace = RewriteTrace()
+    Rewriter(trace=trace).normalize(t)
+    lines, dicts = trace.as_lines(), trace.as_dicts()
+    assert len(lines) == len(dicts) == len(trace.steps)
+    for s, line, d in zip(trace.steps, lines, dicts):
+        before, after = render(s.before), render(s.after)
+        pos = ".".join(map(str, s.path)) or "root"
+        assert line == f"{s.law} @ {pos}: {before}  ->  {after}"
+        assert d == {"law": s.law, "path": list(s.path), "before": before, "after": after}
+
+
 def test_trace_rendering():
     trace = RewriteTrace()
     Rewriter(trace=trace).normalize(mul(gate("X"), ket0()))

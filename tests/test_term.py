@@ -11,7 +11,7 @@ import pytest
 from qdirac.errors import DimMismatch, ParseError, UnknownGate
 from qdirac.oracle import DenseMatrix, SampleEnv, eval_dense, mat_equiv
 from qdirac.term import (
-    add, ce, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n, mea, mul, render,
+    add, add_all, ce, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n, mea, mul, render,
     render_head, scale, uf, zero,
 )
 from qdirac.parser import parse, parse_scalar
@@ -160,6 +160,24 @@ def test_render_round_readable():
     assert render(mul(identity(2), ket0())) == "I(2) * |0>"
     s = scale(Scalar.inv_sqrt2(), add(ket0(), ket1()))
     assert render(s) == "1/2*sqrt2 .* (|0> + |1>)"
+
+
+def test_render_deep_chains():
+    """The renderer is iterative: chains deeper than the recursion limit
+    render, nested either way, without brackets."""
+    right = add_all([ket0(), ket1()] * 1500)
+    assert render(right) == " + ".join(["|0>", "|1>"] * 1500)
+    left = ket0()
+    for _ in range(5000):
+        left = add(left, ket1())
+    assert render(left) == " + ".join(["|0>"] + ["|1>"] * 5000)
+    assert render(scale(Scalar.i(), dag(left))) == f"i .* ({render(left)})^"
+
+
+def test_render_dims_past_the_int_string_limit():
+    big = kron_n(16, kron_n(1024, identity(2)))
+    assert render(zero(big.rows, 1)) == "O(2^16384,1)"
+    assert render(identity(2 ** 64)) == f"I({2 ** 64})"
 
 
 def test_render_head_is_a_cut_render():
