@@ -80,7 +80,7 @@ def _run_symbolic(data: list[CaseData]) -> None:
 def _run_dense(data: list[CaseData], seed: int) -> None:
     """The explicit computation: both sides' full matrices under each binding."""
     for d in data:
-        for env in envs_for(d.lhs, d.rhs, None, seed, d.hyps):
+        for env in envs_for((d.lhs, d.rhs), None, seed, d.hyps):
             eval_dense(d.lhs, env)
             eval_dense(d.rhs, env)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import ParseError, QDiracError
+from .errors import ParseError, QDiracError, show_dim
 from .oracle import (
     DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, DENSE_DIM_LIMIT,
     mat_equiv, obs_equiv,
@@ -172,12 +172,35 @@ def _sym_obs_equal(a: NormalForm, b: NormalForm) -> bool:
     )
 
 
+def _basis_text(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> str:
+    """The basis matrix |rbits><cbits| as a ket, a bra, their product, or 1."""
+    ket = f"|{','.join(map(str, rbits))}>" if rbits else ""
+    bra = f"<{','.join(map(str, cbits))}|" if cbits else ""
+    return ket + bra or "1"
+
+
+def _nf_difference(a: NormalForm, b: NormalForm) -> str:
+    """Where the unequal a and b differ: their dims if those do, else the
+    first basis key, in normal-form order, whose scalars differ, a summand
+    a side lacks read as 0."""
+    if a.dims != b.dims:
+        return f"normal forms differ in dims: {show_dim(a.dims)} vs {show_dim(b.dims)}"
+    sa = {key: s for s, key in a.summands}
+    sb = {key: s for s, key in b.summands}
+    zero = Scalar.zero()
+    key = next(k for k in sorted(sa.keys() | sb.keys()) if sa.get(k, zero) != sb.get(k, zero))
+    return (f"normal forms differ at {_basis_text(*key)}: "
+            f"{sa.get(key, zero)} vs {sb.get(key, zero)}")
+
+
 def _branch_text(m: MixedState, i: int) -> str:
-    """Branch i of m as `[p : op]`, op cut to 120 characters."""
+    """Branch i of m as `[p : op]`, op cut to 120 characters: the kept normal
+    form of a computed branch, a leaf's operator as written."""
     if i >= len(m.branches):
         return f"no branch {i} (of {len(m.branches)})"
     p, op = m.branches[i]
-    return f"[{p} : {render_head(op, 120)}]"
+    nf = m.nfs[i]
+    return f"[{p} : {render_head(op if nf is None else nf.to_term(), 120)}]"
 
 
 def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> AssertionResult:
@@ -200,10 +223,12 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
             nf_r = rewriter.normalize(rhs).apply_norm_hypothesis(a.hypotheses)
             if a.kind == "OBS":
                 sym_ok = _sym_obs_equal(nf_l, nf_r)
+                if not sym_ok:
+                    res.witness = f"normal forms differ: {render_nf(nf_l)} vs {render_nf(nf_r)}"
             else:
                 sym_ok = nf_l == nf_r
-            if not sym_ok:
-                res.witness = f"normal forms differ: {render_nf(nf_l)} vs {render_nf(nf_r)}"
+                if not sym_ok:
+                    res.witness = _nf_difference(nf_l, nf_r)
         res.ms_symbolic = (time.perf_counter() - t0) * 1000
         res.steps = rewriter.steps
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DimMismatch, NotSquare, show_dim
 from .term import ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term
@@ -228,11 +228,12 @@ def eval_dense(t: Term, env: SampleEnv | None = None) -> DenseMatrix:
     return eval_dense(t.children[0], env).dagger()
 
 
-def envs_for(a: Term, b: Term, samples: Optional[int], seed: int,
+def envs_for(terms: Sequence[Term], samples: Optional[int], seed: int,
              norm_pairs: tuple[tuple[str, str], ...]) -> list[SampleEnv]:
-    """The bindings a comparison of a and b runs under: one empty binding
-    when neither side has atoms or hypotheses, else `samples` seeded ones."""
-    variables, angles = collect_atoms(a, b)
+    """The bindings a comparison of the terms runs under: one empty binding
+    when no term has atoms and there are no hypotheses, else `samples`
+    seeded ones."""
+    variables, angles = collect_atoms(*terms)
     if not variables and not angles and not norm_pairs:
         return [SampleEnv({}, seed)]
     n = samples if samples is not None else DEFAULT_SAMPLES
@@ -386,16 +387,27 @@ class Evaluator:
         return m
 
 
-def mat_equiv(a: Term, b: Term, samples: Optional[int] = None,
-              tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+def mat_equiv(a: Term | Sequence[Term], b: Term | Sequence[Term],
+              samples: Optional[int] = None, tol: float = DEFAULT_TOL,
+              seed: int = DEFAULT_SEED,
               norm_pairs: tuple[tuple[str, str], ...] = ()) -> bool:
-    """Entrywise numeric equality of a and b, sampled over free atoms."""
-    if a.dims != b.dims:
-        raise DimMismatch(a.dims, b.dims)
+    """Entrywise numeric equality of a and b, sampled over free atoms.
+
+    a and b may also be sequences of terms of equal length, equal when each
+    pair is: the pairs share one Evaluator and bindings sampled from the
+    atoms of them all, so a subterm several pairs hold is built once per
+    binding."""
+    if isinstance(a, Term):
+        a, b = (a,), (b,)
+    if len(a) != len(b):
+        raise ValueError(f"comparing {len(a)} terms with {len(b)}")
+    for x, y in zip(a, b):
+        if x.dims != y.dims:
+            raise DimMismatch(x.dims, y.dims)
     ev = Evaluator()
-    for env in envs_for(a, b, samples, seed, norm_pairs):
+    for env in envs_for((*a, *b), samples, seed, norm_pairs):
         ev.bind(env)
-        if not ev.matrix(a).approx_eq(ev.matrix(b), tol):
+        if not all(ev.matrix(x).approx_eq(ev.matrix(y), tol) for x, y in zip(a, b)):
             return False
     return True
 
@@ -422,7 +434,7 @@ def obs_equiv(a: Term, b: Term, samples: Optional[int] = None,
         raise DimMismatch(a.dims, b.dims)
     phase: complex | None = None
     ev = Evaluator()
-    for env in envs_for(a, b, samples, seed, norm_pairs):
+    for env in envs_for((a, b), samples, seed, norm_pairs):
         ev.bind(env)
         ma = ev.matrix(a)
         mb = ev.matrix(b)

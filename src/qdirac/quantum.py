@@ -11,7 +11,7 @@ from .errors import (
 from .oracle import DEFAULT_SEED, DEFAULT_TOL, mat_equiv
 from .rewrite import NormalForm, Rewriter
 from .scalar import Scalar
-from .term import Term, dag, mea, mul, render
+from .term import Term, dag, mea, mul, render, scale
 
 NormPairs = tuple[tuple[str, str], ...]
 
@@ -54,9 +54,17 @@ def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = ()) -> Scalar:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Ordered ensemble of (probability, operator) branches."""
+    """Ordered ensemble of (probability, operator) branches.
+
+    Each operator is the branch as written: a leaf's (`[p : op]`, `mix1`) as
+    parsed, and after unit_mix or mea_mix the super-operator or projection
+    applied to the previous operator, unevaluated, which is what the oracle
+    reads.  `nfs` keeps, per branch, the normal form the symbolic engine
+    computed for it, hypotheses applied, or None for a leaf branch, which has
+    none; the symbolic comparison reads those."""
 
     branches: tuple[tuple[Scalar, Term], ...]
+    nfs: tuple[NormalForm | None, ...] = ()
 
     def __post_init__(self):
         dims = {op.dims for _, op in self.branches}
@@ -65,6 +73,10 @@ class MixedState:
         for _, op in self.branches:
             if op.rows != op.cols:
                 raise NotAnOperator(f"branch operator has dims {show_dim(op.dims)}")
+        if not self.nfs:
+            object.__setattr__(self, "nfs", (None,) * len(self.branches))
+        elif len(self.nfs) != len(self.branches):
+            raise ValueError("one normal form per branch")
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -94,19 +106,26 @@ def eval_mix(expr: MixExpr, norm_pairs: NormPairs = ()) -> MixedState:
     return unit_mix(u, eval_mix(inner, norm_pairs), norm_pairs=norm_pairs)
 
 
+def _stage_inputs(m: MixedState):
+    """Per branch (p, the operator as written, the term the engine continues
+    from: the kept normal form's, or a leaf's operator)."""
+    for (p, op), nf in zip(m.branches, m.nfs):
+        yield p, op, op if nf is None else nf.to_term()
+
+
 def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = ()) -> MixedState:
-    out = []
-    for p, op in m.branches:
-        nf = Rewriter().normalize(super_(u, op)).apply_norm_hypothesis(norm_pairs)
-        out.append((p, nf.to_term()))
-    return MixedState(tuple(out))
+    branches, nfs = [], []
+    for p, op, rho in _stage_inputs(m):
+        nfs.append(Rewriter().normalize(super_(u, rho)).apply_norm_hypothesis(norm_pairs))
+        branches.append((p, super_(u, op)))
+    return MixedState(tuple(branches), tuple(nfs))
 
 
 def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = ()) -> MixedState:
-    out = []
-    for p, rho in m.branches:
-        if rho.rows != 2 ** (n + 1):
-            raise DimMismatch((2 ** (n + 1), 2 ** (n + 1)), rho.dims, "mea_mix branch")
+    branches, nfs = [], []
+    for p, op, rho in _stage_inputs(m):
+        if op.rows != 2 ** (n + 1):
+            raise DimMismatch((2 ** (n + 1), 2 ** (n + 1)), op.dims, "mea_mix branch")
         for proj_name in ("Mea0", "Mea1"):
             proj = mea(proj_name, n, k)
             # projective, so tr(M rho M) = tr(M rho)
@@ -116,13 +135,16 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = ()) -> MixedS
                 continue
             post_nf = Rewriter().normalize(mul(proj, mul(rho, proj)))
             post_nf = post_nf.apply_norm_hypothesis(norm_pairs)
+            post = mul(proj, mul(op, proj))
             try:
                 inv = branch_p.reciprocal()
                 post_nf = post_nf.map_scalars(lambda s: s * inv)
+                post = scale(inv, post)
             except NonInvertibleScalar:
                 pass  # symbolic trace: leave the branch unnormalized
-            out.append((p * branch_p, post_nf.to_term()))
-    return MixedState(tuple(out))
+            branches.append((p * branch_p, post))
+            nfs.append(post_nf)
+    return MixedState(tuple(branches), tuple(nfs))
 
 
 def total_mass(m: MixedState, norm_pairs: NormPairs = ()) -> Scalar:
@@ -134,35 +156,39 @@ def total_mass(m: MixedState, norm_pairs: NormPairs = ()) -> Scalar:
 
 def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_TOL,
               seed: int = DEFAULT_SEED, norm_pairs: NormPairs = ()) -> bool:
-    """Ordered branchwise equality: exact probabilities, numeric operators."""
-    return len(a.branches) == len(b.branches) and _first_difference(
-        a, b, norm_pairs,
-        lambda x, y: mat_equiv(x, y, samples=samples, tol=tol, seed=seed,
-                               norm_pairs=norm_pairs),
-    ) is None
+    """Ordered branchwise equality: exact probabilities, and the operators as
+    written compared numerically, all under the same sampled bindings."""
+    return _first_difference(a, b, norm_pairs, lambda i: True) is None and mat_equiv(
+        [op for _, op in a.branches], [op for _, op in b.branches],
+        samples=samples, tol=tol, seed=seed, norm_pairs=norm_pairs,
+    )
 
 
 def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
                        rewriter: Rewriter | None = None) -> int | None:
     """Ordered branchwise comparison, operators compared by normal form: the
-    index of the first branch that differs, or None if the states are equal."""
+    kept one of a computed branch, a leaf's normalized here.  The index of the
+    first branch that differs, or None if the states are equal."""
     rw = rewriter or Rewriter()
 
-    def nf(t: Term) -> NormalForm:
-        return rw.normalize(t).apply_norm_hypothesis(norm_pairs)
+    def nf(m: MixedState, i: int) -> NormalForm:
+        kept = m.nfs[i]
+        if kept is None:
+            kept = rw.normalize(m.branches[i][1])
+        return kept.apply_norm_hypothesis(norm_pairs)
 
-    return _first_difference(a, b, norm_pairs, lambda x, y: nf(x) == nf(y))
+    return _first_difference(a, b, norm_pairs, lambda i: nf(a, i) == nf(b, i))
 
 
 def _first_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs,
-                      ops_equal: Callable[[Term, Term], bool]) -> int | None:
+                      ops_equal: Callable[[int], bool]) -> int | None:
     """Pair branches in order; paired branches need a zero probability
-    difference under the hypotheses, equal dims and ops_equal.  The index of
-    the first pair that fails, the shorter length if one state runs out
-    first, or None."""
+    difference under the hypotheses, equal dims and ops_equal(their index).
+    The index of the first pair that fails, the shorter length if one state
+    runs out first, or None."""
     for i, ((pa, oa), (pb, ob)) in enumerate(zip(a.branches, b.branches)):
         if not ((pa - pb).apply_norm_hypothesis(norm_pairs).is_zero()
-                and oa.dims == ob.dims and ops_equal(oa, ob)):
+                and oa.dims == ob.dims and ops_equal(i)):
             return i
     if len(a.branches) != len(b.branches):
         return min(len(a.branches), len(b.branches))

@@ -355,6 +355,7 @@ class Rewriter:
         self._columns: dict[Term, dict] = {}  # layer factor -> its map by column bits
         self._irreducible: set[Term] = set()  # fixpoints of reduce
         self._irreducible_in_sum: set[Term] = set()  # inner ADD nodes: all laws but Lsum
+        self._pushed: set[Term] = set()  # outputs of push_daggers, which it leaves as they are
 
     # -- bookkeeping
     def _log(self, law: str, path, before: Term, after: Term):
@@ -508,7 +509,12 @@ class Rewriter:
         """t with every dagger pushed down to a basis ket.  Iterative: the
         nodes are visited depth first, left to right, each rewritten at its
         root before its children are visited; a dagger left at a root is a
-        bra, whose ket is not visited."""
+        bra, whose ket is not visited.  A subterm this pass has output
+        before is output again as it is, unvisited: no law applies in it, so
+        visiting it would log no step."""
+        pushed = self._pushed
+        if t in pushed:
+            return t
         path: list[int] = []
         frames = [(self._push_root(t, path), [])]  # (node, its children so far)
         while True:
@@ -518,15 +524,16 @@ class Rewriter:
                 child = node.children[len(done)]
                 if child.kind == DAG:
                     child = self._push_root(child, path)
-                if child.children and child.kind != DAG:
+                if child.children and child.kind != DAG and child not in pushed:
                     frames.append((child, []))
-                else:  # a leaf or a bra
+                else:  # a leaf, a bra or an output
                     path.pop()
                     done.append(child)
                 continue
             frames.pop()
             if any(d is not c for d, c in zip(done, node.children)):
                 node = _rebuild(node, done)
+            pushed.add(node)
             if not frames:
                 return node
             path.pop()

@@ -26,7 +26,10 @@ _intern: dict = {}
 
 
 class Term:
-    __slots__ = ("kind", "payload", "children", "rows", "cols", "_hash")
+    """A node of an expression tree.  Interned, so structural equality is
+    identity: a Term hashes and compares as the object itself does."""
+
+    __slots__ = ("kind", "payload", "children", "rows", "cols")
 
     def __new__(cls, kind, payload, children, rows, cols):
         # Children are interned and compare by identity, so the key holds them.
@@ -40,20 +43,12 @@ class Term:
         self.children = children
         self.rows = rows
         self.cols = cols
-        self._hash = hash(key)
         _intern[key] = self
         return self
 
     @property
     def dims(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def __hash__(self):
-        return self._hash
-
-    # Hash-consing makes identity coincide with structural equality.
-    def __eq__(self, other):
-        return self is other
 
     def __repr__(self):
         return f"<{render(self)} : {self.rows}x{self.cols}>"

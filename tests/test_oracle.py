@@ -73,7 +73,7 @@ def test_atoms_of_both_sides_in_one_walk(monkeypatch):
     atoms = Scalar.atoms
     monkeypatch.setattr(Scalar, "atoms", lambda s: reads.append(s) or atoms(s))
     shared = parse("a .* B1 * e(u) .* B2")  # basis matrices hold no scalars
-    envs = envs_for(mul(shared, gate("B0")), mul(gate("B3"), shared), 3, DEFAULT_SEED, ())
+    envs = envs_for((mul(shared, gate("B0")), mul(gate("B3"), shared)), 3, DEFAULT_SEED, ())
     assert len(reads) == 2 and [sorted(e.bindings) for e in envs] == [["a", "u"]] * 3
 
 
@@ -104,13 +104,13 @@ def test_basis_and_direct_paths_agree():
         if rng.random() < 0.3:
             b = a
         explicit = all(eval_dense(a, env).approx_eq(eval_dense(b, env))
-                       for env in envs_for(a, b, None, DEFAULT_SEED, ()))
+                       for env in envs_for((a, b), None, DEFAULT_SEED, ()))
         assert mat_equiv(a, b) == explicit, (repr(a), repr(b))
 
 
 def _assert_evaluator_matches_eval_dense(t, norm_pairs=()):
     ev = Evaluator()
-    for env in envs_for(t, t, None, DEFAULT_SEED, norm_pairs):
+    for env in envs_for((t, t), None, DEFAULT_SEED, norm_pairs):
         ev.bind(env)
         want = eval_dense(t, env)
         got = ev.matrix(t)

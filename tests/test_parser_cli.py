@@ -293,6 +293,22 @@ def test_cli_check_corrupted_fails_with_witness(tmp_path, capsys):
     assert "FAIL" in out and "witness:" in out
 
 
+def test_false_eq_names_the_first_differing_summand(tmp_path, capsys):
+    """A false EQ or MATEQ names the first basis key whose scalars differ,
+    a missing summand as 0, in one short line however many summands the
+    sides have; OBS still shows both normal forms."""
+    p = tmp_path / "false.qd"
+    p.write_text("wide: EQ kron_n(10, |+>) == kron_n(10, |->)\n"
+                 "gate: MATEQ H * H == X\n"
+                 "obs: OBS |0> == |1>\n")
+    assert main(["check", str(p), "--json"]) == EXIT_FAIL
+    wide, gate_, obs = json.loads(capsys.readouterr().out)["files"][0]["results"]
+    assert wide["witness"] == ("normal forms differ at |" + "0," * 9 + "1>: 1/32 vs -1/32")
+    assert len(wide["witness"]) < 200
+    assert gate_["witness"] == "normal forms differ at |0><0|: 1 vs 0"
+    assert obs["witness"] == "normal forms differ: |0> vs |1>"
+
+
 def test_cli_check_symbolic_obs(tmp_path, capsys):
     """OBS holds for one constant ratio of modulus 1, with atoms in the scalars."""
     psi = "(a .* |0> + b .* |1>)"

@@ -8,10 +8,12 @@ import pytest
 
 from qdirac.corpus import RunConfig, parse_corpus, run_assertion
 from qdirac.errors import DimMismatch, NotAnOperator, NotAVector
+from qdirac import oracle
 from qdirac.oracle import mat_equiv
+from qdirac.parser import Parser
 from qdirac.quantum import (
-    MixedState, density, mea_mix, mix_equal, probability, pure_mix,
-    super_, super_reduce, total_mass, unit_mix,
+    MixedState, density, eval_mix, mea_mix, mix_equal, probability, pure_mix,
+    super_, super_reduce, sym_mix_difference, total_mass, unit_mix,
 )
 from qdirac.rewrite import Rewriter
 from qdirac.scalar import Scalar
@@ -193,3 +195,63 @@ def test_ghz_measurement_cascade():
     assert [p for p, _ in m.branches] == [HALF, HALF]
     assert mat_equiv(m.branches[0][1], density(ket_string("000")))
     assert mat_equiv(m.branches[1][1], density(ket_string("111")))
+
+
+def _h_layer_mixeq(n: int) -> str:
+    return (f"unitmix(kron_n({n}, H), mix1(density(kron_n({n}, |0>))))",
+            f"mix1(density(kron_n({n}, |+>)))")
+
+
+def test_branches_keep_written_operator_and_its_normal_form():
+    """After unit_mix and mea_mix each branch's operator as written and the
+    normal form kept for it are the same matrix, with atoms and hypotheses
+    too; a leaf branch keeps no normal form."""
+    rng = random.Random(35)
+    for case in range(60):
+        qubits = 1 + case % 2
+        closed = case % 4 < 2
+        hyps = (("a", "b"),) if case % 8 >= 4 else ()
+        leaf = pure_mix(density(rand_state(rng, qubits, closed=closed)))
+        assert leaf.nfs == (None,)
+        measured = mea_mix(qubits - 1, rng.randrange(qubits), leaf, hyps)
+        evolved = unit_mix(rand_op(rng, qubits, closed=closed), measured, hyps)
+        for m in (measured, evolved):
+            assert len(m.nfs) == len(m.branches)
+            for (_, op), nf in zip(m.branches, m.nfs):
+                assert mat_equiv(op, nf.to_term(), norm_pairs=hyps), (case, repr(op))
+
+
+def test_oracle_reads_the_written_circuit_not_the_kept_normal_form():
+    """A corrupted kept normal form is flagged by the symbolic comparison,
+    while the oracle, which reads the operators as written, still finds the
+    state equal to the true one."""
+    evolved = unit_mix(gate("H"), pure_mix(density(ket0())))
+    truth = pure_mix(density(gate("ket_plus")))
+    assert sym_mix_difference(evolved, truth) is None
+    corrupt = MixedState(evolved.branches, (Rewriter().normalize(density(ket1())),))
+    assert sym_mix_difference(corrupt, truth) == 0
+    assert mix_equal(corrupt, truth)
+
+
+def test_mix_equal_builds_linearly_many_full_matrices(monkeypatch):
+    """On H^5 applied to a mixed |0..0>, the oracle builds O(n) full
+    1024-entry matrices, not one per summand of the normal form."""
+    n = 5
+    lhs, rhs = (eval_mix(Parser(src, {}).parse_mixed()) for src in _h_layer_mixeq(n))
+    sizes = []
+    init = oracle.DenseMatrix.__init__
+
+    def recording(self, rows, cols, entries):
+        sizes.append(len(entries))
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(oracle.DenseMatrix, "__init__", recording)
+    assert mix_equal(lhs, rhs)
+    assert sizes.count(4 ** n) < 6 * n
+
+
+def test_six_qubit_mixeq_is_oracle_checked():
+    lhs, rhs = _h_layer_mixeq(6)
+    (a,) = parse_corpus(f"h6: MIXEQ {lhs} == {rhs}\n").assertions
+    res = run_assertion(a, {}, RunConfig())
+    assert (res.verdict, res.oracle_note, res.witness) == ("pass", "", "")

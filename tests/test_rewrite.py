@@ -116,6 +116,25 @@ def test_dagger_push():
     assert not trace.steps
 
 
+def test_dagger_push_visits_each_dagger_free_subterm_once(monkeypatch):
+    """A subterm push_daggers has output before is not walked again, while a
+    repeated subterm that has daggers to push logs its steps at each path."""
+    calls = []
+    push_root = Rewriter._push_root
+    monkeypatch.setattr(Rewriter, "_push_root",
+                        lambda self, t, path: calls.append(t) or push_root(self, t, path))
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(parse("0 .* kron_n(16, kron_n(1024, H))"))
+    assert nf.is_zero() and [s.law for s in trace.steps] == ["L3"]
+    assert len(calls) <= 5  # the root and H's four bras, not 4 per copy of H
+    shared = dag(mul(gate("X"), gate("H")))
+    once, twice = RewriteTrace(), RewriteTrace()
+    Rewriter(trace=once).push_daggers(shared)
+    Rewriter(trace=twice).push_daggers(kron(shared, shared))
+    assert [(s.law, s.path) for s in twice.steps] == [
+        (s.law, bytes([i]) + s.path) for i in (0, 1) for s in once.steps]
+
+
 def test_every_law_fires():
     """Each law _rewrite_root or push_daggers can emit fires on some input."""
     c = Scalar.rational(1, 2)
