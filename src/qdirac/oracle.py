@@ -1,13 +1,16 @@
 """Independent dense-matrix evaluators and equivalence predicates.
 
 This module deliberately shares nothing with the rewrite engine beyond the
-Term type: terms become plain row-major complex matrices, and equivalence is
-decided numerically, entry by entry, under a few sampled bindings of the
-free atoms.  Two evaluators produce those matrices:
+term module: the Term type and `operands`, which lists the operands of a
+chain of sums, products or tensor products.  Terms become plain row-major
+complex matrices, and equivalence is decided numerically, entry by entry,
+under a few sampled bindings of the free atoms.  Two evaluators produce
+those matrices:
 
-- `eval_dense` is the explicit computation, recursive and with the
-  straightforward O(n^3) kernels: every subterm becomes a full matrix.  It
-  is the baseline `qdirac bench` times against the symbolic engine.
+- `eval_dense` is the explicit computation, recursive but for the chain of
+  a sum, and with the straightforward O(n^3) kernels: every subterm becomes
+  a full matrix.  It is the baseline `qdirac bench` times against the
+  symbolic engine.
 - `Evaluator`, which `mat_equiv` and `obs_equiv` use, makes the same matrices
   with less work: a product applies its left factor to the right factor's
   columns, a tensor product acts on them slot by slot, and each small
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimMismatch, NotSquare, show_dim
-from .term import ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term
+from .term import ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, operands
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 3
@@ -216,13 +219,12 @@ def eval_dense(t: Term, env: SampleEnv | None = None) -> DenseMatrix:
         return eval_dense(t.children[0], env).scale(t.payload.evaluate(env.bindings))
     if kind == MUL:
         return eval_dense(t.children[0], env).matmul(eval_dense(t.children[1], env))
-    if kind == ADD:  # walk the right spine, so a long sum recurses once, not per summand
-        out = eval_dense(t.children[0], env)
-        t = t.children[1]
-        while t.kind == ADD:
-            out = out.add(eval_dense(t.children[0], env))
-            t = t.children[1]
-        return out.add(eval_dense(t, env))
+    if kind == ADD:  # a long sum, nested either way, recurses once, not per summand
+        first, *rest = operands(t)
+        out = eval_dense(first, env)
+        for u in rest:
+            out = out.add(eval_dense(u, env))
+        return out
     if kind == KRON:
         return eval_dense(t.children[0], env).kron(eval_dense(t.children[1], env))
     return eval_dense(t.children[0], env).dagger()
@@ -257,21 +259,6 @@ def _swap_blocks(x: list[complex], r: int, c: int, m: int) -> list[complex]:
         for i in range(r):
             s = (i * c + k) * m
             out += x[s:s + m]
-    return out
-
-
-def _operands(t: Term) -> list[Term]:
-    """The operands of the product, sum or tensor product t, left to right,
-    however it nests: found iteratively, so a thousand gates or summands
-    cost no recursion."""
-    kind = t.kind
-    out, stack = [], [t]
-    while stack:
-        u = stack.pop()
-        if u.kind == kind:
-            stack += reversed(u.children)
-        else:
-            out.append(u)
     return out
 
 
@@ -323,12 +310,12 @@ class Evaluator:
                 return m
         kind = t.kind
         if kind == MUL:
-            *left, right = _operands(t)
+            *left, right = operands(t)
             m = self.matrix(right)
             for f in reversed(left):
                 m = self.act(f, m)
         elif kind == ADD:
-            first, *rest = _operands(t)
+            first, *rest = operands(t)
             m = self.matrix(first)
             for u in rest:
                 m = m.add(self.matrix(u))
@@ -351,7 +338,7 @@ class Evaluator:
             return (s.dagger() if adjoint else s).matmul(m)
         kind = t.kind
         if kind == MUL:
-            factors = _operands(t)
+            factors = operands(t)
             # right to left, or, for the adjoint (f1 * ... * fk)^ = fk^ * ... * f1^
             for f in (factors if adjoint else reversed(factors)):
                 m = self.act(f, m, adjoint)
@@ -362,7 +349,7 @@ class Evaluator:
             c = t.payload.evaluate(self.bindings)
             return self.act(t.children[0], m, adjoint).scale(c.conjugate() if adjoint else c)
         if kind == ADD:
-            first, *rest = _operands(t)
+            first, *rest = operands(t)
             out = self.act(first, m, adjoint)
             for u in rest:
                 out = out.add(self.act(u, m, adjoint))
@@ -376,7 +363,7 @@ class Evaluator:
         # One loop, so only the current block and the next are alive.
         w = m.cols
         done, todo = 1, m.rows  # row counts of the slots applied and still to apply
-        for f in _operands(t):
+        for f in operands(t):
             f_in, f_out = (f.rows, f.cols) if adjoint else (f.cols, f.rows)
             todo //= f_in
             rest = todo * w

@@ -45,7 +45,7 @@ from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
     Term, add, add_all, dag, dim_text, gate, identity, ket0, ket1, kron, kron_all, mul,
-    render, render_head, render_scaled, render_with, scale, zero,
+    operands, render, render_head, render_scaled, render_with, scale, zero,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -250,19 +250,6 @@ G_TABLE: dict[tuple[Term, Term], Term] = {}
 B_TABLE: dict[tuple[Term, Term], Term] = {}
 
 
-def _flatten_kron(t: Term) -> list[Term]:
-    out = []
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if cur.kind == KRON:
-            stack.append(cur.children[1])
-            stack.append(cur.children[0])
-        else:
-            out.append(cur)
-    return out
-
-
 def _align(fa: list[Term], fb: list[Term]) -> Optional[list]:
     """Pair runs of fa's factors with runs of fb's whose column and row dims
     match, or None unless that cuts both into at least two segments."""
@@ -305,8 +292,10 @@ def _split_identities(factors: list[Term]) -> list[Term]:
 
 def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
     """L13: (a1 # ... # an) * (b1 # ... # bm) as the tensor product of the
-    per-segment products, splitting identity blocks that straddle a cut."""
-    fa, fb = _flatten_kron(a), _flatten_kron(b)
+    per-segment products, splitting identity blocks that straddle a cut.
+    Only a KRON operand is cut into factors: a product or sum is one."""
+    fa = operands(a) if a.kind == KRON else [a]
+    fb = operands(b) if b.kind == KRON else [b]
     if len(fa) == 1 and len(fb) == 1:
         return None
     segments = _align(fa, fb) or _align(_split_identities(fa), _split_identities(fb))
@@ -316,15 +305,11 @@ def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
 
 
 def _collect_like(t: Term):
-    """Lsum: the ADD spine t with the like summands c1 .* x, c2 .* x, ... of
-    each body x merged into (c1 + c2 + ...) .* x at its first occurrence, and
+    """Lsum: the sum t with the like summands c1 .* x, c2 .* x, ... of each
+    body x merged into (c1 + c2 + ...) .* x at its first occurrence, and
     dropped if the scalars cancel; None if no body occurs twice.  Bodies are
     interned, so one pass keyed by them finds the like summands."""
-    parts = []
-    while t.kind == ADD:
-        parts.append(t.children[0])
-        t = t.children[1]
-    parts.append(t)
+    parts = operands(t)
     groups: dict[Term, list[Term]] = {}  # body -> its summands, first seen first
     for p in parts:
         groups.setdefault(p.children[0] if p.kind == SCALE else p, []).append(p)
@@ -610,9 +595,8 @@ class Rewriter:
                 (cbits, rbits): _cconj(s)
                 for (rbits, cbits), s in self._sparse(t.children[0]).items()
             }
-        elif kind == ADD:  # merge the whole spine into one map, memoized at the top
-            a, b = t.children  # a sum of two non-sums, the common case, needs no walk
-            parts = self._spine(t) if a.kind == ADD or b.kind == ADD else t.children
+        elif kind == ADD:  # merge the whole chain into one map, memoized at the top
+            parts = operands(t, self._sparse_memo)
             out = dict(self._sparse(parts[0]))
             for part in parts[1:]:
                 for k, s in self._sparse(part).items():
@@ -648,7 +632,7 @@ class Rewriter:
             elif a.kind == IDENT or b.kind == IDENT:  # L8, with nothing expanded
                 out = self._sparse(b if a.kind == IDENT else a)
             else:  # contract column bits against row bits, vector end first
-                chain = self._spine(t)
+                chain = operands(t, self._sparse_memo)
                 if chain[-1].cols == 1:
                     out = self._sparse(chain[-1])
                     for f in reversed(chain[:-1]):
@@ -674,19 +658,6 @@ class Rewriter:
         """The error naming the node whose evaluation ran out of fuel."""
         dims = f"{show_dim(t.rows)}x{show_dim(t.cols)}"
         return FuelExhausted(self.fuel, f"{t.kind} {dims} ({detail}): {render_head(t, 60)}")
-
-    def _spine(self, t: Term) -> list[Term]:
-        """Flatten a MUL or ADD spine, keeping already-evaluated subterms whole."""
-        kind, memo = t.kind, self._sparse_memo
-        out: list[Term] = []
-        stack = [t.children[1], t.children[0]]
-        while stack:
-            cur = stack.pop()
-            if cur.kind == kind and cur not in memo:
-                stack += reversed(cur.children)
-            else:
-                out.append(cur)
-        return out
 
     def _mul_maps(self, left: dict, right: dict, node: Term) -> dict:
         """left * right for maps of any shape; node is the MUL being evaluated."""
@@ -750,24 +721,9 @@ class Rewriter:
     def _apply_layer(self, layer: Term, vec: dict, node: Term) -> dict:
         """layer * vec for a KRON layer, one factor at a time: each factor's
         map acts on its slot of the vector keys' row bits, and the bits of
-        identity factors pass through unexpanded.
-
-        The layer's whole map is multiplied instead when the vector is dense
-        and that map has no more entries than the passes would visit: it is
-        then no dearer, and memoized for reuse."""
-        factors = _flatten_kron(layer)
-        if layer.cols <= len(vec):
-            flat, passes = 1, 0
-            for f in factors:
-                if f.kind == IDENT:
-                    flat *= f.rows
-                else:
-                    flat *= len(self._sparse(f))
-                    passes += 1
-            if flat <= passes * len(vec):
-                return self._mul_maps(self._sparse(layer), vec, node)
+        identity factors pass through unexpanded."""
         lo = 0
-        for f in factors:
+        for f in operands(layer):
             if f.kind != IDENT:
                 vec = self._apply_factor(f, lo, lo + f.cols.bit_length() - 1, vec, node)
             lo += f.rows.bit_length() - 1

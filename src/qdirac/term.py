@@ -122,6 +122,28 @@ def kron_all(terms) -> Term:
     return out
 
 
+def operands(t: Term, keep=()) -> list[Term]:
+    """The operands of t's chain of sums, products or tensor products, left
+    to right, however the chain nests: the subterms below t that are of
+    another kind, or in `keep`.  [t] when t is none of the three.
+    Iterative, so a chain of thousands of links costs no recursion."""
+    kind = t.kind
+    if kind not in _BINARY:
+        return [t]
+    a, b = t.children
+    if a.kind != kind and b.kind != kind:  # the common case needs no walk
+        return [a, b]
+    out = []
+    stack = [b, a]
+    while stack:
+        c = stack.pop()
+        if c.kind == kind and c not in keep:
+            stack += (c.children[1], c.children[0])
+        else:
+            out.append(c)
+    return out
+
+
 # --- rendering ---------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_KRON, _PREC_SCALE, _PREC_ATOM = 0, 1, 2, 3, 4
@@ -204,21 +226,8 @@ def render_with(t: Term, memo: dict) -> str:
 
 def _frame(t: Term, memo: dict) -> tuple:
     """(t, its operands, their texts so far, t's precedence) for render_with."""
-    kind = t.kind
-    if kind not in _BINARY:
-        return t, t.children, [], _PREC.get(kind, _PREC_ATOM)
-    a, b = t.children
-    if a.kind != kind and b.kind != kind:
-        return t, t.children, [], _PREC[kind]
-    ops = []
-    chain = [b, a]
-    while chain:
-        c = chain.pop()
-        if c.kind == kind and c not in memo:
-            chain += (c.children[1], c.children[0])
-        else:
-            ops.append(c)
-    return t, ops, [], _PREC[kind]
+    ops = operands(t, memo) if t.kind in _BINARY else t.children
+    return t, ops, [], _PREC.get(t.kind, _PREC_ATOM)
 
 
 def render_head(t: Term, limit: int) -> str:

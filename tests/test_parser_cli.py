@@ -330,6 +330,28 @@ def test_cli_check_symbolic_obs(tmp_path, capsys):
         == {n: v for n, (_, _, v) in cases.items()}
 
 
+def test_unequal_dims_fail_alike_with_and_without_the_oracle(tmp_path, capsys):
+    """Sides of unequal dims are a symbolic fail; the oracle, which cannot
+    compare them, leaves that verdict and its witness as they are."""
+    p = tmp_path / "dims.qd"
+    p.write_text("eq: EQ |0> == I(2)\n"
+                 "mateq: MATEQ |0> == I(2)\n"
+                 "obs: OBS |0> == I(2)\n"
+                 "obs_zero: OBS O(2,1) == O(2,2)\n")
+    reports = []
+    for oracle in ("on", "off"):
+        assert main(["check", str(p), "--oracle", oracle, "--json"]) == EXIT_FAIL
+        reports.append(json.loads(capsys.readouterr().out)["files"][0]["results"])
+    assert reports[0] == reports[1]
+    assert {r["name"]: (r["verdict"], r["witness"]) for r in reports[0]} == {
+        "eq": ("fail", "normal forms differ in dims: (2, 1) vs (2, 2)"),
+        "mateq": ("fail", "normal forms differ in dims: (2, 1) vs (2, 2)"),
+        "obs": ("fail", "normal forms differ: |0> vs I(2)"),
+        "obs_zero": ("fail", "normal forms differ: O(2,1) vs O(2,2)"),
+    }
+    assert not any("oracle" in r for r in reports[0])
+
+
 def test_cli_check_missing_file(capsys):
     assert main(["check", "/nonexistent/nope.qd"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qdirac.rewrite as rewrite_module
 from qdirac.cli import EXIT_INPUT, main
+from qdirac.corpus import build_defs, parse_corpus
 from qdirac.errors import FuelExhausted, NotAnOperator, NotInReducedShape
 from qdirac.oracle import eval_dense, mat_equiv
 from qdirac.parser import parse
@@ -23,7 +24,7 @@ from qdirac.term import (
     mul, render, scale, uf, zero,
 )
 
-from conftest import rand_circuit, rand_op, rand_scalar, rand_state, rand_term
+from conftest import CORPUS_DIR, rand_circuit, rand_op, rand_scalar, rand_state, rand_term
 
 LAW_IDS = {f"L{i}" for i in range(1, 17)} | {"Lsum", "G_db", "B_db", "D_db"}
 
@@ -82,6 +83,11 @@ def test_mult_kron():
     untouched = mul(kron(gate("CX"), x), kron(x, gate("CX")))
     Rewriter(trace=trace).reduce(untouched)
     assert trace.steps[0].path != b""
+    # only a tensor product is cut into factors: a sum or a product is one
+    outer = parse("(|0,1> + |1,0>) * (<0| # <1|)")
+    assert rewrite_module._try_mult_kron(*outer.children) is None
+    for t in (outer, parse("1/2 .* (density(bell00))")):
+        assert Rewriter(trace=RewriteTrace()).normalize(t) == nf_of(t), render(t)
 
 
 def test_distribute():
@@ -329,6 +335,26 @@ def test_traced_and_untraced_agree_and_replay():
         assert fast == slow
         assert all(s.law in LAW_IDS for s in trace.steps)
         assert replay(t, trace) is reduced
+
+
+def test_corpus_sides_traced_give_the_untraced_normal_form():
+    """Every term side of every shipped corpus file, traced, reaches the
+    untraced normal form, and replaying its trace reaches it too."""
+    sides = 0
+    for path in sorted(CORPUS_DIR.glob("*.qd")):
+        corpus = parse_corpus(path.read_text())
+        defs = build_defs(corpus.defs)
+        for a in corpus.assertions:
+            if a.kind == "MIXEQ":
+                continue
+            for src in (a.lhs, a.rhs):
+                t = parse(src, defs)
+                trace = RewriteTrace()
+                nf = Rewriter(trace=trace).normalize(t)
+                assert nf == nf_of(t), (path.name, a.name, src)
+                assert unified_base(replay(t, trace)) == nf, (path.name, a.name, src)
+                sides += 1
+    assert sides >= 100
 
 
 def test_tensor_paths_agree_with_traced_and_dense(monkeypatch):

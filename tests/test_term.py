@@ -7,12 +7,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdirac.errors import DimMismatch, ParseError, UnknownGate
 from qdirac.oracle import DenseMatrix, SampleEnv, eval_dense, mat_equiv
 from qdirac.term import (
-    add, add_all, ce, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n, mea, mul, render,
-    render_head, scale, uf, zero,
+    ADD, KRON, MUL, add, add_all, ce, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n,
+    mea, mul, operands, render, render_head, scale, uf, zero,
 )
 from qdirac.parser import parse, parse_scalar
 from qdirac.scalar import Scalar
@@ -172,6 +173,70 @@ def test_render_deep_chains():
         left = add(left, ket1())
     assert render(left) == " + ".join(["|0>"] + ["|1>"] * 5000)
     assert render(scale(Scalar.i(), dag(left))) == f"i .* ({render(left)})^"
+
+
+# per chain kind: how two operands join, and operands of other kinds
+_CHAINS = {
+    ADD: (add, (ket0(), ket1(), zero(2, 1), scale(Scalar.i(), ket0()),
+                mul(gate("H"), ket1()))),
+    MUL: (mul, (gate("X"), gate("H"), identity(2), dag(gate("Y")),
+                scale(Scalar.rational(2), gate("B1")))),
+    KRON: (kron, (ket0(), gate("X"), gate("ket_minus"), mul(gate("H"), gate("Z")),
+                  identity(4))),
+}
+
+
+def _nest(join, leaves, nesting, rng):
+    if len(leaves) == 1:
+        return leaves[0]
+    cut = {"left": len(leaves) - 1, "right": 1}.get(nesting) or rng.randint(1, len(leaves) - 1)
+    return join(_nest(join, leaves[:cut], nesting, rng), _nest(join, leaves[cut:], nesting, rng))
+
+
+def _reference_operands(t, keep):
+    """operands(t, keep), recursively: a chain node below t is walked
+    unless it is in keep."""
+    def walk(u):
+        if u.kind != t.kind or u in keep:
+            return [u]
+        return walk(u.children[0]) + walk(u.children[1])
+    return walk(t.children[0]) + walk(t.children[1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from((ADD, MUL, KRON)), st.lists(st.integers(0, 4), min_size=2, max_size=12),
+       st.sampled_from(("left", "right", "mixed")), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_property_operands_of_a_chain(kind, picks, nesting, seed, with_keep):
+    """operands lists a chain's operands left to right however it nests,
+    and stops at the chain nodes it is told to keep."""
+    rng = random.Random(seed)
+    join, others = _CHAINS[kind]
+    leaves = [others[i] for i in picks]
+    t = _nest(join, leaves, nesting, rng)
+    links, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if u.kind == kind:
+            links.append(u)
+            stack += u.children
+    keep = {u for u in links if with_keep and rng.random() < 0.4}
+    assert operands(t, keep) == _reference_operands(t, keep)
+    assert operands(t, dict.fromkeys(keep, "")) == operands(t, keep)  # a memo serves as keep
+    if not with_keep:
+        assert operands(t) == leaves
+
+
+def test_operands_of_a_node_outside_any_chain_is_the_node():
+    for t in (ket0(), dag(ket1()), identity(4), zero(2, 1), scale(Scalar.i(), gate("X")),
+              dag(mul(gate("H"), gate("X")))):
+        assert operands(t) == [t]
+
+
+def test_eval_dense_of_a_long_parsed_sum():
+    """The parser nests a sum to the left; eval_dense walks it without a
+    recursion per summand."""
+    m = eval_dense(parse(" + ".join(["|0>", "|1>"] * 1500)))
+    assert m.entries == [1500, 1500]
 
 
 def test_render_dims_past_the_int_string_limit():
