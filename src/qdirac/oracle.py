@@ -7,10 +7,11 @@ complex matrices, and equivalence is decided numerically, entry by entry,
 under a few sampled bindings of the free atoms.  Two evaluators produce
 those matrices:
 
-- `eval_dense` is the explicit computation, recursive but for the chain of
-  a sum, and with the straightforward O(n^3) kernels: every subterm becomes
-  a full matrix.  It is the baseline `qdirac bench` times against the
-  symbolic engine.
+- `eval_dense` is the explicit computation, with the straightforward
+  O(n^3) kernels: every subterm becomes a full matrix.  It recurses once
+  per operand of a chain of sums, products or tensor products, not once
+  per link, and folds a product that ends in a vector from that end.  It
+  is the baseline `qdirac bench` times against the symbolic engine.
 - `Evaluator`, which `mat_equiv` and `obs_equiv` use, makes the same matrices
   with less work: a product applies its left factor to the right factor's
   columns, a tensor product acts on them slot by slot, and each small
@@ -204,6 +205,9 @@ def collect_atoms(*terms: Term) -> tuple[set[str], set[str]]:
     return variables, angles
 
 
+_COMBINE = {MUL: DenseMatrix.matmul, ADD: DenseMatrix.add, KRON: DenseMatrix.kron}
+
+
 def eval_dense(t: Term, env: SampleEnv | None = None) -> DenseMatrix:
     env = env or SampleEnv({}, 0)
     kind = t.kind
@@ -217,17 +221,20 @@ def eval_dense(t: Term, env: SampleEnv | None = None) -> DenseMatrix:
         return DenseMatrix.identity(t.payload)
     if kind == SCALE:
         return eval_dense(t.children[0], env).scale(t.payload.evaluate(env.bindings))
-    if kind == MUL:
-        return eval_dense(t.children[0], env).matmul(eval_dense(t.children[1], env))
-    if kind == ADD:  # a long sum, nested either way, recurses once, not per summand
-        first, *rest = operands(t)
-        out = eval_dense(first, env)
-        for u in rest:
-            out = out.add(eval_dense(u, env))
+    if kind == DAG:
+        return eval_dense(t.children[0], env).dagger()
+    # a chain, nested either way, recurses once per operand, not per link
+    parts = operands(t)
+    if kind == MUL and parts[-1].cols == 1:  # from the vector end
+        out = eval_dense(parts[-1], env)
+        for u in reversed(parts[:-1]):
+            out = eval_dense(u, env).matmul(out)
         return out
-    if kind == KRON:
-        return eval_dense(t.children[0], env).kron(eval_dense(t.children[1], env))
-    return eval_dense(t.children[0], env).dagger()
+    combine = _COMBINE[kind]
+    out = eval_dense(parts[0], env)
+    for u in parts[1:]:
+        out = combine(out, eval_dense(u, env))
+    return out
 
 
 def envs_for(terms: Sequence[Term], samples: Optional[int], seed: int,

@@ -4,7 +4,8 @@ The catalog follows the usual algebra of scaled matrix expressions: inner
 products of basis vectors collapse to scalars (L1), associativity (L2),
 scalar/zero/identity absorption (L3, L5-L10), a scalar distributed over a
 sum (L4), distribution (L11/L12), the mixed-product law for tensors (L13,
-which splits an I(2^k) block into I(2) slots where it straddles a cut) and
+which splits an I(2^k) block into I(2) slots where it straddles a cut, and
+pairs a ket or bra factor with no counterpart across it with I(1)) and
 conjugate-transpose pushing (L14-L16); Lsum merges the like summands
 c1 .* x + ... + c2 .* x of a sum into (c1 + c2) .* x.  Derived lookup tables
 speed up the common cases: B_db for the four basis matrices acting on
@@ -16,12 +17,16 @@ The traced driver is a deterministic staged pipeline over that one law set,
 tried in a fixed order: push daggers to the leaves, reduce to a fixpoint,
 then collect the result into a canonical sum of basis matrices
 |rbits><cbits|.  Reduction tries a node's laws before its children's and
-retries the node after they change, except that a product reduces its right
-operand first when that operand is a product or the result is a vector, and
-Lsum runs once per sum, at its top, after its summands.  Each Rewriter
-remembers the fixpoints it has reached, so a repeated irreducible subterm
-costs a lookup.  On gate chains, applied to kets or not, and on H^n * H^n
-the steps grow with the gates times the size of the answer.
+retries the node after they change, except that a product chain reduces
+from its vector ends, and Lsum runs once per sum, at its top, after its
+summands.  A ket takes the gates on its left and a bra the gates on its
+right, one at a time; a chain with a ket inside is an outer product,
+regrouped (L2) into its ket part times its bra part, each reduced from its
+vector end; a 1x1 chain keeps the ket-first order, which the (gate, ket)
+tables serve.  Each Rewriter remembers the fixpoints it has reached, so a
+repeated irreducible subterm costs a lookup.  On gate chains, applied to
+kets, bras or neither, on U * k * k^ * U^, and on H^n * H^n the steps grow
+with the gates times the size of the answer.
 
 When no trace is requested the same normal form is computed directly over
 the sparse representation (each subterm becomes a map from basis
@@ -45,7 +50,7 @@ from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
     Term, add, add_all, dag, dim_text, gate, identity, ket0, ket1, kron, kron_all, mul,
-    operands, render, render_head, render_scaled, render_with, scale, zero,
+    mul_all, operands, render, render_head, render_scaled, render_with, scale, zero,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -252,10 +257,24 @@ B_TABLE: dict[tuple[Term, Term], Term] = {}
 
 def _align(fa: list[Term], fb: list[Term]) -> Optional[list]:
     """Pair runs of fa's factors with runs of fb's whose column and row dims
-    match, or None unless that cuts both into at least two segments."""
+    match, or None unless that cuts both into at least two segments.  A
+    factor with a 1-dim on the contracted side (a ket of fa, a bra of fb)
+    whose counterpart has none, or that is left over, is paired with I(1)."""
     segments = []
     i = j = 0
-    while i < len(fa) and j < len(fb):
+    while i < len(fa) or j < len(fb):
+        lone_a = i < len(fa) and fa[i].cols == 1
+        lone_b = j < len(fb) and fb[j].rows == 1
+        if lone_a and not lone_b:
+            segments.append(([fa[i]], [identity(1)]))
+            i += 1
+            continue
+        if lone_b and not lone_a:
+            segments.append(([identity(1)], [fb[j]]))
+            j += 1
+            continue
+        if i >= len(fa) or j >= len(fb):
+            return None
         acc_l, acc_r = [fa[i]], [fb[j]]
         cols_l, rows_r = fa[i].cols, fb[j].rows
         i += 1
@@ -274,9 +293,7 @@ def _align(fa: list[Term], fb: list[Term]) -> Optional[list]:
                 rows_r *= fb[j].rows
                 j += 1
         segments.append((acc_l, acc_r))
-    if i < len(fa) or j < len(fb) or len(segments) < 2:
-        return None
-    return segments
+    return segments if len(segments) >= 2 else None
 
 
 def _split_identities(factors: list[Term]) -> list[Term]:
@@ -293,7 +310,10 @@ def _split_identities(factors: list[Term]) -> list[Term]:
 def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
     """L13: (a1 # ... # an) * (b1 # ... # bm) as the tensor product of the
     per-segment products, splitting identity blocks that straddle a cut.
-    Only a KRON operand is cut into factors: a product or sum is one."""
+    Only a KRON operand is cut into factors: a product or sum is one, and
+    a sum is left to L11, which distributes it first."""
+    if a.kind == ADD or b.kind == ADD:
+        return None
     fa = operands(a) if a.kind == KRON else [a]
     fb = operands(b) if b.kind == KRON else [b]
     if len(fa) == 1 and len(fb) == 1:
@@ -326,6 +346,40 @@ def _collect_like(t: Term):
         if not c.is_zero():
             out.append(body if c.is_one() else scale(c, body))
     return "Lsum", add_all(out) if out else zero(t.rows, t.cols)
+
+
+_ABSORBED = (SCALE, ZERO, IDENT)
+
+
+def _regroup(t: Term) -> Optional[Term]:
+    """L2 that brings a product's vector ends outermost, or None.  A bra
+    a * (b0 * b1) becomes (a * b0) * b1, unless b0 is a ket (L1's case).  An
+    operator chain holding a ket is cut after its first ket into (ket part)
+    * (bra part): the ket part nested to the right, the bra part as the bra
+    rule leaves it, to the left up to its next ket and to the right from
+    there.  A column (a ket or a scalar) is left as it is, and so is a
+    product that L5, L7 or L8 simplifies at once."""
+    a, b = t.children
+    if t.cols == 1 or a.kind in _ABSORBED or b.kind in _ABSORBED:
+        return None
+    if t.rows == 1:
+        if b.kind == MUL and b.children[0].cols > 1:
+            return mul(mul(a, b.children[0]), b.children[1])
+        return None
+    if a.cols == 1 or (a.kind != MUL and b.kind != MUL):
+        return None
+    chain = operands(t)
+    kets = [i for i, f in enumerate(chain) if f.cols == 1]
+    if not kets:
+        return None
+    i = kets[0]
+    j = next((k for k in kets if k > i + 1), len(chain))
+    bra = chain[i + 1]
+    for g in chain[i + 2:j]:
+        bra = mul(bra, g)
+    if j < len(chain):
+        bra = mul(bra, mul_all(chain[j:]))
+    return mul(mul_all(chain[:i + 1]), bra)
 
 
 class Rewriter:
@@ -392,7 +446,8 @@ class Rewriter:
                     if bra_bit == ket_bit:
                         return "L1", b.children[1]
                     return "L1", zero(1, b.cols)
-            if a.kind == MUL:
+            # not on a bra or an outer product, which _regroup nests the other way
+            if a.kind == MUL and (t.cols == 1 or (a.rows > 1 and a.cols > 1)):
                 return "L2", mul(a.children[0], mul(a.children[1], b))
             if a.kind == KRON or b.kind == KRON:
                 out = _try_mult_kron(a, b)
@@ -437,25 +492,43 @@ class Rewriter:
     def reduce(self, t: Term, _path: tuple[int, ...] = (), _in_sum: bool = False) -> Term:
         """Rewrite t to a fixpoint of the law set.
 
-        A MUL reduces its right operand first when that operand is a MUL or
-        the result is a vector: after L2 a chain is g1 * (g2 * (... * gk)),
-        so its innermost product is reduced first and each gate meets a
-        reduced sum or state, not an unreduced product whose distribution
-        (L11) would multiply out every later gate's summands.  Otherwise a
-        KRON or ADD operand is left whole, for L13 and L11 to use its
-        structure.  Lsum runs at the top of an ADD spine once its summands
-        are reduced, never at the spine's inner ADD nodes (_in_sum).
-        Fixpoints are remembered, an inner node's apart, since Lsum may
-        still fire on it at a top; a remembered one is returned at once and
-        logs no step, as reducing it again would log none."""
+        A product chain is reduced from its vector ends.  A column (a ket,
+        or a 1x1 scalar) reduces its right operand first: after L2 a chain
+        is g1 * (g2 * (... * k)), so each gate meets a reduced state, not an
+        unreduced product whose distribution (L11) would multiply out every
+        later gate's summands.  A 1x1 chain keeps that ket-first order, as
+        B_db and G_db are keyed by (gate, ket).  A bra is regrouped the other
+        way, (a * b0) * b1 (_regroup), and reduces its left operand first,
+        so it takes the gates on its right one at a time.  An operator chain
+        holding a ket is an outer product: it is regrouped into (ket part) *
+        (bra part), and each part is reduced from its vector end before
+        they meet.  An operator chain with no vector reduces its right
+        operand first when that is a MUL, as a ket does; otherwise a KRON
+        or ADD operand is left whole, for L13 and L11 to use its structure.
+        Lsum runs at the top of an ADD spine once its summands are reduced,
+        never at the spine's inner ADD nodes (_in_sum).  Fixpoints are
+        remembered, an inner node's apart, since Lsum may still fire on it
+        at a top; a remembered one is returned at once and logs no step, as
+        reducing it again would log none."""
         if t in self._irreducible or (_in_sum and t in self._irreducible_in_sum):
             return t
         while True:
-            if t.kind == MUL and (t.cols == 1 or t.children[1].kind == MUL):
-                b = t.children[1]
-                rb = self.reduce(b, _path + (1,))
-                if rb is not b:
-                    t = mul(t.children[0], rb)
+            if t.kind == MUL:
+                new = _regroup(t)
+                if new is not None:
+                    self._log("L2", _path, t, new)
+                    t = new
+                    continue
+                a, b = t.children
+                # a bra's left part, or an outer product's ket part, first
+                if t.cols > 1 and a.kind == MUL and (a.rows == 1 or a.cols == 1):
+                    ra = self.reduce(a, _path + (0,))
+                    if ra is not a:
+                        t = mul(ra, b)
+                if t.cols == 1 or b.kind == MUL:
+                    rb = self.reduce(b, _path + (1,))
+                    if rb is not b:
+                        t = mul(t.children[0], rb)
             r = self._rewrite_root(t)
             if r is None:
                 if not t.children:

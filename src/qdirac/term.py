@@ -112,6 +112,16 @@ def add_all(terms) -> Term:
     return out
 
 
+def mul_all(terms) -> Term:
+    terms = list(terms)
+    if not terms:
+        raise ValueError("empty product")
+    out = terms[-1]
+    for t in reversed(terms[:-1]):
+        out = mul(t, out)
+    return out
+
+
 def kron_all(terms) -> Term:
     terms = list(terms)
     if not terms:

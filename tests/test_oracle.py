@@ -137,6 +137,20 @@ def test_evaluator_matches_eval_dense():
     _assert_evaluator_matches_eval_dense(chain)
 
 
+def test_eval_dense_on_long_chains(monkeypatch):
+    """eval_dense recurses once per operand of a product, sum or tensor
+    product, not once per link, and a product that ends in a vector is
+    folded from that end, one matrix-vector product per gate."""
+    widths = []
+    matmul = DenseMatrix.matmul
+    monkeypatch.setattr(DenseMatrix, "matmul",
+                        lambda self, other: widths.append(other.cols) or matmul(self, other))
+    assert eval_dense(parse(" * ".join(["H"] * 1500) + " * |0>")).approx_eq(eval_dense(ket0()))
+    assert widths == [1] * 1500
+    assert eval_dense(parse(" * ".join(["X"] * 1500))).approx_eq(DenseMatrix.identity(2))
+    assert eval_dense(parse(" # ".join(["|1>"] * 8))).max_abs_index() == (255, 0)
+
+
 def test_evaluator_on_long_sums():
     """Sums nest to the right in a normal form and to the left from the
     parser; neither costs a recursion per summand."""

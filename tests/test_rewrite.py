@@ -90,6 +90,23 @@ def test_mult_kron():
         assert Rewriter(trace=RewriteTrace()).normalize(t) == nf_of(t), render(t)
 
 
+def test_mult_kron_pairs_lone_vectors_with_one_dim_identities():
+    """A ket factor on the left or a bra factor on the right with no
+    counterpart across the cut is paired with I(1), so outer products of
+    tensor factors reduce traced to the untraced normal form."""
+    bra0, bra1 = dag(ket0()), dag(ket1())
+    assert first_step(mul(ket0(), kron(bra0, bra1))) \
+        == ("L13", kron(mul(ket0(), bra0), mul(identity(1), bra1)))
+    for text, nf in [("|0> * (<0| # <1|)", "B0 # <1|"),
+                     ("(|0> + |1>) * (<0| # <1|)", "B0 # <1| + B2 # <1|"),
+                     ("(|0> # |1>) * <0|", "B0 # |1>"),
+                     ("(|0> # H) * X", None), ("(H # |0>) * (<0| # I(2))", None)]:
+        t = parse(text)
+        traced = Rewriter(trace=RewriteTrace()).normalize(t)
+        assert traced == nf_of(t), text
+        assert nf is None or render_nf(traced) == nf, text
+
+
 def test_distribute():
     b1, b3 = gate("B1"), gate("B3")
     assert first_step(mul(add(b1, b3), ket0())) == ("L11", add(mul(b1, ket0()), mul(b3, ket0())))
@@ -184,15 +201,22 @@ def test_traced_steps_are_pinned():
 
 def test_traced_steps_track_the_answer():
     """Traced steps grow with gates times normal-form size, on products of
-    operators as on gates applied to a ket.  Each case runs on fuel just
-    above its bound, so a blow-up stops at once."""
+    operators as on gates applied to a ket or a bra, and on outer products
+    U * k * k^ * U^.  Each case runs on fuel just above its bound, so a
+    blow-up stops at once."""
     h = gate("H")
     cases = [(parse(" * ".join(["H"] * n) + " * |0>"), 2 * n + 1) for n in range(2, 65)]
+    cases += [(parse("<0| * " + " * ".join(["H"] * n)), 28 * n) for n in range(2, 65)]
     cases += [(mul(kron_n(n, h), kron_n(n, h)), 2000) for n in range(4, 9)]
     cases += [(mul(kron_n(n, h), kron_n(n, ket0())), 4 * n) for n in range(2, 11)]
     cases += [(parse(" * ".join((["X", "H"] * n)[:n])), 50 * n) for n in range(2, 41)]
     ladder = "(H # I(2)) * CX * (H # H) * CZ"
-    cases += [(parse(" * ".join([ladder] * r)), 400 * 4 * r) for r in range(1, 9)]
+    for r in range(1, 9):
+        chain = " * ".join([ladder] * r)
+        cases += [(parse(chain), 400 * 4 * r), (parse(f"<0,0| * {chain}"), 300 * r),
+                  (parse(f"super({chain}, density(|0,0>))"), 600 * r)]
+    simon = parse_corpus((CORPUS_DIR / "simon.qd").read_text()).assertions[0]
+    cases.append((parse(simon.lhs), 1600))
     for t, bound in cases:
         rw = Rewriter(fuel=bound + 1, trace=RewriteTrace())
         assert rw.normalize(t) == nf_of(t), render(t)[:60]
@@ -217,6 +241,35 @@ def _like_sum(rng: random.Random):
     for p in parts[1:]:
         out = add(out, p)
     return out
+
+
+def _nest_at_random(rng: random.Random, factors: list):
+    """The product of the factors, in order, cut at random points."""
+    if len(factors) == 1:
+        return factors[0]
+    cut = rng.randint(1, len(factors) - 1)
+    return mul(_nest_at_random(rng, factors[:cut]), _nest_at_random(rng, factors[cut:]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_bra_and_outer_product_chains(seed):
+    """A bra chain j^ * V and an outer-product chain U * k * j^ * V, nested
+    any way, reduced from their vector ends, reach the untraced normal
+    form, and so does their replayed trace."""
+    rng = random.Random(seed)
+    q = rng.randint(1, 2)
+
+    def ops():
+        return [rand_op(rng, q, depth=1, closed=False) for _ in range(rng.randint(1, 2))]
+    factors = [dag(rand_state(rng, q, depth=1, closed=False)), *ops()]
+    if rng.random() < 0.5:
+        factors = [*ops(), rand_state(rng, q, depth=1, closed=False), *factors]
+    t = _nest_at_random(rng, factors)
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t)
+    assert unified_base(replay(t, trace)) == nf
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -339,8 +392,10 @@ def test_traced_and_untraced_agree_and_replay():
 
 def test_corpus_sides_traced_give_the_untraced_normal_form():
     """Every term side of every shipped corpus file, traced, reaches the
-    untraced normal form, and replaying its trace reaches it too."""
-    sides = 0
+    untraced normal form, and replaying its trace reaches it too.  Their
+    steps stay bounded: the super(U, density(k)) sides reduce U * k and
+    k^ * U^ from their vector ends, not U^ as a product of operators."""
+    sides = steps = 0
     for path in sorted(CORPUS_DIR.glob("*.qd")):
         corpus = parse_corpus(path.read_text())
         defs = build_defs(corpus.defs)
@@ -350,11 +405,14 @@ def test_corpus_sides_traced_give_the_untraced_normal_form():
             for src in (a.lhs, a.rhs):
                 t = parse(src, defs)
                 trace = RewriteTrace()
-                nf = Rewriter(trace=trace).normalize(t)
+                rw = Rewriter(trace=trace)
+                nf = rw.normalize(t)
                 assert nf == nf_of(t), (path.name, a.name, src)
                 assert unified_base(replay(t, trace)) == nf, (path.name, a.name, src)
                 sides += 1
+                steps += rw.steps
     assert sides >= 100
+    assert steps <= 17000, steps
 
 
 def test_tensor_paths_agree_with_traced_and_dense(monkeypatch):
