@@ -14,19 +14,25 @@ of identity and zero blocks; the B_db and G_db entries are computed by the
 sparse evaluator at import time, not written down by hand.
 
 The traced driver is a deterministic staged pipeline over that one law set,
-tried in a fixed order: push daggers to the leaves, reduce to a fixpoint,
+tried in a fixed order: push daggers to the leaves, reduce the products,
 then collect the result into a canonical sum of basis matrices
-|rbits><cbits|.  Reduction tries a node's laws before its children's and
-retries the node after they change, except that a product chain reduces
-from its vector ends, and Lsum runs once per sum, at its top, after its
-summands.  A ket takes the gates on its left and a bra the gates on its
-right, one at a time; a chain with a ket inside is an outer product,
-regrouped (L2) into its ket part times its bra part, each reduced from its
-vector end; a 1x1 chain keeps the ket-first order, which the (gate, ket)
-tables serve.  Each Rewriter remembers the fixpoints it has reached, so a
-repeated irreducible subterm costs a lookup.  On gate chains, applied to
-kets, bras or neither, on U * k * k^ * U^, and on H^n * H^n the steps grow
-with the gates times the size of the answer.
+|rbits><cbits|.  Reduction stops at the shape the collector reads: above
+every product only the laws that drop an operand (L3, L9, L10) fire, so the
+sums, scalings and tensor products there are left for the collector, which
+multiplies them out by exact arithmetic, rather than expanded law by law.
+An operand of a product is reduced to a fixpoint of the whole law set.
+That reduction tries a node's laws before its children's and retries the
+node after they change, except that a product chain reduces from its
+vector ends, and Lsum runs once per sum, at its top, after its summands.  A
+ket takes the gates on its left and a bra the gates on its right, one at a
+time; a chain with a ket inside is an outer product, regrouped (L2) into
+its ket part times its bra part, each reduced from its vector end; a 1x1
+chain keeps the ket-first order, which the (gate, ket) tables serve.  Each
+Rewriter remembers the fixpoints it has reached, so a repeated irreducible
+subterm costs a lookup.  On gate chains, applied to kets, bras or neither,
+and on U * k * k^ * U^ the steps grow with the gates times the size of the
+answer; on H^n * H^n, whose L13 result is a tensor product of n products
+H * H, they grow linearly in n.
 
 When no trace is requested the same normal form is computed directly over
 the sparse representation (each subterm becomes a map from basis
@@ -178,11 +184,17 @@ def _rebuild(t: Term, children) -> Term:
 
 
 def _subst(t: Term, path: bytes, new: Term) -> Term:
-    if not path:
-        return new
-    children = list(t.children)
-    children[path[0]] = _subst(children[path[0]], path[1:], new)
-    return _rebuild(t, children)
+    """t with the subterm at path replaced by new; iterative, as a path is as
+    deep as the term."""
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = t.children[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        children = list(node.children)
+        children[i] = new
+        new = _rebuild(node, children)
+    return new
 
 
 def replay(t: Term, trace: RewriteTrace) -> Term:
@@ -348,6 +360,25 @@ def _collect_like(t: Term):
     return "Lsum", add_all(out) if out else zero(t.rows, t.cols)
 
 
+def _drop_operand(t: Term):
+    """L3, L9 or L10 at the root of a scaling, sum or tensor product, as
+    (law, result), or None: a zero or unit scalar, or a zero operand."""
+    kind = t.kind
+    if kind == SCALE:
+        c, x = t.payload, t.children[0]
+        if c.is_zero() or x.kind == ZERO:
+            return "L3", zero(*t.dims)
+        if c.is_one():
+            return "L3", x
+    elif kind in (ADD, KRON):
+        a, b = t.children
+        if a.kind == ZERO or b.kind == ZERO:
+            if kind == KRON:
+                return "L10", zero(*t.dims)
+            return "L9", b if a.kind == ZERO else a
+    return None
+
+
 _ABSORBED = (SCALE, ZERO, IDENT)
 
 
@@ -395,6 +426,7 @@ class Rewriter:
         self._irreducible: set[Term] = set()  # fixpoints of reduce
         self._irreducible_in_sum: set[Term] = set()  # inner ADD nodes: all laws but Lsum
         self._pushed: set[Term] = set()  # outputs of push_daggers, which it leaves as they are
+        self._shaped: dict[Term, bool] = {}  # term -> whether _in_shape holds
 
     # -- bookkeeping
     def _log(self, law: str, path, before: Term, after: Term):
@@ -407,17 +439,6 @@ class Rewriter:
     # -- the law set, tried at the root of a node
     def _rewrite_root(self, t: Term):
         kind = t.kind
-        if kind == SCALE:
-            c, x = t.payload, t.children[0]
-            if x.kind == SCALE:
-                return "L2", scale(_cmul(c, x.payload), x.children[0])
-            if c.is_zero() or x.kind == ZERO:
-                return "L3", zero(*t.dims)
-            if c.is_one():
-                return "L3", x
-            if x.kind == ADD and x not in _PROTECTED:
-                return "L4", add(scale(c, x.children[0]), scale(c, x.children[1]))
-            return None
         if kind == MUL:
             a, b = t.children
             if a.kind == ZERO or b.kind == ZERO:
@@ -458,10 +479,19 @@ class Rewriter:
             if b.kind == ADD:
                 return "L11", add(mul(a, b.children[0]), mul(a, b.children[1]))
             return None
+        if kind == SCALE and t.children[0].kind == SCALE:
+            x = t.children[0]
+            return "L2", scale(_cmul(t.payload, x.payload), x.children[0])
+        dropped = _drop_operand(t)
+        if dropped is not None:
+            return dropped
+        if kind == SCALE:
+            c, x = t.payload, t.children[0]
+            if x.kind == ADD and x not in _PROTECTED:
+                return "L4", add(scale(c, x.children[0]), scale(c, x.children[1]))
+            return None
         if kind == KRON:
             a, b = t.children
-            if a.kind == ZERO or b.kind == ZERO:
-                return "L10", zero(*t.dims)
             if a.kind == SCALE:
                 return "L6", scale(a.payload, kron(a.children[0], b))
             if b.kind == SCALE:
@@ -481,16 +511,97 @@ class Rewriter:
             return None
         if kind == ADD:
             a, b = t.children
-            if a.kind == ZERO:
-                return "L9", b
-            if b.kind == ZERO:
-                return "L9", a
             if a.kind == ADD:
                 return "L2", add(a.children[0], add(a.children[1], b))
         return None
 
-    def reduce(self, t: Term, _path: tuple[int, ...] = (), _in_sum: bool = False) -> Term:
-        """Rewrite t to a fixpoint of the law set.
+    def _reduce_open(self, t: Term) -> Term:
+        """Reduce t, at the root, to the shape unified_base collects.
+
+        A position is open when no product lies above it: the root, a child
+        of an open sum, scaling or tensor product, and the result of a law
+        fired at an open product.  A term in shape (_in_shape) comes back
+        from an open position at once.  An open sum, scaling or tensor
+        product fires only the laws that drop an operand (L3, L9, L10), then
+        reduces its children, each at an open position; the sums, scalings
+        and tensor products it keeps are unified_base's to collect.  An open
+        product reduces its operands to a fixpoint (reduce), and the result
+        of the first law that fires at its root stands at the open position
+        in turn, so a scalar that L5 pulls out stays above the product's
+        result.  Iterative: a frame holds a node and its reduced children so
+        far, None until the laws at its root are done."""
+        path: list[int] = []
+        frames = [[t, None]]
+        while True:
+            frame = frames[-1]
+            node, done = frame
+            if done is None:
+                node = frame[0] = self._open_root(node, path)
+                if node.kind in (SCALE, ADD, KRON) and not self._in_shape(node):
+                    frame[1] = []
+                    continue
+            elif len(done) < len(node.children):
+                path.append(len(done))
+                frames.append([node.children[len(done)], None])
+                continue
+            elif any(d is not c for d, c in zip(done, node.children)):
+                frame[:] = [_rebuild(node, done), None]  # its root's laws again
+                continue
+            frames.pop()
+            if not frames:
+                return node
+            path.pop()
+            frames[-1][1].append(node)
+
+    def _open_root(self, t: Term, path: list[int]) -> Term:
+        """Fire laws at the root of t, at an open position, until it is in
+        shape, a product no law rewrites, or a sum, scaling or tensor
+        product with no operand to drop."""
+        while not self._in_shape(t):
+            if t.kind == MUL:
+                new = self.reduce(t, tuple(path), _open=True)
+                if new is t:
+                    break  # an irreducible product, which unified_base reports
+            else:
+                r = _drop_operand(t)
+                if r is None:
+                    break
+                new = r[1]
+                self._log(r[0], path, t, new)
+            t = new
+        return t
+
+    def _in_shape(self, t: Term) -> bool:
+        """Whether t is in the shape unified_base collects (_check_reduced)
+        and has no operand for L3, L9 or L10 to drop.  An explicit-stack
+        walk, each distinct subterm judged once per Rewriter."""
+        known = self._shaped
+        hit = known.get(t)
+        if hit is not None:
+            return hit
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            if node in known:
+                stack.pop()
+                continue
+            if node.kind in (SCALE, ADD, KRON):
+                pending = [c for c in node.children if c not in known]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                ok = all(known[c] for c in node.children) and _drop_operand(node) is None
+            else:
+                ok = _is_collected_leaf(node)
+            known[node] = ok
+            stack.pop()
+        return known[t]
+
+    def reduce(self, t: Term, _path: tuple[int, ...] = (), _in_sum: bool = False,
+               _open: bool = False) -> Term:
+        """Rewrite t to a fixpoint of the law set.  normalize reduces each
+        operand of a product this way; a product at an open position
+        (_reduce_open) comes back after the first law fired at its root.
 
         A product chain is reduced from its vector ends.  A column (a ket,
         or a 1x1 scalar) reduces its right operand first: after L2 a chain
@@ -550,6 +661,8 @@ class Rewriter:
                     break
             law, new = r
             self._log(law, _path, t, new)
+            if _open:
+                return new
             t = new
         if _in_sum and t.kind == ADD:
             self._irreducible_in_sum.add(t)
@@ -632,9 +745,14 @@ class Rewriter:
         return t
 
     def normalize(self, t: Term) -> NormalForm:
+        """The normal form of t.  Traced, it pushes the daggers, reduces the
+        products (_reduce_open) and collects the resulting term (unified_base),
+        logging each law instance; the trace ends at a term in the shape the
+        collector reads, not at a flat sum.  Untraced, it evaluates t over the
+        sparse representation."""
         if self.trace is None:
             return self._normalize_sparse(t)
-        return unified_base(self.reduce(self.push_daggers(t)))
+        return unified_base(self._reduce_open(self.push_daggers(t)))
 
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
@@ -806,6 +924,21 @@ class Rewriter:
 # --- normal-form collection (the unified_base step) --------------------
 
 
+def _is_collected_leaf(t: Term) -> bool:
+    """Whether t is a zero, an identity, a basis ket or bra, or |b><b'|: a
+    leaf of the shape unified_base collects."""
+    kind = t.kind
+    if kind == MUL:
+        a, b = t.children
+        return a.kind in (KET0, KET1) and b.kind == DAG and b.children[0].kind in (KET0, KET1)
+    if kind == DAG:
+        return t.children[0].kind in (KET0, KET1)
+    return kind in (ZERO, IDENT, KET0, KET1)
+
+
+_NOT_COLLECTED = {DAG: "irreducible dagger", MUL: "irreducible product"}
+
+
 def _check_reduced(t: Term) -> None:
     """Raise NotInReducedShape unless t is built by SCALE, ADD and KRON from
     zeros, basis kets and bras, |b><b'| and identities."""
@@ -815,19 +948,11 @@ def _check_reduced(t: Term) -> None:
         if t in seen:
             continue
         seen.add(t)
-        kind = t.kind
-        if kind in (SCALE, ADD, KRON):
+        if t.kind in (SCALE, ADD, KRON):
             stack.extend(reversed(t.children))
-        elif kind == DAG:
-            if t.children[0].kind not in (KET0, KET1):
-                raise NotInReducedShape(f"irreducible dagger: {render(t)}")
-        elif kind == MUL:
-            a, b = t.children
-            if not (a.kind in (KET0, KET1) and b.kind == DAG
-                    and b.children[0].kind in (KET0, KET1)):
-                raise NotInReducedShape(f"irreducible product: {render(t)}")
-        elif kind not in (ZERO, IDENT, KET0, KET1):
-            raise NotInReducedShape(f"unexpected node in reduced term: {render(t)}")
+        elif not _is_collected_leaf(t):
+            what = _NOT_COLLECTED.get(t.kind, "unexpected node in reduced term")
+            raise NotInReducedShape(f"{what}: {render(t)}")
 
 
 def unified_base(t: Term) -> NormalForm:

@@ -180,15 +180,17 @@ def test_cli_deep_input_is_an_input_error(tmp_path, capsys):
     nested = "(" * 2000 + "|0>" + ")" * 2000
     chain = " * ".join(["H"] * 300) + " * |0>"
     long_sum = " + ".join(["|0>"] * 3000)
-    for argv in (["normalize", nested], ["normalize", "--trace", long_sum]):
-        assert main(argv) == EXIT_INPUT, argv[-1][:20]
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-    # the parser reads each group once, so 200 levels are decided;
-    # the traced chain is reduced one gate at a time, so it is decided
-    for argv in (["normalize", "(" * 200 + "|0>" + ")" * 200], ["normalize", "--trace", chain]):
+    assert main(["normalize", nested]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the parser reads each group once, so 200 levels are decided; the
+    # traced chain is reduced one gate at a time, and the traced sum is
+    # already in the shape the collector reads, so both are decided
+    for argv, last in ((["normalize", "(" * 200 + "|0>" + ")" * 200], "|0>"),
+                       (["normalize", "--trace", chain], "|0>"),
+                       (["normalize", "--trace", long_sum], "3000 .* |0>")):
         assert main(argv) == EXIT_OK, argv[-1][:20]
-        assert capsys.readouterr().out.splitlines()[-1] == "|0>"
+        assert capsys.readouterr().out.splitlines()[-1] == last
     # a product of operators is reduced from its innermost product out, so
     # each gate meets a reduced sum and a 300-gate chain is decided too
     gates = " * ".join(["X", "H"] * 150)

@@ -159,22 +159,24 @@ def test_dagger_push_visits_each_dagger_free_subterm_once(monkeypatch):
 
 
 def test_every_law_fires():
-    """Each law _rewrite_root or push_daggers can emit fires on some input."""
+    """Each law _rewrite_root or push_daggers can emit fires on some input.
+    L4, L6, L8 on a tensor product, L12 and Lsum fire only below a product,
+    in the ket it reduces before its own laws."""
     c = Scalar.rational(1, 2)
     h, x = gate("H"), gate("X")
     cases = {
         "L1": mul(dag(ket0()), ket0()),
         "L2": mul(mul(h, x), ket0()),
         "L3": scale(Scalar.one(), ket0()),
-        "L4": scale(c, add(gate("B1"), gate("B3"))),
+        "L4": mul(x, scale(c, add(ket0(), ket1()))),
         "L5": mul(scale(c, h), ket0()),
-        "L6": kron(scale(c, ket0()), ket1()),
+        "L6": mul(kron(h, x), kron(scale(c, ket0()), ket1())),
         "L7": mul(zero(2, 2), ket0()),
-        "L8": kron(identity(1), ket0()),
+        "L8": mul(h, kron(identity(1), ket0())),
         "L9": add(ket0(), zero(2, 1)),
         "L10": kron(ket0(), zero(2, 1)),
         "L11": mul(add(gate("B1"), gate("B3")), ket0()),
-        "L12": kron(add(ket0(), ket1()), ket0()),
+        "L12": mul(kron(h, x), kron(add(ket0(), ket1()), ket0())),
         "L13": mul(kron(h, x), kron(ket0(), ket1())),
         "L14": dag(mul(h, x)),
         "L15": dag(kron(h, x)),
@@ -182,7 +184,7 @@ def test_every_law_fires():
         "G_db": mul(h, ket0()),
         "B_db": mul(gate("B2"), ket0()),
         "D_db": dag(identity(2)),
-        "Lsum": add(ket0(), add(ket1(), ket0())),
+        "Lsum": mul(h, add(ket0(), add(ket1(), ket0()))),
     }
     assert set(cases) == LAW_IDS
     for law, t in cases.items():
@@ -192,8 +194,12 @@ def test_every_law_fires():
 
 
 def test_traced_steps_are_pinned():
-    for text, steps in [("H * X * H", 140), ("H * H * H * H * |0>", 7),
-                        ("(H # I(2)) * CX * (H # H) * |0,1>", 25)]:
+    """A scaling or tensor product above every product is left for
+    unified_base to collect, so the two last cases take only the steps that
+    push the daggers."""
+    for text, steps in [("H * X * H", 124), ("H * H * H * H * |0>", 7),
+                        ("(H # I(2)) * CX * (H # H) * |0,1>", 25), ("(Y # H # H)^", 39),
+                        ("1/2*sqrt2*e(u) .* ((Y # H # H)^)", 39)]:
         rw = Rewriter(trace=RewriteTrace())
         rw.normalize(parse(text))
         assert rw.steps == steps, text
@@ -202,12 +208,13 @@ def test_traced_steps_are_pinned():
 def test_traced_steps_track_the_answer():
     """Traced steps grow with gates times normal-form size, on products of
     operators as on gates applied to a ket or a bra, and on outer products
-    U * k * k^ * U^.  Each case runs on fuel just above its bound, so a
-    blow-up stops at once."""
+    U * k * k^ * U^.  On H^n * H^n they grow linearly in n, since its
+    I(2^n) is left for unified_base to collect.  Each case runs on fuel just
+    above its bound, so a blow-up stops at once."""
     h = gate("H")
     cases = [(parse(" * ".join(["H"] * n) + " * |0>"), 2 * n + 1) for n in range(2, 65)]
     cases += [(parse("<0| * " + " * ".join(["H"] * n)), 28 * n) for n in range(2, 65)]
-    cases += [(mul(kron_n(n, h), kron_n(n, h)), 2000) for n in range(4, 9)]
+    cases += [(mul(kron_n(n, h), kron_n(n, h)), 83 * n + 1) for n in range(4, 17)]
     cases += [(mul(kron_n(n, h), kron_n(n, ket0())), 4 * n) for n in range(2, 11)]
     cases += [(parse(" * ".join((["X", "H"] * n)[:n])), 50 * n) for n in range(2, 41)]
     ladder = "(H # I(2)) * CX * (H # H) * CZ"
@@ -221,6 +228,27 @@ def test_traced_steps_track_the_answer():
         rw = Rewriter(fuel=bound + 1, trace=RewriteTrace())
         assert rw.normalize(t) == nf_of(t), render(t)[:60]
         assert rw.steps <= bound, (render(t)[:60], rw.steps)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_traced_reduction_stops_at_the_collected_shape(seed):
+    """normalize reduces a term to the shape unified_base reads, which
+    replaying its trace reaches too, and that collects to the untraced normal
+    form.  Above every product only the laws that drop an operand fire, so
+    an input already in that shape logs only L3, L9 or L10 steps."""
+    t = rand_term(random.Random(seed), closed=False)
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t)
+    reduced = replay(t, trace)
+    rewrite_module._check_reduced(reduced)
+    assert unified_base(reduced) == nf
+    try:
+        rewrite_module._check_reduced(t)
+    except NotInReducedShape:
+        return
+    assert {s.law for s in trace.steps} <= {"L3", "L9", "L10"}
 
 
 def _like_sum(rng: random.Random):
@@ -390,12 +418,9 @@ def test_traced_and_untraced_agree_and_replay():
         assert replay(t, trace) is reduced
 
 
-def test_corpus_sides_traced_give_the_untraced_normal_form():
-    """Every term side of every shipped corpus file, traced, reaches the
-    untraced normal form, and replaying its trace reaches it too.  Their
-    steps stay bounded: the super(U, density(k)) sides reduce U * k and
-    k^ * U^ from their vector ends, not U^ as a product of operators."""
-    sides = steps = 0
+def _corpus_sides():
+    """(file name, assertion name, side text, term) for every term side of
+    every shipped corpus file."""
     for path in sorted(CORPUS_DIR.glob("*.qd")):
         corpus = parse_corpus(path.read_text())
         defs = build_defs(corpus.defs)
@@ -403,16 +428,41 @@ def test_corpus_sides_traced_give_the_untraced_normal_form():
             if a.kind == "MIXEQ":
                 continue
             for src in (a.lhs, a.rhs):
-                t = parse(src, defs)
-                trace = RewriteTrace()
-                rw = Rewriter(trace=trace)
-                nf = rw.normalize(t)
-                assert nf == nf_of(t), (path.name, a.name, src)
-                assert unified_base(replay(t, trace)) == nf, (path.name, a.name, src)
-                sides += 1
-                steps += rw.steps
+                yield path.name, a.name, src, parse(src, defs)
+
+
+def test_corpus_sides_traced_give_the_untraced_normal_form():
+    """Every term side of every shipped corpus file, traced, reaches the
+    untraced normal form, and replaying its trace reaches it too.  Their
+    steps stay bounded: the super(U, density(k)) sides reduce U * k and
+    k^ * U^ from their vector ends, not U^ as a product of operators."""
+    sides = steps = 0
+    for name, assertion, src, t in _corpus_sides():
+        trace = RewriteTrace()
+        rw = Rewriter(trace=trace)
+        nf = rw.normalize(t)
+        assert nf == nf_of(t), (name, assertion, src)
+        assert unified_base(replay(t, trace)) == nf, (name, assertion, src)
+        sides += 1
+        steps += rw.steps
     assert sides >= 100
     assert steps <= 17000, steps
+
+
+def test_every_traced_corpus_step_is_sound():
+    """Each step of each traced corpus side rewrites a subterm to one the
+    dense oracle finds equal, so each logged law instance holds on its own,
+    not only the normal form the steps end in."""
+    steps = 0
+    for name, assertion, src, t in _corpus_sides():
+        trace = RewriteTrace()
+        Rewriter(trace=trace).normalize(t)
+        steps += len(trace.steps)
+        if not mat_equiv([s.before for s in trace.steps], [s.after for s in trace.steps]):
+            bad = next(s for s in trace.steps if not mat_equiv(s.before, s.after))
+            pytest.fail(f"{name} {assertion}: unsound {bad.law} step at {list(bad.path)}: "
+                        f"{render(bad.before)[:80]}  ->  {render(bad.after)[:80]}")
+    assert steps >= 1000, steps
 
 
 def test_tensor_paths_agree_with_traced_and_dense(monkeypatch):
@@ -609,6 +659,19 @@ def _ghz(n: int):
     for layer in layers:
         out = mul(layer, out)
     return out
+
+
+def test_traced_sum_above_the_products_is_walked_without_recursion():
+    """The positions above every product are walked with an explicit stack,
+    so a written-out 3000-summand sum whose first summand, nested deepest, is
+    a product is decided, only that product logs a step, and the step
+    replays."""
+    t = parse(" + ".join(["H * |0>"] + ["|0>"] * 2999))
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t)
+    assert [(s.law, len(s.path)) for s in trace.steps] == [("G_db", 2999)]
+    assert unified_base(replay(t, trace)) == nf
 
 
 def test_steps_track_the_answer_not_the_dimension():
