@@ -7,11 +7,16 @@ sum (L4), distribution (L11/L12), the mixed-product law for tensors (L13,
 which splits an I(2^k) block into I(2) slots where it straddles a cut, and
 pairs a ket or bra factor with no counterpart across it with I(1)) and
 conjugate-transpose pushing (L14-L16); Lsum merges the like summands
-c1 .* x + ... + c2 .* x of a sum into (c1 + c2) .* x.  Derived lookup tables
-speed up the common cases: B_db for the four basis matrices acting on
-single-qubit states, G_db for the Pauli/Hadamard gates, and D_db for daggers
-of identity and zero blocks; the B_db and G_db entries are computed by the
-sparse evaluator at import time, not written down by hand.
+c1 .* x + ... + c2 .* x of a sum into (c1 + c2) .* x.  Derived lemmas
+speed up the common cases.  B_db and G_db are tables of a gate meeting a
+state at either vector end: the four basis matrices (B_db), the Pauli and
+Hadamard gates and the two-qubit CX, CZ, XC and SWAP (G_db), against a ket
+on their right or a bra on their left, each a one- or two-qubit product of
+|0>, |1>, |+> and |-> (or their bras).  D_db writes the dagger of an
+identity or zero block, of |+> or |->, or of a table gate in one step, so
+U^ meets the tables as U does.  The table entries are computed by the
+sparse evaluator the first time a product asks for them, over that fixed
+finite domain, not written down by hand and not at import time.
 
 The traced driver is a deterministic staged pipeline over that one law set,
 tried in a fixed order: push daggers to the leaves, reduce the products,
@@ -27,12 +32,13 @@ vector ends, and Lsum runs once per sum, at its top, after its summands.  A
 ket takes the gates on its left and a bra the gates on its right, one at a
 time; a chain with a ket inside is an outer product, regrouped (L2) into
 its ket part times its bra part, each reduced from its vector end; a 1x1
-chain keeps the ket-first order, which the (gate, ket) tables serve.  Each
-Rewriter remembers the fixpoints it has reached, so a repeated irreducible
-subterm costs a lookup.  On gate chains, applied to kets, bras or neither,
-and on U * k * k^ * U^ the steps grow with the gates times the size of the
-answer; on H^n * H^n, whose L13 result is a tensor product of n products
-H * H, they grow linearly in n.
+chain keeps the ket-first order.  Each Rewriter remembers the fixpoints it
+has reached, so a repeated irreducible subterm costs a lookup.  On gate
+chains, applied to kets, bras or neither, and on U * k * k^ * U^ the steps
+grow with the gates times the size of the answer; on H^n * H^n, whose L13
+result is a tensor product of n products H * H, and on the Deutsch-Jozsa
+oracle Uf(n) applied to |+>^n # |-> or its bra, whose CX wings meet
+two-qubit table states, they grow linearly in n.
 
 When no trace is requested the same normal form is computed directly over
 the sparse representation (each subterm becomes a map from basis
@@ -261,10 +267,11 @@ def _cconj(a: Scalar) -> Scalar:
 
 _PLUS = gate("ket_plus")
 _MINUS = gate("ket_minus")
-_PROTECTED = (_PLUS, _MINUS)
-
-G_TABLE: dict[tuple[Term, Term], Term] = {}
-B_TABLE: dict[tuple[Term, Term], Term] = {}
+# <+| and <->, the daggers of |+> and |-> as L15 and L14 would write them
+_BRA_PLUS = add(scale(Scalar.inv_sqrt2(), dag(ket0())), scale(Scalar.inv_sqrt2(), dag(ket1())))
+_BRA_MINUS = add(scale(Scalar.inv_sqrt2(), dag(ket0())), scale(-Scalar.inv_sqrt2(), dag(ket1())))
+# table states that L4 and L12 leave whole, for G_db and B_db to meet
+_PROTECTED = (_PLUS, _MINUS, _BRA_PLUS, _BRA_MINUS)
 
 
 def _align(fa: list[Term], fb: list[Term]) -> Optional[list]:
@@ -451,12 +458,6 @@ class Rewriter:
                 return "L8", b
             if b.kind == IDENT:
                 return "L8", a
-            hit = G_TABLE.get((a, b))
-            if hit is not None:
-                return "G_db", hit
-            hit = B_TABLE.get((a, b))
-            if hit is not None:
-                return "B_db", hit
             if a.kind == DAG and a.children[0].kind in (KET0, KET1):
                 bra_bit = 0 if a.children[0].kind == KET0 else 1
                 if b.kind in (KET0, KET1):
@@ -467,6 +468,9 @@ class Rewriter:
                     if bra_bit == ket_bit:
                         return "L1", b.children[1]
                     return "L1", zero(1, b.cols)
+            hit = _table_entry(a, b)
+            if hit is not None:
+                return hit
             # not on a bra or an outer product, which _regroup nests the other way
             if a.kind == MUL and (t.cols == 1 or (a.rows > 1 and a.cols > 1)):
                 return "L2", mul(a.children[0], mul(a.children[1], b))
@@ -607,16 +611,16 @@ class Rewriter:
         or a 1x1 scalar) reduces its right operand first: after L2 a chain
         is g1 * (g2 * (... * k)), so each gate meets a reduced state, not an
         unreduced product whose distribution (L11) would multiply out every
-        later gate's summands.  A 1x1 chain keeps that ket-first order, as
-        B_db and G_db are keyed by (gate, ket).  A bra is regrouped the other
-        way, (a * b0) * b1 (_regroup), and reduces its left operand first,
-        so it takes the gates on its right one at a time.  An operator chain
-        holding a ket is an outer product: it is regrouped into (ket part) *
-        (bra part), and each part is reduced from its vector end before
-        they meet.  An operator chain with no vector reduces its right
-        operand first when that is a MUL, as a ket does; otherwise a KRON
-        or ADD operand is left whole, for L13 and L11 to use its structure.
-        Lsum runs at the top of an ADD spine once its summands are reduced,
+        later gate's summands.  A 1x1 chain keeps that ket-first order.  A
+        bra is regrouped the other way, (a * b0) * b1 (_regroup), and
+        reduces its left operand first, so it takes the gates on its right
+        one at a time, each a (bra, gate) table lookup where both are table
+        terms.  An operator chain holding a ket is an outer product: it is
+        regrouped into (ket part) * (bra part), and each part is reduced
+        from its vector end before they meet.  An operator chain with no
+        vector reduces its right operand first when that is a MUL, as a ket
+        does; otherwise a KRON or ADD operand is left whole, for L13 and L11
+        to use its structure.  Lsum runs at the top of an ADD spine once its summands are reduced,
         never at the spine's inner ADD nodes (_in_sum).  Fixpoints are
         remembered, an inner node's apart, since Lsum may still fire on it
         at a top; a remembered one is returned at once and logs no step, as
@@ -714,7 +718,10 @@ class Rewriter:
         """Apply L14-L16 and D_db at the root of t until none applies."""
         while t.kind == DAG:
             x = t.children[0]
-            if x.kind == DAG:
+            if x in _ADJOINT:
+                self._log("D_db", path, t, _ADJOINT[x])
+                t = _ADJOINT[x]
+            elif x.kind == DAG:
                 self._log("L16", path, t, x.children[0])
                 t = x.children[0]
             elif x.kind == SCALE:
@@ -961,15 +968,7 @@ def unified_base(t: Term) -> NormalForm:
     return Rewriter()._normalize_sparse(t)
 
 
-# --- derived tables (B_db, G_db) ---------------------------------------
-
-_STATES = {
-    "|0>": ket0(),
-    "|1>": ket1(),
-    "|+>": _PLUS,
-    "|->": _MINUS,
-}
-
+# --- derived tables (G_db, B_db) ---------------------------------------
 
 _SQRT2_SCALAR = Scalar.sqrt2()
 
@@ -1010,25 +1009,67 @@ def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
     return c, tokens
 
 
-def _resugar_state(nf: NormalForm) -> Term:
-    """Write a single-qubit normal form as c .* s with s in {|0>,|1>,|+>,|->}."""
-    hit = _product_state(nf.summands)
+_KET_STATES = {"|0>": ket0(), "|1>": ket1(), "|+>": _PLUS, "|->": _MINUS}
+_BRA_STATES = {"|0>": dag(ket0()), "|1>": dag(ket1()), "|+>": _BRA_PLUS, "|->": _BRA_MINUS}
+_TABLE_GATES = {gate(name): "G_db" for name in ("X", "Y", "Z", "H", "CX", "CZ", "XC", "SWAP")}
+_TABLE_GATES.update({gate(name): "B_db" for name in ("B0", "B1", "B2", "B3")})
+# D_db: the dagger of a table state or gate as a table bra, ket or gate, so
+# that U^ in U * k * k^ * U^ meets the bra tables; every table gate but B1
+# and B2 is self-adjoint
+_ADJOINT = {g: g for g in _TABLE_GATES}
+_ADJOINT.update({gate("B1"): gate("B2"), gate("B2"): gate("B1"), _PLUS: _BRA_PLUS,
+                 _MINUS: _BRA_MINUS, _BRA_PLUS: _PLUS, _BRA_MINUS: _MINUS})
+
+
+def _one_and_two_qubit(states) -> frozenset:
+    return frozenset(states) | {kron(a, b) for a in states for b in states}
+
+
+_TABLE_KETS = _one_and_two_qubit(_KET_STATES.values())
+_TABLE_BRAS = _one_and_two_qubit(_BRA_STATES.values())
+# (gate, ket) or (bra, gate) -> entry; the keys are the fixed finite domain
+# above, and an entry is computed the first time a product asks for it
+_TABLE: dict[tuple[Term, Term], Term] = {}
+
+
+def _table_entry(a: Term, b: Term) -> Optional[tuple[str, Term]]:
+    """("G_db" or "B_db", entry) when a * b is a table gate meeting a table
+    ket, or a table bra meeting a table gate; None otherwise.  The entry is
+    the sparse evaluator's normal form of a * b, resugared."""
+    law = _TABLE_GATES.get(a)
+    if law is None or b not in _TABLE_KETS:
+        law = _TABLE_GATES.get(b)
+        if law is None or a not in _TABLE_BRAS:
+            return None
+    hit = _TABLE.get((a, b))
     if hit is None:
+        hit = _TABLE[(a, b)] = _resugar(Rewriter().normalize(mul(a, b)))
+    return law, hit
+
+
+def _resugar(nf: NormalForm) -> Term:
+    """A table entry's term.  A product state is c .* (s1 # ... # sn), each
+    si one of |0>, |1>, |+>, |-> or, for a bra, their bras.  Any other state
+    is the sum, over its first qubit's basis states b, of its product states
+    c_b .* (b # ...), so a sum that L11 distributes again has two summands
+    where the flat normal form has up to four; the normal form's own term
+    when a part is no product state either."""
+    bra = nf.dims[0] == 1
+    states = _BRA_STATES if bra else _KET_STATES
+    summands = [(s, (c, r)) for s, (r, c) in nf.summands] if bra else nf.summands
+    whole = _product_state(summands)
+    if whole is not None:
+        hits = [whole]
+    else:
+        groups = [[x for x in summands if x[1][0][0] == b] for b in (0, 1)]
+        hits = [_product_state(g) for g in groups if g]
+    if not hits or None in hits:
         return nf.to_term()
-    c, (token,) = hit
-    return _STATES[token] if c.is_one() else scale(c, _STATES[token])
-
-
-# The sparse evaluator reads no G_db/B_db table, so it builds them.
-def _init_tables():
-    for table, names in ((G_TABLE, ("X", "Y", "Z", "H")), (B_TABLE, ("B0", "B1", "B2", "B3"))):
-        for name in names:
-            body = gate(name)
-            for s in _STATES.values():
-                table[(body, s)] = _resugar_state(Rewriter().normalize(mul(body, s)))
-
-
-_init_tables()
+    parts = []
+    for c, tokens in hits:
+        body = kron_all([states[token] for token in tokens])
+        parts.append(body if c.is_one() else scale(c, body))
+    return add_all(parts)
 
 
 # --- sugared rendering of normal forms ---------------------------------
