@@ -133,28 +133,6 @@ class DenseMatrix:
             raise NotSquare(f"trace of {show_dim(self.rows)}x{show_dim(self.cols)} matrix")
         return sum(self.entries[i * self.cols + i] for i in range(self.rows))
 
-    def render(self, precision: int = 4) -> str:
-        def fmt(z: complex) -> str:
-            re = round(z.real, precision) + 0.0
-            im = round(z.imag, precision) + 0.0
-            if im == 0:
-                return f"{re:g}"
-            if re == 0:
-                return f"{im:g}i"
-            sign = "+" if im > 0 else "-"
-            return f"{re:g}{sign}{abs(im):g}i"
-
-        cells = [[fmt(self.get(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
-
-    def as_lists(self) -> list[list[list[float]]]:
-        """Structured [[ [re, im], ... ], ...] document form."""
-        return [
-            [[self.get(i, j).real, self.get(i, j).imag] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-
 
 @dataclass
 class SampleEnv:

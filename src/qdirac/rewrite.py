@@ -1,10 +1,12 @@
 """Law-driven normalization of Dirac terms.
 
 The catalog follows the usual algebra of scaled matrix expressions: inner
-products of basis vectors collapse to scalars (L1), associativity (L2),
-scalar/zero/identity absorption (L3, L5-L10), a scalar distributed over a
-sum (L4), distribution (L11/L12), the mixed-product law for tensors (L13,
-which splits an I(2^k) block into I(2) slots where it straddles a cut, and
+products of basis vectors collapse to scalars (L1), associativity of
+products and of nested scalings (L2; a sum or tensor product is read as a
+chain however it nests, so none is reassociated), scalar/zero/identity
+absorption (L3, L5-L10), a scalar distributed over a sum (L4),
+distribution (L11/L12), the mixed-product law for tensors (L13, which
+splits an I(2^k) block into I(2) slots where it straddles a cut, and
 pairs a ket or bra factor with no counterpart across it with I(1)) and
 conjugate-transpose pushing (L14-L16); Lsum merges the like summands
 c1 .* x + ... + c2 .* x of a sum into (c1 + c2) .* x.  Derived lemmas
@@ -215,54 +217,6 @@ def replay(t: Term, trace: RewriteTrace) -> Term:
     return t
 
 
-# --- cached exact-scalar arithmetic for the sparse evaluator -----------
-
-
-_S_ONE = Scalar.one()
-_S_INTERN: dict[Scalar, Scalar] = {_S_ONE: _S_ONE}
-_SMUL_CACHE: dict[tuple[Scalar, Scalar], Scalar] = {}
-_SADD_CACHE: dict[tuple[Scalar, Scalar], Scalar] = {}
-_SCONJ_CACHE: dict[Scalar, Scalar] = {}
-
-
-def _intern_scalar(s: Scalar) -> Scalar:
-    hit = _S_INTERN.get(s)
-    if hit is None:
-        _S_INTERN[s] = s
-        return s
-    return hit
-
-
-def _cmul(a: Scalar, b: Scalar) -> Scalar:
-    if a is _S_ONE:
-        return b
-    if b is _S_ONE:
-        return a
-    key = (a, b)
-    hit = _SMUL_CACHE.get(key)
-    if hit is None:
-        hit = _intern_scalar(a * b)
-        _SMUL_CACHE[key] = hit
-    return hit
-
-
-def _cadd(a: Scalar, b: Scalar) -> Scalar:
-    key = (a, b)
-    hit = _SADD_CACHE.get(key)
-    if hit is None:
-        hit = _intern_scalar(a + b)
-        _SADD_CACHE[key] = hit
-    return hit
-
-
-def _cconj(a: Scalar) -> Scalar:
-    hit = _SCONJ_CACHE.get(a)
-    if hit is None:
-        hit = _intern_scalar(a.conj())
-        _SCONJ_CACHE[a] = hit
-    return hit
-
-
 # --- the law set ------------------------------------------------------
 
 _PLUS = gate("ket_plus")
@@ -361,7 +315,7 @@ def _collect_like(t: Term):
             continue
         c = Scalar.zero()
         for p in like:
-            c = _cadd(c, p.payload if p.kind == SCALE else _S_ONE)
+            c = c + (p.payload if p.kind == SCALE else Scalar.one())
         if not c.is_zero():
             out.append(body if c.is_one() else scale(c, body))
     return "Lsum", add_all(out) if out else zero(t.rows, t.cols)
@@ -485,7 +439,7 @@ class Rewriter:
             return None
         if kind == SCALE and t.children[0].kind == SCALE:
             x = t.children[0]
-            return "L2", scale(_cmul(t.payload, x.payload), x.children[0])
+            return "L2", scale(t.payload * x.payload, x.children[0])
         dropped = _drop_operand(t)
         if dropped is not None:
             return dropped
@@ -506,17 +460,10 @@ class Rewriter:
                 return "L8", a
             if a.kind == IDENT and b.kind == IDENT:
                 return "L8", identity(a.payload * b.payload)
-            if a.kind == KRON:
-                return "L2", kron(a.children[0], kron(a.children[1], b))
             if a.kind == ADD and a not in _PROTECTED:
                 return "L12", add(kron(a.children[0], b), kron(a.children[1], b))
             if b.kind == ADD and b not in _PROTECTED:
                 return "L12", add(kron(a, b.children[0]), kron(a, b.children[1]))
-            return None
-        if kind == ADD:
-            a, b = t.children
-            if a.kind == ADD:
-                return "L2", add(a.children[0], add(a.children[1], b))
         return None
 
     def _reduce_open(self, t: Term) -> Term:
@@ -783,14 +730,14 @@ class Rewriter:
             one = Scalar.one()
             out = {(bits, bits): one for bits in product((0, 1), repeat=n.bit_length() - 1)}
         elif kind == SCALE:
-            c = _intern_scalar(t.payload)
+            c = t.payload
             if c.is_zero():
                 out = {}
             else:
-                out = {k: _cmul(c, s) for k, s in self._sparse(t.children[0]).items()}
+                out = {k: c * s for k, s in self._sparse(t.children[0]).items()}
         elif kind == DAG:
             out = {
-                (cbits, rbits): _cconj(s)
+                (cbits, rbits): s.conj()
                 for (rbits, cbits), s in self._sparse(t.children[0]).items()
             }
         elif kind == ADD:  # merge the whole chain into one map, memoized at the top
@@ -799,7 +746,7 @@ class Rewriter:
             for part in parts[1:]:
                 for k, s in self._sparse(part).items():
                     cur = out.get(k)
-                    merged = s if cur is None else _cadd(cur, s)
+                    merged = s if cur is None else cur + s
                     if merged.is_zero():
                         del out[k]
                     else:
@@ -819,7 +766,7 @@ class Rewriter:
                     raise self._out_of_fuel(node, f"map of {len(left) * len(right)} entries")
                 for (ra, ca), sa in left.items():
                     for (rb, cb), sb in right.items():
-                        out[(ra + rb, ca + cb)] = _cmul(sa, sb)
+                        out[(ra + rb, ca + cb)] = sa * sb
                 if node is not t:
                     self._remember(node, out)
         else:  # MUL
@@ -867,14 +814,14 @@ class Rewriter:
         for (ra, ca), sa in left.items():
             for cb, sb in by_row.get(ca, ()):
                 key = (ra, cb)
-                prod = _cmul(sa, sb)
+                prod = sa * sb
                 cur = out.get(key)
                 if cur is None:
                     if len(out) >= budget:  # charge fuel while the map grows
                         raise self._out_of_fuel(node, f"map passing {len(out)} entries")
                     out[key] = prod
                     continue
-                merged = _cadd(cur, prod)
+                merged = cur + prod
                 if merged.is_zero():
                     del out[key]
                 else:
@@ -901,14 +848,14 @@ class Rewriter:
             head, tail = rb[:lo], rb[hi:]
             for ra, sa in hits:
                 key = (head + ra + tail, cb)
-                prod = _cmul(sa, sb)
+                prod = sa * sb
                 cur = out.get(key)
                 if cur is None:
                     if len(out) >= budget:  # charge fuel while the map grows
                         raise self._out_of_fuel(node, f"map passing {len(out)} entries")
                     out[key] = prod
                     continue
-                merged = _cadd(cur, prod)
+                merged = cur + prod
                 if merged.is_zero():
                     del out[key]
                 else:
@@ -973,9 +920,17 @@ def unified_base(t: Term) -> NormalForm:
 _SQRT2_SCALAR = Scalar.sqrt2()
 
 
+def _vector_summands(nf: NormalForm):
+    """A ket's summands, or a bra's transposed into a ket's (s, (bits, ()))."""
+    if nf.dims[0] == 1:
+        return [(s, (c, r)) for s, (r, c) in nf.summands]
+    return nf.summands
+
+
 def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
     """(c, tokens) with ket summands == c .* (t1 # ... # tn), each ti one of
-    |0>, |1>, |+>, |->; decided by comparing amplitudes, never by dividing."""
+    "0", "1", "+", "-" for |0>, |1>, |+>, |->; decided by comparing
+    amplitudes, never by dividing."""
     if not summands:
         return None
     s0, (first, _) = summands[0]
@@ -986,16 +941,16 @@ def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
     # The support is every bit combination on the spread positions, and
     # canonical order counts through them in binary: summand j has bits j,
     # so summand 2^(k-1-m) is the one with a 1 at spread[m] only.
-    tokens = [f"|{b}>" for b in first]
+    tokens = [str(b) for b in first]
     neg = -s0
     minus_mask = 0
     for m, i in enumerate(spread):
         bit = 1 << (k - 1 - m)
         s = summands[bit][0]
         if s == s0:
-            tokens[i] = "|+>"
+            tokens[i] = "+"
         elif s == neg:
-            tokens[i] = "|->"
+            tokens[i] = "-"
             minus_mask |= bit
         else:
             return None
@@ -1009,8 +964,8 @@ def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
     return c, tokens
 
 
-_KET_STATES = {"|0>": ket0(), "|1>": ket1(), "|+>": _PLUS, "|->": _MINUS}
-_BRA_STATES = {"|0>": dag(ket0()), "|1>": dag(ket1()), "|+>": _BRA_PLUS, "|->": _BRA_MINUS}
+_KET_STATES = {"0": ket0(), "1": ket1(), "+": _PLUS, "-": _MINUS}
+_BRA_STATES = {"0": dag(ket0()), "1": dag(ket1()), "+": _BRA_PLUS, "-": _BRA_MINUS}
 _TABLE_GATES = {gate(name): "G_db" for name in ("X", "Y", "Z", "H", "CX", "CZ", "XC", "SWAP")}
 _TABLE_GATES.update({gate(name): "B_db" for name in ("B0", "B1", "B2", "B3")})
 # D_db: the dagger of a table state or gate as a table bra, ket or gate, so
@@ -1054,9 +1009,8 @@ def _resugar(nf: NormalForm) -> Term:
     c_b .* (b # ...), so a sum that L11 distributes again has two summands
     where the flat normal form has up to four; the normal form's own term
     when a part is no product state either."""
-    bra = nf.dims[0] == 1
-    states = _BRA_STATES if bra else _KET_STATES
-    summands = [(s, (c, r)) for s, (r, c) in nf.summands] if bra else nf.summands
+    states = _BRA_STATES if nf.dims[0] == 1 else _KET_STATES
+    summands = _vector_summands(nf)
     whole = _product_state(summands)
     if whole is not None:
         hits = [whole]
@@ -1091,10 +1045,11 @@ def _is_identity(nf: NormalForm) -> bool:
         rbits == cbits and s.is_one() for s, (rbits, cbits) in nf.summands)
 
 
-def _join_tokens(tokens: list[str]) -> str:
-    if all(t in ("|0>", "|1>") for t in tokens) and len(tokens) > 1:
-        return "|" + ",".join(t[1] for t in tokens) + ">"
-    return " # ".join(tokens)
+def _join_tokens(tokens: list[str], bra: bool) -> str:
+    left, right = ("<", "|") if bra else ("|", ">")
+    if all(t in ("0", "1") for t in tokens) and len(tokens) > 1:
+        return left + ",".join(tokens) + right
+    return " # ".join(left + t + right for t in tokens)
 
 
 def render_nf(nf: NormalForm) -> str:
@@ -1106,11 +1061,11 @@ def render_nf(nf: NormalForm) -> str:
     name = _KNOWN_OPERATOR_NFS.get(nf)
     if name is not None:
         return name
-    if cols == 1 and rows > 1:
-        factored = _product_state(nf.summands)
+    if (rows == 1) != (cols == 1):  # a ket or a bra
+        factored = _product_state(_vector_summands(nf))
         if factored is not None:
             s, tokens = factored
-            body = _join_tokens(tokens)
+            body = _join_tokens(tokens, rows == 1)
             if s.is_one():
                 return body
             if len(tokens) > 1 and " # " in body:

@@ -159,22 +159,30 @@ def _conj_monomial(m: Monomial) -> Monomial:
     )
 
 
+# The interned scalars, keyed by their canonical terms, and the memo of the
+# ring operations on them.  Process-wide, as term._intern is: equal scalars
+# are one object, so a memo keyed by scalars hashes them by identity.
+_intern: dict = {}
+_SUM: dict = {}
+_PRODUCT: dict = {}
+_CONJ: dict = {}
+
+
 class Scalar:
-    """Canonical finite sum of Coefficient-weighted monomials."""
+    """Canonical finite sum of Coefficient-weighted monomials.  Interned, so
+    equal scalars are the same object, and compare and hash as it does."""
 
-    __slots__ = ("terms", "_hash", "_text")
+    __slots__ = ("terms", "_text")
 
-    def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
-        items = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not coeff.is_zero():
-                    items[mono] = coeff
-        self.terms: tuple[tuple[Monomial, Coefficient], ...] = tuple(
-            sorted(items.items(), key=lambda kv: kv[0])
-        )
-        self._hash = None
-        self._text = None
+    def __new__(cls, terms: Mapping[Monomial, Coefficient] | None = None):
+        # monomials are distinct, so sorting the pairs never compares coefficients
+        key = tuple(sorted((m, c) for m, c in terms.items() if not c.is_zero())) if terms else ()
+        self = _intern.get(key)
+        if self is None:
+            self = _intern[key] = object.__new__(cls)
+            self.terms = key  # ((monomial, coefficient), ...), sorted by monomial
+            self._text = None
+        return self
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -228,11 +236,15 @@ class Scalar:
 
     # --- ring operations ----------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        acc = dict(self.terms)
-        for mono, coeff in other.terms:
-            cur = acc.get(mono)
-            acc[mono] = coeff if cur is None else cur + coeff
-        return Scalar(acc)
+        key = (self, other)
+        hit = _SUM.get(key)
+        if hit is None:
+            acc = dict(self.terms)
+            for mono, coeff in other.terms:
+                cur = acc.get(mono)
+                acc[mono] = coeff if cur is None else cur + coeff
+            hit = _SUM[key] = Scalar(acc)
+        return hit
 
     def __neg__(self) -> "Scalar":
         return Scalar({m: -c for m, c in self.terms})
@@ -241,23 +253,34 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        acc: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mono = _mul_monomials(m1, m2)
-                prod = c1 * c2
-                cur = acc.get(mono)
-                acc[mono] = prod if cur is None else cur + prod
-        return Scalar(acc)
+        if self is _S_ONE:
+            return other
+        if other is _S_ONE:
+            return self
+        key = (self, other)
+        hit = _PRODUCT.get(key)
+        if hit is None:
+            acc: dict[Monomial, Coefficient] = {}
+            for m1, c1 in self.terms:
+                for m2, c2 in other.terms:
+                    mono = _mul_monomials(m1, m2)
+                    prod = c1 * c2
+                    cur = acc.get(mono)
+                    acc[mono] = prod if cur is None else cur + prod
+            hit = _PRODUCT[key] = Scalar(acc)
+        return hit
 
     def conj(self) -> "Scalar":
-        return Scalar({_conj_monomial(m): c.conj() for m, c in self.terms})
+        hit = _CONJ.get(self)
+        if hit is None:
+            hit = _CONJ[self] = Scalar({_conj_monomial(m): c.conj() for m, c in self.terms})
+        return hit
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == ((_EMPTY_MONO, C_ONE),)
+        return self is _S_ONE
 
     def reciprocal(self) -> "Scalar":
         """Exact inverse; defined for nonzero constants and pure phase monomials."""
@@ -324,22 +347,12 @@ class Scalar:
                         break
         return result
 
-    # --- comparison and rendering -------------------------------------
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Scalar) and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
-
+    # --- rendering ----------------------------------------------------
     def __repr__(self):
         return f"Scalar({self})"
 
     def __str__(self):
-        # kept, as _hash is: a scalar is immutable, and a trace prints it once per step
+        # kept: a scalar is immutable, and a trace prints it once per step
         if self._text is None:
             self._text = " + ".join(_render_term(m, c) for m, c in self.terms) or "0"
         return self._text

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdirac.errors import NonInvertibleScalar, UnboundAtom
+from qdirac.parser import parse_scalar
 from qdirac.scalar import Coefficient, Scalar
 
 from conftest import rand_scalar
@@ -162,3 +164,45 @@ def test_rendering():
     assert str(Scalar.phase("u", -2)) == "e(-2*u)"
     assert str(Scalar.rational(1, 2) - Scalar.inv_sqrt2() * Scalar.i()) \
         == "1/2 + -1/2*sqrt2*i"
+
+
+def test_equal_scalars_are_one_object():
+    assert Scalar.rational(1, 2) * Scalar.rational(2) is Scalar.one()
+    assert Scalar.i() * Scalar.i() is Scalar.rational(-1)
+    assert parse_scalar("1/2*sqrt2") is Scalar.inv_sqrt2()
+    assert Scalar.inv_sqrt2() - Scalar.inv_sqrt2() is Scalar.zero()
+
+
+def test_ring_operations_are_memoized(monkeypatch):
+    """A repeated sum, product or conjugate does no coefficient arithmetic."""
+    calls = []
+
+    def counted(name):
+        fn = getattr(Coefficient, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("__add__", "__mul__", "conj"):
+        monkeypatch.setattr(Coefficient, name, counted(name))
+    x = Scalar.var("memo_x") + Scalar.phase("memo_u")
+    y = Scalar.inv_sqrt2() * Scalar.var("memo_x") + Scalar.conj_var("memo_y")
+    for op in (lambda: x * y, lambda: x + y, lambda: y.conj()):
+        calls.clear()
+        first = op()
+        assert calls
+        calls.clear()
+        assert op() is first
+        assert not calls
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_ring_results_are_interned(seed):
+    rng = random.Random(seed)
+    x, y = rand_scalar(rng, closed=False), rand_scalar(rng, closed=False)
+    assert (x * y) is (y * x)
+    assert (x + y) is (y + x)
+    assert x.conj().conj() is x
