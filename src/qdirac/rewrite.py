@@ -43,23 +43,33 @@ oracle Uf(n) applied to |+>^n # |-> or its bra, whose CX wings meet
 two-qubit table states, they grow linearly in n.
 
 When no trace is requested the same normal form is computed directly over
-the sparse representation (each subterm becomes a map from basis
-(row bits, column bits) keys to exact scalars, the keys a normal form's
-summands keep), which skips the intermediate term churn, and keeps tensor
-structure where that saves work: a product of aligned tensor products is
-the tensor product of its per-slot products (L13), and a tensor layer acts
-on a ket one factor at a time, passing identity blocks through unexpanded.
-The two modes are required to agree exactly, and the traced mode's last
-step, collecting the reduced term, runs the same sparse evaluator.
+the sparse representation, which skips the intermediate term churn: each
+subterm's value is a tensor product of blocks, maps from basis (row bits,
+column bits) keys to exact scalars, the keys a normal form's summands keep.
+A tensor product keeps its operands' blocks side by side, so a product
+state or a ket literal costs its width, not 2^n entries; a product of
+aligned tensor products is the tensor product of its per-slot products
+(L13); and in a chain applied to a ket each gate acts only on the blocks
+its slots reach, passing identity blocks through unexpanded, with a
+product inside a layer applied gate by gate.  A vector's normal form is
+the finest factorization of its flat sum into blocks over contiguous
+qubits, split only where its pivot is invertible (NormalForm); operators
+stay one block.  The two modes are required to agree exactly, and the
+traced mode's last step, collecting the reduced term, runs the same
+sparse evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from math import prod
 from typing import Optional
 
-from .errors import FuelExhausted, NotAnOperator, NotInReducedShape, show_dim
+from .errors import (
+    FuelExhausted, NonInvertibleScalar, NotAnOperator, NotInReducedShape, show_dim,
+)
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
@@ -69,20 +79,41 @@ from .term import (
 
 DEFAULT_FUEL = 10 ** 6
 
+_ONE = Scalar.one()
+_NO_BITS = ((), ())  # the key of a 1x1 map
+
+Block = tuple[tuple[Scalar, tuple[tuple[int, ...], tuple[int, ...]]], ...]
+
+
 @dataclass(frozen=True)
 class NormalForm:
-    """Canonical sum of scalar-weighted basis matrices |rbits><cbits|.
+    """Canonical sum of scalar-weighted basis matrices |rbits><cbits|, kept
+    as a tensor product of blocks.
 
-    Each summand is (scalar, (rbits, cbits)), the key the sparse evaluator
-    uses, with log2(rows) row bits and log2(cols) column bits; summands are
-    sorted by that key, the row-major order of the matrix entries, and
-    every scalar is nonzero."""
+    A block is a sorted tuple of summands (scalar, (rbits, cbits)), the key
+    the sparse evaluator uses; the blocks' keys concatenate, left to right,
+    into the keys of the whole.  A vector (a 2^n x 1 ket or 1 x 2^n bra,
+    n >= 1) whose pivot, its first nonzero coefficient in key order, is
+    invertible is split into its finest factorization over contiguous runs
+    of qubits: every block but the last leads with 1, and the last carries
+    the rest of the scalar.  Every other normal form, an operator, a 1x1 or
+    a vector whose pivot holds a variable atom, is one block.  The form
+    depends only on the denotation, so two normal forms of one shape are
+    equal exactly when their matrices are.
+
+    `summands` is the flat sum, sorted by key, the row-major order of the
+    matrix entries, every scalar nonzero; it is built on first use, and a
+    one-block normal form's summands are its block."""
 
     dims: tuple[int, int]
-    summands: tuple[tuple[Scalar, tuple[tuple[int, ...], tuple[int, ...]]], ...]
+    blocks: tuple[Block, ...]
+
+    @cached_property
+    def summands(self) -> Block:
+        return self.blocks[0] if len(self.blocks) == 1 else _flatten(self.dims, self.blocks)
 
     def is_zero(self) -> bool:
-        return not self.summands
+        return not self.blocks[0]
 
     def as_scalar(self) -> Scalar:
         """Coerce a 1x1 normal form to its scalar value."""
@@ -116,7 +147,7 @@ class NormalForm:
             s2 = fn(s)
             if not s2.is_zero():
                 items[key] = s2
-        return _sorted_nf(self.dims, items)
+        return _canonical(self.dims, (items,))
 
     def trace(self) -> Scalar:
         """Sum of the diagonal summands, those whose row bits equal their column bits."""
@@ -138,9 +169,106 @@ class NormalForm:
         return render_nf(self)
 
 
-def _sorted_nf(dims: tuple[int, int], acc: dict) -> NormalForm:
-    """The canonical normal form of a (rbits, cbits) -> nonzero scalar map."""
-    return NormalForm(dims, tuple([(s, key) for key, s in sorted(acc.items())]))
+def _flatten(dims: tuple[int, int], blocks: tuple[Block, ...]) -> Block:
+    """The summands of a tensor product of blocks, in key order.  A sum too
+    long for the default fuel is refused before it is built, as the
+    evaluator would have refused its map."""
+    size = prod(len(b) for b in blocks)
+    if size > DEFAULT_FUEL:
+        raise FuelExhausted(DEFAULT_FUEL, f"flat normal form {show_dim(dims[0])}x"
+                                          f"{show_dim(dims[1])} ({size} summands)")
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = [(sa * sb, (ra + rb, ca + cb)) for sa, (ra, ca) in out for sb, (rb, cb) in block]
+    return tuple(out)
+
+
+def _inverse(s: Scalar) -> Optional[Scalar]:
+    """s's inverse, or None where Scalar.reciprocal has none (a variable
+    atom, or a sum)."""
+    try:
+        return s.reciprocal()
+    except NonInvertibleScalar:
+        return None
+
+
+def _split(entries: list, side: int, cut: int, p_inv: Scalar) -> Optional[tuple[list, list]]:
+    """(L, R) with entries == L (x) R, cut after the first `cut` bits of the
+    keys' vector side, or None where they do not separate there.  entries
+    is a vector block as a list of summands (scalar, key) in key order; L
+    leads with 1 and R with the block's pivot, whose inverse p_inv is the
+    only scalar divided by.  In key order the block is a matrix of rows,
+    one per prefix: each row must have the first row's suffixes, and each
+    coefficient M[a+b] must equal L[a] * R[b], with L[a] = M[a+b0] * p_inv
+    and R[b] = M[a0+b]."""
+    n = len(entries)
+    a0, b0 = entries[0][1][side][:cut], entries[0][1][side][cut:]
+    width = 1
+    while width < n and entries[width][1][side][:cut] == a0:
+        width += 1
+    if n % width:
+        return None
+    for start in range(width, n, width):  # each row starts where the first does
+        if entries[start][1][side][cut:] != b0:
+            return None
+    right = [(s, key[side][cut:]) for s, key in entries[:width]]
+    left = [(_ONE, a0)]
+    for start in range(width, n, width):
+        a = entries[start][1][side][:cut]
+        la = entries[start][0] * p_inv
+        for (s, key), (r, b) in zip(entries[start:start + width], right):
+            if key[side][:cut] != a or key[side][cut:] != b or la * r != s:
+                return None
+        left.append((la, a))
+    if side:
+        return [(s, ((), a)) for s, a in left], [(s, ((), b)) for s, b in right]
+    return [(s, (a, ())) for s, a in left], [(s, (b, ())) for s, b in right]
+
+
+def _split_at(entries: list, side: int, cuts, p_inv: Optional[Scalar]) -> list[list]:
+    """A vector block, its summands in key order, split at each of the
+    increasing bit positions `cuts` where it separates; p_inv is the
+    inverse of its pivot, and with None it is not split at all."""
+    if p_inv is None:
+        return [entries]
+    pieces, done = [], 0
+    for cut in cuts:
+        parts = _split(entries, side, cut - done, p_inv)
+        if parts is not None:
+            pieces.append(parts[0])
+            entries, done = parts[1], cut
+    pieces.append(entries)
+    return pieces
+
+
+def _canonical(dims: tuple[int, int], blocks) -> Optional[NormalForm]:
+    """The normal form of the tensor product of `blocks`, maps from
+    (rbits, cbits) to nonzero scalars, zero being one empty block.  A
+    vector is split at every cut where it separates, when its pivot is
+    invertible, and every block but the last is scaled to lead with 1.
+    None for a vector of several blocks one of whose pivots is not
+    invertible: its normal form is its flat map, one block."""
+    rows, cols = dims
+    if (rows == 1) == (cols == 1) or not blocks[0]:  # an operator, a 1x1 or zero
+        (block,) = blocks
+        return NormalForm(dims, (tuple([(s, key) for key, s in sorted(block.items())]),))
+    side = 1 if rows == 1 else 0  # the half of the keys that holds a vector's bits
+    pieces, lead, last = [], _ONE, len(blocks) - 1
+    for k, block in enumerate(blocks):
+        entries = [(s, key) for key, s in sorted(block.items())]
+        p = entries[0][0]
+        p_inv = p if p is _ONE else _inverse(p)
+        if p_inv is None and last:
+            return None
+        width = len(entries[0][1][side])
+        parts = _split_at(entries, side, range(1, width), p_inv) if width > 1 else [entries]
+        if k < last and p is not _ONE:  # the pivot moves to the last block
+            parts[-1] = [(s * p_inv, key) for s, key in parts[-1]]
+            lead = lead * p
+        pieces += parts
+    if lead is not _ONE:
+        pieces[-1] = [(s * lead, key) for s, key in pieces[-1]]
+    return NormalForm(dims, tuple(map(tuple, pieces)))
 
 
 # --- rewrite trace -----------------------------------------------------
@@ -382,7 +510,8 @@ class Rewriter:
         self.fuel = fuel
         self.steps = 0
         self.trace = trace
-        self._sparse_memo: dict[Term, dict] = {}
+        self._sparse_memo: dict[Term, tuple[dict, ...]] = {}
+        self._folded: dict[Term, dict] = {}  # term -> its blocks folded into one map
         self._columns: dict[Term, dict] = {}  # layer factor -> its map by column bits
         self._irreducible: set[Term] = set()  # fixpoints of reduce
         self._irreducible_in_sum: set[Term] = set()  # inner ADD nodes: all laws but Lsum
@@ -710,65 +839,62 @@ class Rewriter:
 
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
-        return _sorted_nf(t.dims, self._sparse(t))
+        """The normal form of t's value.  Where a block's pivot is not
+        invertible the blocks are folded into one first, so the result is
+        the one the flat map gives."""
+        blocks = self._sparse(t)
+        return _canonical(t.dims, blocks) or _canonical(t.dims, (self._fold(blocks, t),))
 
-    def _sparse(self, t: Term) -> dict:
+    def _sparse(self, t: Term) -> tuple[dict, ...]:
+        """t's value, memoized: a tuple of blocks, maps from (rbits, cbits)
+        keys to nonzero scalars, whose tensor product is t's matrix.  Zero is
+        one empty block, and a block of no qubits, a 1x1 value, is the only
+        block.  A vector's tensor product keeps its operands' blocks side by
+        side (an operator's, whose normal form is one block, is folded), a
+        scaling scales the last block and a dagger transposes each; a sum or
+        a product that is not applied to a ket folds its operands first."""
         hit = self._sparse_memo.get(t)
         if hit is not None:
             return hit
         kind = t.kind
         if kind == KET0:
-            out = {((0,), ()): Scalar.one()}
+            out = ({((0,), ()): _ONE},)
         elif kind == KET1:
-            out = {((1,), ()): Scalar.one()}
+            out = ({((1,), ()): _ONE},)
         elif kind == ZERO:
-            out = {}
+            out = ({},)
         elif kind == IDENT:
             n = t.payload
             if self.steps + n > self.fuel:  # charge fuel before allocating
                 raise self._out_of_fuel(t, f"map of {show_dim(n)} entries")
-            one = Scalar.one()
-            out = {(bits, bits): one for bits in product((0, 1), repeat=n.bit_length() - 1)}
-        elif kind == SCALE:
+            out = ({(bits, bits): _ONE for bits in product((0, 1), repeat=n.bit_length() - 1)},)
+        elif kind == SCALE:  # the last block scaled; nothing under a zero scalar is evaluated
             c = t.payload
             if c.is_zero():
-                out = {}
+                out = ({},)
             else:
-                out = {k: c * s for k, s in self._sparse(t.children[0]).items()}
+                blocks = self._sparse(t.children[0])
+                out = blocks[:-1] + ({k: c * s for k, s in blocks[-1].items()},)
         elif kind == DAG:
-            out = {
-                (cbits, rbits): s.conj()
-                for (rbits, cbits), s in self._sparse(t.children[0]).items()
-            }
+            out = tuple([{(cbits, rbits): s.conj() for (rbits, cbits), s in block.items()}
+                         for block in self._sparse(t.children[0])])
         elif kind == ADD:  # merge the whole chain into one map, memoized at the top
             parts = operands(t, self._sparse_memo)
-            out = dict(self._sparse(parts[0]))
+            acc = dict(self._map(parts[0]))
             for part in parts[1:]:
-                for k, s in self._sparse(part).items():
-                    cur = out.get(k)
+                for k, s in self._map(part).items():
+                    cur = acc.get(k)
                     merged = s if cur is None else cur + s
                     if merged.is_zero():
-                        del out[k]
+                        del acc[k]
                     else:
-                        out[k] = merged
-        elif kind == KRON:  # fold the right spine, from its last factor up
-            levels = []  # (KRON node, its left factor's map), top first
-            node = t
-            while True:  # in the order a recursive evaluation would follow
-                levels.append((node, self._sparse(node.children[0])))
-                node = node.children[1]
-                if node.kind != KRON or node in self._sparse_memo:
-                    break
-            out = self._sparse(node)
-            for node, left in reversed(levels):
-                right, out = out, {}
-                if self.steps + len(left) * len(right) > self.fuel:
-                    raise self._out_of_fuel(node, f"map of {len(left) * len(right)} entries")
-                for (ra, ca), sa in left.items():
-                    for (rb, cb), sb in right.items():
-                        out[(ra + rb, ca + cb)] = sa * sb
-                if node is not t:
-                    self._remember(node, out)
+                        acc[k] = merged
+            out = (acc,)
+        elif kind == KRON:
+            blocks = [b for part in operands(t, self._sparse_memo) for b in self._sparse(part)]
+            out = _tensor(blocks) if (t.rows == 1) != (t.cols == 1) else (self._fold(blocks, t),)
+            self._sparse_memo[t] = out  # fuel is charged only for a fold, as no entry is built
+            return out
         else:  # MUL
             a, b = t.children
             aligned = _try_mult_kron(a, b) if a.kind == KRON and b.kind == KRON else None
@@ -776,27 +902,50 @@ class Rewriter:
                 out = self._sparse(aligned)
             elif a.kind == IDENT or b.kind == IDENT:  # L8, with nothing expanded
                 out = self._sparse(b if a.kind == IDENT else a)
-            else:  # contract column bits against row bits, vector end first
+            else:
                 chain = operands(t, self._sparse_memo)
-                if chain[-1].cols == 1:
-                    out = self._sparse(chain[-1])
-                    for f in reversed(chain[:-1]):
-                        if f.kind == KRON and f not in self._sparse_memo:
-                            out = self._apply_layer(f, out, t)
-                        else:
-                            out = self._mul_maps(self._sparse(f), out, t)
-                else:
-                    out = self._sparse(chain[0])
+                if chain[-1].cols == 1:  # a ket's blocks take the factors one by one
+                    out = self._apply_layer(chain[:-1], self._sparse(chain[-1]), t)
+                else:  # contract column bits against row bits, from the left
+                    acc = self._map(chain[0])
                     for f in chain[1:]:
-                        out = self._mul_maps(out, self._sparse(f), t)
+                        acc = self._mul_maps(acc, self._map(f), t)
+                    out = (acc,)
         self._remember(t, out)
         return out
 
-    def _remember(self, t: Term, out: dict) -> None:
-        """Charge fuel for t's map and memoize it."""
-        self.steps += len(out)
+    def _map(self, t: Term) -> dict:
+        """t's value as one map: its blocks folded, the fold memoized apart
+        from the blocks, which stay for the products that can use them."""
+        blocks = self._sparse(t)
+        if len(blocks) == 1:
+            return blocks[0]
+        flat = self._folded.get(t)
+        if flat is None:
+            flat = self._folded[t] = self._fold(blocks, t)
+        return flat
+
+    def _fold(self, blocks, node: Term) -> dict:
+        """The one map of a tensor product of blocks, folded from the right.
+        Fuel is charged for its entries before any is allocated."""
+        if len(blocks) == 1:
+            return blocks[0]
+        size = prod(map(len, blocks))
+        if self.steps + size > self.fuel:
+            raise self._out_of_fuel(node, f"map of {size} entries")
+        self.steps += size
+        out = blocks[-1]
+        for left in reversed(blocks[:-1]):
+            out = {(ra + rb, ca + cb): sa * sb
+                   for (ra, ca), sa in left.items() for (rb, cb), sb in out.items()}
+        return out
+
+    def _remember(self, t: Term, out: tuple[dict, ...]) -> None:
+        """Charge fuel for t's blocks and memoize them."""
+        size = len(out[0]) if len(out) == 1 else sum(map(len, out))
+        self.steps += size
         if self.steps > self.fuel:
-            raise self._out_of_fuel(t, f"map of {len(out)} entries")
+            raise self._out_of_fuel(t, f"map of {size} entries")
         self._sparse_memo[t] = out
 
     def _out_of_fuel(self, t: Term, detail: str) -> FuelExhausted:
@@ -837,7 +986,7 @@ class Rewriter:
         by_col = self._columns.get(f)
         if by_col is None:  # kept, since layers share their factors
             by_col = self._columns[f] = {}
-            for (ra, ca), sa in self._sparse(f).items():
+            for (ra, ca), sa in self._map(f).items():
                 by_col.setdefault(ca, []).append((ra, sa))
         budget = self.fuel - self.steps
         out: dict = {}
@@ -863,16 +1012,96 @@ class Rewriter:
         self.steps += len(out)
         return out
 
-    def _apply_layer(self, layer: Term, vec: dict, node: Term) -> dict:
-        """layer * vec for a KRON layer, one factor at a time: each factor's
-        map acts on its slot of the vector keys' row bits, and the bits of
-        identity factors pass through unexpanded."""
-        lo = 0
-        for f in operands(layer):
-            if f.kind != IDENT:
-                vec = self._apply_factor(f, lo, lo + f.cols.bit_length() - 1, vec, node)
-            lo += f.rows.bit_length() - 1
+    def _apply_layer(self, factors: list[Term], vec: tuple, node: Term) -> tuple:
+        """factors[0] * ... * factors[-1] * vec for the blocks vec of a ket,
+        the last factor first.  An identity is skipped, a scaling scales the
+        last block and passes its operand on, a tensor product passes on its
+        factors, each at its slot offset, and a product not yet evaluated
+        passes on its chain at its own offset.  Any other factor acts on the
+        blocks its slots reach (_act).  The work is one explicit stack of
+        (factor, slot offset), so a product inside a layer, such as uf(n-1)
+        in Uf(n), is applied gate by gate, never built as its whole map."""
+        work = [(f, 0) for f in factors]
+        while work and vec[0]:
+            f, lo = work.pop()
+            kind = f.kind
+            if kind == IDENT:
+                continue
+            if kind == SCALE:
+                c = f.payload
+                if c.is_zero():
+                    return ({},)
+                vec = vec[:-1] + ({k: c * s for k, s in vec[-1].items()},)
+                self.steps += len(vec[-1])
+                work.append((f.children[0], lo))
+            elif kind == KRON:
+                parts = []
+                for part in operands(f):
+                    if part.kind != IDENT:
+                        parts.append((part, lo))
+                    lo += part.rows.bit_length() - 1
+                work += reversed(parts)
+            elif kind == MUL and f not in self._sparse_memo:
+                work += [(g, lo) for g in operands(f, self._sparse_memo)]
+            else:
+                vec = self._act(f, lo, vec, node)
         return vec
+
+    def _act(self, f: Term, lo: int, vec: tuple, node: Term) -> tuple:
+        """f acting on the bits [lo, lo + log2 f.cols) of a ket's blocks vec:
+        the blocks those bits reach are folded into one (none, for a ket
+        factor between two blocks), f acts on it (_apply_factor), and the
+        result is split again at the cuts it was folded from, wherever it
+        separates there."""
+        hi = lo + f.cols.bit_length() - 1
+        i = base = 0  # blocks i..j-1 are reached; block i starts at bit base
+        if len(vec) == 1:  # one block, or a 1x1 value, takes every factor
+            j, inner = 1, []
+        else:
+            while i < len(vec):
+                end = base + len(next(iter(vec[i]))[0])
+                if end > lo:
+                    break
+                i, base = i + 1, end
+            j, start, inner = i, base, []
+            while j < len(vec) and start < hi:
+                if j > i:
+                    inner.append(start)
+                start += len(next(iter(vec[j]))[0])
+                j += 1
+        merged = self._fold(vec[i:j], node) if j > i else {_NO_BITS: _ONE}
+        out = self._apply_factor(f, lo - base, hi - base, merged, node)
+        if not out:
+            return ({},)
+        pieces = (out,)
+        if inner and f.rows == f.cols:  # the cuts lie inside f's slots, which f keeps
+            cuts = [c - base for c in inner]
+            entries = [(s, key) for key, s in sorted(out.items())]
+            parts = _split_at(entries, 0, cuts, _inverse(entries[0][0]))
+            if len(parts) > 1:
+                pieces = tuple({key: s for s, key in part} for part in parts)
+                self.steps += sum(map(len, pieces))
+        vec = vec[:i] + pieces + vec[j:]
+        return _tensor(vec) if _NO_BITS in out and len(vec) > 1 else vec
+
+
+def _tensor(blocks) -> tuple:
+    """Blocks side by side as a value: zero if one is empty, and the scalars
+    of blocks of no qubits moved into the last block that has qubits."""
+    wide, c = [], _ONE
+    for block in blocks:
+        if not block:
+            return ({},)
+        s = block.get(_NO_BITS)
+        if s is None:
+            wide.append(block)
+        else:
+            c = c * s
+    if not wide:
+        return ({_NO_BITS: c},)
+    if c is not _ONE:
+        wide[-1] = {k: c * s for k, s in wide[-1].items()}
+    return tuple(wide)
 
 
 # --- normal-form collection (the unified_base step) --------------------
@@ -960,6 +1189,33 @@ def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
             return None
     c = s0
     for _ in spread:
+        c = c * _SQRT2_SCALAR
+    return c, tokens
+
+
+def _block_product_state(nf: NormalForm) -> Optional[tuple[Scalar, list[str]]]:
+    """_product_state's (c, tokens), read off the blocks of a vector normal
+    form whose blocks are each one qubit in the shape of |0>, |1>, |+> or
+    |-> (or their bras), with no flat sum built; None otherwise.  Every
+    block but the last leads with 1, so c is the last block's lead times
+    sqrt2 for each |+> or |->."""
+    side = 1 if nf.dims[0] == 1 else 0
+    tokens = []
+    c = nf.blocks[-1][0][0]
+    for block in nf.blocks:
+        (s0, key), *rest = block
+        if len(key[side]) != 1:
+            return None
+        if not rest:
+            tokens.append(str(key[side][0]))
+            continue
+        s1 = rest[0][0]
+        if s1 == s0:
+            tokens.append("+")
+        elif s1 == -s0:
+            tokens.append("-")
+        else:
+            return None
         c = c * _SQRT2_SCALAR
     return c, tokens
 
@@ -1062,7 +1318,10 @@ def render_nf(nf: NormalForm) -> str:
     if name is not None:
         return name
     if (rows == 1) != (cols == 1):  # a ket or a bra
-        factored = _product_state(_vector_summands(nf))
+        if len(nf.blocks) > 1:
+            factored = _block_product_state(nf)
+        else:
+            factored = _product_state(_vector_summands(nf))
         if factored is not None:
             s, tokens = factored
             body = _join_tokens(tokens, rows == 1)

@@ -166,6 +166,7 @@ _intern: dict = {}
 _SUM: dict = {}
 _PRODUCT: dict = {}
 _CONJ: dict = {}
+_INVERSE: dict = {}
 
 
 class Scalar:
@@ -284,14 +285,17 @@ class Scalar:
 
     def reciprocal(self) -> "Scalar":
         """Exact inverse; defined for nonzero constants and pure phase monomials."""
-        if len(self.terms) != 1:
-            raise NonInvertibleScalar(f"cannot invert {self}")
-        mono, coeff = self.terms[0]
-        variables, phases = mono
-        if variables:
-            raise NonInvertibleScalar(f"cannot invert symbolic scalar {self}")
-        inv_mono: Monomial = ((), tuple(sorted((n, -k) for n, k in phases)))
-        return Scalar({inv_mono: coeff.inverse()})
+        hit = _INVERSE.get(self)
+        if hit is None:
+            if len(self.terms) != 1:
+                raise NonInvertibleScalar(f"cannot invert {self}")
+            mono, coeff = self.terms[0]
+            variables, phases = mono
+            if variables:
+                raise NonInvertibleScalar(f"cannot invert symbolic scalar {self}")
+            inv_mono: Monomial = ((), tuple(sorted((n, -k) for n, k in phases)))
+            hit = _INVERSE[self] = Scalar({inv_mono: coeff.inverse()})
+        return hit
 
     # --- atoms and evaluation -----------------------------------------
     def atoms(self) -> tuple[set[str], set[str]]:

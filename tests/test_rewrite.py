@@ -459,6 +459,72 @@ def test_normal_form_invariants():
         assert all(len(r) == row_bits and len(c) == col_bits for r, c in keys)
 
 
+def _rand_vector(rng: random.Random):
+    """A ket or bra term: a random state, a product of two, a circuit's
+    ket, or the dagger of one of those."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        t = rand_state(rng, rng.randint(1, 4), closed=False)
+    elif pick == 1:
+        t = kron(rand_state(rng, rng.randint(1, 2), depth=1, closed=False),
+                 rand_state(rng, rng.randint(1, 3), depth=1, closed=False))
+    else:
+        t = rand_circuit(rng, rng.randint(1, 4), closed=False)
+        while t.cols != 1:
+            t = rand_circuit(rng, rng.randint(1, 4), closed=False)
+    return dag(t) if rng.random() < 0.3 else t
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_vector_normal_form_is_the_finest_factorization(seed):
+    """A vector's normal form is a function of its flat sum: the finest
+    factorization into blocks over contiguous qubits, every block but the
+    last leading with 1, split only where the pivot is invertible; the
+    traced and untraced pipelines give it alike."""
+    t = _rand_vector(random.Random(seed))
+    nf = nf_of(t)
+    flat = {key: s for s, key in nf.summands}
+    assert rewrite_module._canonical(nf.dims, (flat,)) == nf
+    trace = RewriteTrace()
+    rw = Rewriter(trace=trace)
+    assert unified_base(rw.reduce(rw.push_daggers(t))) == nf
+    assert all(block[0][0].is_one() for block in nf.blocks[:-1])
+    side = 1 if nf.dims[0] == 1 else 0
+    for block in nf.blocks:
+        if not block:
+            continue
+        p_inv = rewrite_module._inverse(block[0][0])
+        if p_inv is None:
+            assert len(nf.blocks) == 1
+            continue
+        for cut in range(1, len(block[0][1][side])):
+            assert rewrite_module._split(list(block), side, cut, p_inv) is None
+
+
+def test_vector_normal_form_edge_cases():
+    plus = gate("ket_plus")
+    # a phase moved between blocks leaves the normal form of |0> # |+>
+    u = Scalar.phase("u")
+    phased = kron(scale(u, ket0()), scale(Scalar.phase("u", -1), plus))
+    assert nf_of(phased) == nf_of(kron(ket0(), plus))
+    assert len(nf_of(phased).blocks) == 2
+    # a variable pivot keeps the vector one block, and it renders as before
+    a = scale(Scalar.var("a"), kron(plus, plus))
+    nf = nf_of(a)
+    assert len(nf.blocks) == 1 and len(nf.summands) == 4
+    assert render_nf(nf) == "a .* (|+> # |+>)"
+    # a flat sum that is a product state is split like the product
+    flat = nf_of(parse("1/2 .* (|0,0> + |0,1> + |1,0> + |1,1>)"))
+    assert flat == nf_of(kron(plus, plus))
+    assert [len(b) for b in flat.blocks] == [2, 2]
+    assert [s for s, _ in flat.blocks[0]] == [Scalar.one(), Scalar.one()]
+    # an entangled state is one block, written as a sum or as a circuit
+    assert len(nf_of(parse("1/2*sqrt2 .* |0,0,0> + 1/2*sqrt2 .* |1,1,1>")).blocks) == 1
+    assert len(nf_of(_ghz(5)).blocks) == 1
+    assert len(nf_of(parse("(CX * (H # I(2)) * |0,0>) # |+>")).blocks) == 2
+
+
 def test_denotation_preserved():
     rng = random.Random(12)
     for _ in range(150):
@@ -709,6 +775,20 @@ def test_fuel_exhausted_names_the_node(capsys):
                    "ident 1048576x1048576 (map of 1048576 entries): I(1048576)\n")
 
 
+def test_a_flat_sum_too_long_for_the_fuel_is_refused(capsys):
+    """A product of 21 one-qubit blocks is cheap, but printing it as a sum
+    needs its 2^21 summands: that is refused before they are built, as the
+    evaluator would have refused their map."""
+    t = kron_n(21, add(ket0(), scale(Scalar.i(), ket1())))
+    nf = nf_of(t)
+    assert len(nf.blocks) == 21
+    with pytest.raises(FuelExhausted, match=r"flat normal form 2097152x1 \(2097152 summands\)"):
+        render_nf(nf)
+    assert main(["normalize", "kron_n(21, |0> + i .* |1>)"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: rewrite fuel exhausted") and err.count("\n") == 1
+
+
 def _ket_text(n: int, value: int) -> str:
     return "|" + ",".join(str((value >> (n - 1 - k)) & 1) for k in range(n)) + ">"
 
@@ -774,6 +854,20 @@ def test_steps_track_the_answer_not_the_dimension():
         nf = rw.normalize(lhs)
         assert nf == nf_of(rhs), render(lhs)
         assert rw.steps <= 16 * (len(nf.summands) + n), (render(lhs)[:60], rw.steps)
+    # a product answer costs its width, whatever its flat size (2^65 at n=64)
+    for n in (8, 16, 32, 64):
+        hn1 = kron(kron_n(n, gate("H")), gate("H"))
+        zeros_one = kron(kron_n(n, ket0()), ket1())
+        plus_minus = kron(kron_n(n, gate("ket_plus")), gate("ket_minus"))
+        for lhs, rhs in [(mul(hn1, zeros_one), plus_minus), (mul(uf(n), plus_minus), plus_minus),
+                         (mul(hn1, plus_minus), zeros_one), (plus_minus, plus_minus)]:
+            rw = Rewriter()
+            nf = rw.normalize(lhs)
+            assert nf == nf_of(rhs), render(lhs)[:60]
+            assert len(nf.blocks) == n + 1
+            assert rw.steps <= 32 * (n + 1), (render(lhs)[:60], rw.steps)
+    assert render_nf(nf_of(kron(kron_n(64, gate("ket_plus")), gate("ket_minus")))) \
+        == " # ".join(["|+>"] * 64 + ["|->"])
 
 
 def test_zero_normal_form():
