@@ -25,7 +25,7 @@ from .oracle import (
 )
 from .parser import Parser
 from .quantum import MixedState, eval_mix, mix_equal, sym_mix_difference
-from .rewrite import NormalForm, Rewriter, render_nf
+from .rewrite import DEFAULT_FUEL, NormalForm, Rewriter, render_nf
 from .scalar import Scalar
 from .term import Term, render_head
 
@@ -182,15 +182,26 @@ def _basis_text(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> str:
 def _nf_difference(a: NormalForm, b: NormalForm) -> str:
     """Where the unequal a and b differ: their dims if those do, else the
     first basis key, in normal-form order, whose scalars differ, a summand
-    a side lacks read as 0."""
+    a side lacks read as 0.  Both sides' summands are walked in key order
+    and merged, no flat sum built, at a fuel of one step per summand walked;
+    past that the witness says only that they differ further on."""
     if a.dims != b.dims:
         return f"normal forms differ in dims: {show_dim(a.dims)} vs {show_dim(b.dims)}"
-    sa = {key: s for s, key in a.summands}
-    sb = {key: s for s, key in b.summands}
-    zero = Scalar.zero()
-    key = next(k for k in sorted(sa.keys() | sb.keys()) if sa.get(k, zero) != sb.get(k, zero))
-    return (f"normal forms differ at {_basis_text(*key)}: "
-            f"{sa.get(key, zero)} vs {sb.get(key, zero)}")
+    zero, end = Scalar.zero(), (None, None)
+    walk_a, walk_b = a.walk(), b.walk()
+    (sa, ka), (sb, kb) = next(walk_a, end), next(walk_b, end)
+    walked = 0
+    while walked < DEFAULT_FUEL:
+        if ka != kb:  # the smaller key is a summand the other side lacks
+            if kb is None or (ka is not None and ka < kb):
+                kb, sb = ka, zero
+            else:
+                ka, sa = kb, zero
+        if sa != sb:
+            return f"normal forms differ at {_basis_text(*ka)}: {sa} vs {sb}"
+        (sa, ka), (sb, kb) = next(walk_a, end), next(walk_b, end)
+        walked += 2
+    return f"normal forms differ past the first {walked} summands walked"
 
 
 def _branch_text(m: MixedState, i: int) -> str:
@@ -209,8 +220,8 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
     try:
         t0 = time.perf_counter()
         if a.kind == "MIXEQ":
-            lhs = eval_mix(Parser(a.lhs, defs).parse_mixed(), a.hypotheses)
-            rhs = eval_mix(Parser(a.rhs, defs).parse_mixed(), a.hypotheses)
+            lhs = eval_mix(Parser(a.lhs, defs).parse_mixed(), a.hypotheses, rewriter)
+            rhs = eval_mix(Parser(a.rhs, defs).parse_mixed(), a.hypotheses, rewriter)
             diff = sym_mix_difference(lhs, rhs, a.hypotheses, rewriter)
             sym_ok = diff is None
             if not sym_ok:

@@ -15,7 +15,9 @@ those matrices:
 - `Evaluator`, which `mat_equiv` and `obs_equiv` use, makes the same matrices
   with less work: a product applies its left factor to the right factor's
   columns, a tensor product acts on them slot by slot, and each small
-  subterm is built once per comparison.
+  subterm is built once per comparison.  The library's gates and states and
+  their subterms are constants, built once per process by the first
+  Evaluator and shared by every later one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimMismatch, NotSquare, show_dim
-from .term import ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, operands
+from .term import (
+    ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, library_subterms, operands,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 3
@@ -165,14 +169,16 @@ class SampleEnv:
 
 def collect_atoms(*terms: Term) -> tuple[set[str], set[str]]:
     """All (variable, phase-angle) atom names under Scale nodes of the terms,
-    found in one walk, so a subterm they share is visited once."""
+    found in one walk, so a subterm they share is visited once; the walk
+    stops at a library constant, which holds no atom."""
     variables: set[str] = set()
     angles: set[str] = set()
     stack = list(terms)
     seen = set()
+    library = _library()
     while stack:
         cur = stack.pop()
-        if id(cur) in seen:
+        if id(cur) in seen or cur in library:
             continue
         seen.add(id(cur))
         if cur.kind == SCALE:
@@ -254,11 +260,13 @@ class Evaluator:
     columns of m without building t: a product applies its factors one by
     one and a tensor product acts slot by slot, so no Kronecker product of
     large factors is formed.  The matrix of each subterm with at most
-    SMALL_ENTRIES entries is built once: an atom-free one for the whole
-    comparison, any other once per `bind`.
+    SMALL_ENTRIES entries is built once: a library constant's once per
+    process (_library), any other atom-free one for the whole comparison,
+    and any other once per `bind`.
     """
 
     def __init__(self):
+        self.library = _library()
         self.atom_free: dict[Term, bool] = {}
         self.shared: dict[Term, DenseMatrix] = {}
         self.local: dict[Term, DenseMatrix] = {}
@@ -280,6 +288,8 @@ class Evaluator:
             if children_known:
                 known[u] = all(known[c] for c in u.children) and (
                     u.kind != SCALE or u.payload.atoms() == (set(), set()))
+            elif u in self.library:
+                known[u] = True
             elif u not in known:
                 stack.append((u, True))
                 stack.extend((c, False) for c in u.children)
@@ -288,6 +298,9 @@ class Evaluator:
     def matrix(self, t: Term) -> DenseMatrix:
         small = t.rows * t.cols <= SMALL_ENTRIES
         if small:
+            m = self.library.get(t)
+            if m is not None:
+                return m
             # with no bindings no atom occurs (evaluating one would fail)
             memo = self.shared if not self.bindings or self.is_atom_free(t) else self.local
             m = memo.get(t)
@@ -357,6 +370,24 @@ class Evaluator:
             m = DenseMatrix(done * f_out * todo, w, _swap_blocks(m.entries, f_out, done, rest))
             done *= f_out
         return m
+
+
+# Each gate and state of the term library, and every subterm under them
+# (library_subterms), mapped to its matrix: at most SMALL_ENTRIES entries,
+# with no atom.  Filled once per process, when the first Evaluator is made,
+# by a private Evaluator that reads it while it is filled.  The matrices are
+# shared, so no caller may mutate one.
+_LIBRARY: Optional[dict[Term, DenseMatrix]] = None
+
+
+def _library() -> dict[Term, DenseMatrix]:
+    global _LIBRARY
+    if _LIBRARY is None:
+        _LIBRARY = table = {}
+        ev = Evaluator()
+        for t in library_subterms():
+            table[t] = ev.matrix(t)
+    return _LIBRARY
 
 
 def mat_equiv(a: Term | Sequence[Term], b: Term | Sequence[Term],

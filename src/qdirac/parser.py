@@ -37,44 +37,42 @@ from .term import (
 class Token(NamedTuple):
     kind: str  # "ket", "bra", "num", "ident", "op", "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source; line and column are computed for errors only
 
 
-_TOKEN = re.compile(r"(?P<space>\s+)|(?P<ket>\|,*[01+-][01+,-]*>)|(?P<bra><,*[01+-][01+,-]*\|)"
+# A token with the whitespace before it; at the end of the input, "eof".
+_TOKEN = re.compile(r"\s*(?:(?P<ket>\|,*[01+-][01+,-]*>)|(?P<bra><,*[01+-][01+,-]*\|)"
                     r"|(?P<num>[0-9]+)|(?P<ident>[^\W\d]\w*)"
-                    r"|(?P<op>\.\*|[()^*+\-#/:;\[\],=])")
+                    r"|(?P<op>\.\*|[()^*+\-#/:;\[\],=])|(?P<eof>\Z))")
+_SPACE = re.compile(r"\s*")
 
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        col = pos - line_start + 1
+    pos, match, make = 0, _TOKEN.match, Token._make
+    while True:
+        m = match(src, pos)
+        if m is not None:
+            kind = m.lastgroup
+            text = m[kind]
+            # a name starts with a letter or '_', not with a numeral such as '²'
+            if kind != "ident" or text[0].isalpha() or text[0] == "_":
+                pos = m.end()
+                tokens.append(make((kind, text, pos - len(text))))
+                if kind == "eof":
+                    return tokens
+                continue
+        pos = _SPACE.match(src, pos).end()
         ch = src[pos]
-        # a name starts with a letter or '_', not with a numeral such as '²'
-        if m is None or (m.lastgroup == "ident" and not (ch.isalpha() or ch == "_")):
-            if ch in "|<":
-                raise ParseError(f"malformed {'ket' if ch == '|' else 'bra'} literal", line, col)
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        text = m.group()
-        if m.lastgroup != "space":
-            tokens.append(Token(m.lastgroup, text, line, col))
-        elif "\n" in text:
-            line += text.count("\n")
-            line_start = pos + text.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+        if ch in "|<":
+            raise ParseError(f"malformed {'ket' if ch == '|' else 'bra'} literal",
+                             *_position(src, pos))
+        raise ParseError(f"unexpected character {ch!r}", *_position(src, pos))
 
 
-def _int(tok: Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:  # more digits than Python converts
-        raise ParseError(f"number of {len(tok.text)} digits is too long",
-                         tok.line, tok.col) from None
+def _position(src: str, pos: int) -> tuple[int, int]:
+    """The 1-based (line, column) of offset pos in src."""
+    return src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
 
 
 _GATES = frozenset(gate_names())
@@ -123,15 +121,24 @@ _MIXES = {
 
 class Parser:
     def __init__(self, src: str, defs: Optional[dict[str, Term]] = None):
+        self.src = src
         self.tokens = tokenize(src)
         self.pos = 0
         self.defs = defs or {}
 
+    def _error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, *_position(self.src, tok.pos))
+
+    def _int(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python converts
+            raise self._error(f"number of {len(tok.text)} digits is too long", tok) from None
+
     def expect_op(self, text: str) -> None:
         tok = self.tokens[self.pos]
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'}",
-                             tok.line, tok.col)
+            raise self._error(f"expected {text!r}, found {tok.text or 'end of input'}", tok)
         self.pos += 1
 
     # -- entry points
@@ -144,7 +151,7 @@ class Parser:
     def _end(self, value):
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+            raise self._error(f"unexpected trailing input {tok.text!r}", tok)
         return value
 
     # -- terms and scalars
@@ -190,22 +197,22 @@ class Parser:
             start += 1
         tok = self.tokens[start]
         if tok.kind == "ident":
-            return ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
-        return ParseError(f"expected an expression, found {tok.text}", tok.line, tok.col)
+            return self._error(f"unknown name {tok.text!r}", tok)
+        return self._error(f"expected an expression, found {tok.text}", tok)
 
     def primary(self, scalar: bool):
         tok = self.tokens[self.pos]
         self.pos += 1  # steps past eof only on the way to the error below
         kind, text = tok.kind, tok.text
         if kind == "num":
-            p = _int(tok)
+            p = self._int(tok)
             if self.tokens[self.pos].text != "/":
                 return Scalar.rational(p)
             self.pos += 1
             den = self.tokens[self.pos]
             q = self._num()
             if q == 0:
-                raise ParseError("division by zero", den.line, den.col)
+                raise self._error("division by zero", den)
             return Scalar.rational(p, q)
         if text == "(":
             inner = self.expr(0, scalar)
@@ -218,15 +225,15 @@ class Parser:
         if kind in ("ket", "bra") and not scalar:
             t = ket_string(text[1:-1].replace(",", ""))
             return t if kind == "ket" else dag(t)
-        raise ParseError(f"expected {'a scalar' if scalar else 'an expression'}, "
-                         f"found {text or 'end of input'}", tok.line, tok.col)
+        raise self._error(f"expected {'a scalar' if scalar else 'an expression'}, "
+                          f"found {text or 'end of input'}", tok)
 
     def _name(self, tok: Token, scalar: bool):
         name = tok.text
         call = _CALLS.get(name)
         builds = call[0] if call else Term if name in self.defs or name in _GATES else Scalar
         if scalar and builds is Term:
-            raise ParseError(f"{name!r} is not a scalar", tok.line, tok.col)
+            raise self._error(f"{name!r} is not a scalar", tok)
         if call:
             return call[2](*self._args(name, call[1]))
         if builds is Scalar:
@@ -264,15 +271,15 @@ class Parser:
         tok = self.tokens[self.pos]  # an angle or atom name
         self.pos += 1
         if tok.kind != "ident":
-            raise ParseError(f"{name} takes an {kind} name", tok.line, tok.col)
+            raise self._error(f"{name} takes an {kind} name", tok)
         return tok.text
 
     def _num(self) -> int:
         tok = self.tokens[self.pos]
         if tok.kind != "num":
-            raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
+            raise self._error(f"expected a number, found {tok.text!r}", tok)
         self.pos += 1
-        return _int(tok)
+        return self._int(tok)
 
     # -- mixed states
     def mix(self) -> MixExpr:
@@ -288,7 +295,7 @@ class Parser:
         if tok.kind == "ident" and tok.text in _MIXES:
             kinds, build = _MIXES[tok.text]
             return build(*self._args(tok.text, kinds))
-        raise ParseError("expected a mixed state", tok.line, tok.col)
+        raise self._error("expected a mixed state", tok)
 
     def _branch(self) -> tuple[Scalar, Term]:
         p = self.expr(0, True)

@@ -95,15 +95,18 @@ def pure_mix(op: Term) -> MixedState:
     return MixedState(((Scalar.one(), op),))
 
 
-def eval_mix(expr: MixExpr, norm_pairs: NormPairs = ()) -> MixedState:
-    """Fold a parsed mixed-state expression with mea_mix and unit_mix."""
+def eval_mix(expr: MixExpr, norm_pairs: NormPairs = (),
+             rewriter: Rewriter | None = None) -> MixedState:
+    """Fold a parsed mixed-state expression with mea_mix and unit_mix, every
+    stage on one Rewriter, so on one fuel budget and one memo."""
     if isinstance(expr, MixedState):
         return expr
+    rw = rewriter or Rewriter()
     if expr[0] == "meamix":
         _, n, k, inner = expr
-        return mea_mix(n, k, eval_mix(inner, norm_pairs), norm_pairs=norm_pairs)
+        return mea_mix(n, k, eval_mix(inner, norm_pairs, rw), norm_pairs=norm_pairs, rewriter=rw)
     _, u, inner = expr
-    return unit_mix(u, eval_mix(inner, norm_pairs), norm_pairs=norm_pairs)
+    return unit_mix(u, eval_mix(inner, norm_pairs, rw), norm_pairs=norm_pairs, rewriter=rw)
 
 
 def _stage_inputs(m: MixedState):
@@ -113,15 +116,19 @@ def _stage_inputs(m: MixedState):
         yield p, op, op if nf is None else nf.to_term()
 
 
-def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = ()) -> MixedState:
+def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = (),
+             rewriter: Rewriter | None = None) -> MixedState:
+    rw = rewriter or Rewriter()
     branches, nfs = [], []
     for p, op, rho in _stage_inputs(m):
-        nfs.append(Rewriter().normalize(super_(u, rho)).apply_norm_hypothesis(norm_pairs))
+        nfs.append(rw.normalize(super_(u, rho)).apply_norm_hypothesis(norm_pairs))
         branches.append((p, super_(u, op)))
     return MixedState(tuple(branches), tuple(nfs))
 
 
-def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = ()) -> MixedState:
+def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
+            rewriter: Rewriter | None = None) -> MixedState:
+    rw = rewriter or Rewriter()
     branches, nfs = [], []
     for p, op, rho in _stage_inputs(m):
         if op.rows != 2 ** (n + 1):
@@ -129,11 +136,11 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = ()) -> MixedS
         for proj_name in ("Mea0", "Mea1"):
             proj = mea(proj_name, n, k)
             # projective, so tr(M rho M) = tr(M rho)
-            prob_nf = Rewriter().normalize(mul(proj, rho)).apply_norm_hypothesis(norm_pairs)
+            prob_nf = rw.normalize(mul(proj, rho)).apply_norm_hypothesis(norm_pairs)
             branch_p = prob_nf.trace().apply_norm_hypothesis(norm_pairs)
             if branch_p.is_zero():
                 continue
-            post_nf = Rewriter().normalize(mul(proj, mul(rho, proj)))
+            post_nf = rw.normalize(mul(proj, mul(rho, proj)))
             post_nf = post_nf.apply_norm_hypothesis(norm_pairs)
             post = mul(proj, mul(op, proj))
             try:

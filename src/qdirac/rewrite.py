@@ -18,7 +18,11 @@ on their right or a bra on their left, each a one- or two-qubit product of
 identity or zero block, of |+> or |->, or of a table gate in one step, so
 U^ meets the tables as U does.  The table entries are computed by the
 sparse evaluator the first time a product asks for them, over that fixed
-finite domain, not written down by hand and not at import time.
+finite domain, not written down by hand and not at import time.  The
+sparse evaluator keeps the library's gates and states the same way: the
+value of each, and of every subterm under it, is built once per process,
+when the first Rewriter is made, and shared by every Rewriter after, at no
+fuel, as a lemma proved once is reused by every proof.
 
 The traced driver is a deterministic staged pipeline over that one law set,
 tried in a fixed order: push daggers to the leaves, reduce the products,
@@ -62,7 +66,7 @@ sparse evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import prod
 from typing import Optional
@@ -73,8 +77,9 @@ from .errors import (
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
-    Term, add, add_all, dag, dim_text, gate, identity, ket0, ket1, kron, kron_all, mul,
-    mul_all, operands, render, render_head, render_scaled, render_with, scale, zero,
+    Term, add, add_all, dag, dim_text, gate, identity, ket0, ket1, kron, kron_all,
+    library_subterms, mul, mul_all, operands, render, render_head, render_scaled, render_with,
+    scale, zero,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -110,7 +115,38 @@ class NormalForm:
 
     @cached_property
     def summands(self) -> Block:
-        return self.blocks[0] if len(self.blocks) == 1 else _flatten(self.dims, self.blocks)
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        size = prod(map(len, self.blocks))
+        if size > DEFAULT_FUEL:  # refused before it is built, as the evaluator's map would be
+            raise FuelExhausted(DEFAULT_FUEL, f"flat normal form {show_dim(self.dims[0])}x"
+                                              f"{show_dim(self.dims[1])} ({size} summands)")
+        return tuple(self.walk())
+
+    def walk(self):
+        """The summands one at a time, in key order, with no flat sum built:
+        the blocks before the last are combined like the digits of an
+        odometer, each prefix's scalar and key kept, and each combination
+        is extended by the last block's summands."""
+        *heads, last = self.blocks
+        k = len(heads)
+        idx = [0] * k
+        prefix = [(_ONE, (), ())]  # prefix[i]: heads[:i] combined at idx
+        for i in range(k):
+            prefix.append(_extend(prefix[i], heads[i][0]))
+        while True:
+            s, rbits, cbits = prefix[k]
+            for sb, (rb, cb) in last:
+                yield s * sb, (rbits + rb, cbits + cb)
+            i = k - 1
+            while i >= 0 and idx[i] + 1 == len(heads[i]):
+                idx[i] = 0
+                i -= 1
+            if i < 0:
+                return
+            idx[i] += 1
+            for j in range(i, k):
+                prefix[j + 1] = _extend(prefix[j], heads[j][idx[j]])
 
     def is_zero(self) -> bool:
         return not self.blocks[0]
@@ -169,18 +205,11 @@ class NormalForm:
         return render_nf(self)
 
 
-def _flatten(dims: tuple[int, int], blocks: tuple[Block, ...]) -> Block:
-    """The summands of a tensor product of blocks, in key order.  A sum too
-    long for the default fuel is refused before it is built, as the
-    evaluator would have refused its map."""
-    size = prod(len(b) for b in blocks)
-    if size > DEFAULT_FUEL:
-        raise FuelExhausted(DEFAULT_FUEL, f"flat normal form {show_dim(dims[0])}x"
-                                          f"{show_dim(dims[1])} ({size} summands)")
-    out = blocks[0]
-    for block in blocks[1:]:
-        out = [(sa * sb, (ra + rb, ca + cb)) for sa, (ra, ca) in out for sb, (rb, cb) in block]
-    return tuple(out)
+def _extend(prefix: tuple, summand: tuple) -> tuple:
+    """A walk prefix (scalar, rbits, cbits) times one block summand."""
+    s, rbits, cbits = prefix
+    sb, (rb, cb) = summand
+    return s * sb, rbits + rb, cbits + cb
 
 
 def _inverse(s: Scalar) -> Optional[Scalar]:
@@ -511,6 +540,7 @@ class Rewriter:
         self.steps = 0
         self.trace = trace
         self._sparse_memo: dict[Term, tuple[dict, ...]] = {}
+        self._library = _constants()  # read after the memo, free of fuel
         self._folded: dict[Term, dict] = {}  # term -> its blocks folded into one map
         self._columns: dict[Term, dict] = {}  # layer factor -> its map by column bits
         self._irreducible: set[Term] = set()  # fixpoints of reduce
@@ -852,10 +882,15 @@ class Rewriter:
         block.  A vector's tensor product keeps its operands' blocks side by
         side (an operator's, whose normal form is one block, is folded), a
         scaling scales the last block and a dagger transposes each; a sum or
-        a product that is not applied to a ket folds its operands first."""
+        a product that is not applied to a ket folds its operands first.  A
+        library constant's value is read from the shared table (_constants)
+        and costs no fuel."""
         hit = self._sparse_memo.get(t)
         if hit is not None:
             return hit
+        const = self._library.get(t)
+        if const is not None:
+            return const[0]
         kind = t.kind
         if kind == KET0:
             out = ({((0,), ()): _ONE},)
@@ -922,6 +957,9 @@ class Rewriter:
             return blocks[0]
         flat = self._folded.get(t)
         if flat is None:
+            const = self._library.get(t)
+            if const is not None:
+                return const[1]
             flat = self._folded[t] = self._fold(blocks, t)
         return flat
 
@@ -985,9 +1023,11 @@ class Rewriter:
         own loop.)"""
         by_col = self._columns.get(f)
         if by_col is None:  # kept, since layers share their factors
-            by_col = self._columns[f] = {}
-            for (ra, ca), sa in self._map(f).items():
-                by_col.setdefault(ca, []).append((ra, sa))
+            const = self._library.get(f)
+            if const is not None:
+                by_col = const[2]
+            else:
+                by_col = self._columns[f] = _by_column(self._map(f))
         budget = self.fuel - self.steps
         out: dict = {}
         for (rb, cb), sb in vec.items():
@@ -1083,6 +1123,38 @@ class Rewriter:
                 self.steps += sum(map(len, pieces))
         vec = vec[:i] + pieces + vec[j:]
         return _tensor(vec) if _NO_BITS in out and len(vec) > 1 else vec
+
+
+def _by_column(m: dict) -> dict:
+    """A map's entries grouped by column bits: cbits -> [(rbits, scalar)]."""
+    out: dict = {}
+    for (ra, ca), sa in m.items():
+        out.setdefault(ca, []).append((ra, sa))
+    return out
+
+
+# --- the library's constants --------------------------------------------
+
+# Each gate and state of the term library, and every subterm under them
+# (library_subterms), mapped to (its blocks, its one map, that map by column
+# bits): what _sparse, _map and _apply_factor build for it.  The table is
+# fixed in size by the library and is filled once per process, when the
+# first Rewriter is made, by a private Rewriter that reads it while it is
+# filled.  Every Rewriter reads it after its own memo, and a hit costs no
+# fuel, as a G_db entry costs none.  The values are shared, so no caller
+# may mutate one.
+_CONSTANTS: Optional[dict[Term, tuple[tuple[dict, ...], dict, dict]]] = None
+
+
+def _constants() -> dict:
+    global _CONSTANTS
+    if _CONSTANTS is None:
+        _CONSTANTS = table = {}
+        rw = Rewriter()
+        for t in library_subterms():
+            flat = rw._map(t)
+            table[t] = (rw._sparse(t), flat, _by_column(flat))
+    return _CONSTANTS
 
 
 def _tensor(blocks) -> tuple:
@@ -1290,7 +1362,9 @@ _KNOWN_OPERATORS: list[tuple[str, Term]] = [
 ]
 
 
-_KNOWN_OPERATOR_NFS = {Rewriter().normalize(t): name for name, t in _KNOWN_OPERATORS}
+@cache
+def _known_operator_nfs() -> dict[NormalForm, str]:
+    return {Rewriter().normalize(t): name for name, t in _KNOWN_OPERATORS}
 
 
 def _is_identity(nf: NormalForm) -> bool:
@@ -1314,7 +1388,7 @@ def render_nf(nf: NormalForm) -> str:
         return f"O({dim_text(rows)},{dim_text(cols)})"
     if _is_identity(nf):
         return f"I({dim_text(rows)})"
-    name = _KNOWN_OPERATOR_NFS.get(nf)
+    name = _known_operator_nfs().get(nf)
     if name is not None:
         return name
     if (rows == 1) != (cols == 1):  # a ket or a bra

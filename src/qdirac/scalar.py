@@ -166,6 +166,7 @@ _intern: dict = {}
 _SUM: dict = {}
 _PRODUCT: dict = {}
 _CONJ: dict = {}
+_NEG: dict = {}
 _INVERSE: dict = {}
 
 
@@ -248,7 +249,10 @@ class Scalar:
         return hit
 
     def __neg__(self) -> "Scalar":
-        return Scalar({m: -c for m, c in self.terms})
+        hit = _NEG.get(self)
+        if hit is None:
+            hit = _NEG[self] = Scalar({m: -c for m, c in self.terms})
+        return hit
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)

@@ -9,6 +9,8 @@ term acts on whole qubit slots.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import DimMismatch, InvalidQubitIndex, QDiracError, UnknownGate, show_dim
 from .scalar import Scalar
 
@@ -378,6 +380,25 @@ def gate(name: str) -> Term:
     if name not in _LIBRARY:
         raise UnknownGate(name)
     return _LIBRARY[name]
+
+
+@cache
+def library_subterms() -> tuple[Term, ...]:
+    """The library's gates and states and every subterm under them, each
+    once, children before parents, in the order of gate_names().  These are
+    the constants the evaluators keep for the whole process: fixed by the
+    library, with no atom under any, none of them wider than 8x8."""
+    out: dict[Term, None] = {}
+    for name in gate_names():
+        stack = [(_LIBRARY[name], False)]
+        while stack:
+            t, children_done = stack.pop()
+            if children_done:
+                out[t] = None
+            elif t not in out:
+                stack.append((t, True))
+                stack.extend((c, False) for c in reversed(t.children))
+    return tuple(out)
 
 
 def ce(angle: str) -> Term:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qdirac.corpus as corpus_module
 from qdirac.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from qdirac.corpus import KINDS, parse_corpus
 from qdirac.errors import DimMismatch, ParseError
@@ -309,6 +310,24 @@ def test_false_eq_names_the_first_differing_summand(tmp_path, capsys):
     assert len(wide["witness"]) < 200
     assert gate_["witness"] == "normal forms differ at |0><0|: 1 vs 0"
     assert obs["witness"] == "normal forms differ: |0> vs |1>"
+
+
+def test_false_eq_on_wide_factored_sides_is_a_fail(tmp_path, capsys, monkeypatch):
+    """The first differing key is found by walking both sides' factored
+    normal forms in key order, never flattened: a 2^21-entry pair fails with
+    its witness, and a walk that runs out of fuel still fails."""
+    p = tmp_path / "wide.qd"
+    p.write_text("w: EQ kron_n(21, |+>) == kron_n(21, |->)\n")
+    assert main(["check", "--oracle", "off", str(p)]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "FAIL  w [EQ]" in out and "ERROR" not in out
+    assert "differ at |" + "0," * 20 + "1>: 1/2048*sqrt2 vs -1/2048*sqrt2" in out
+    monkeypatch.setattr(corpus_module, "DEFAULT_FUEL", 100)
+    p.write_text("far: EQ kron_n(8, |+>) == |-> # kron_n(7, |+>)\n")
+    assert main(["check", "--oracle", "off", "--json", str(p)]) == EXIT_FAIL
+    (res,) = json.loads(capsys.readouterr().out)["files"][0]["results"]
+    assert res["verdict"] == "fail"
+    assert res["witness"] == "normal forms differ past the first 100 summands walked"
 
 
 def test_cli_check_symbolic_obs(tmp_path, capsys):

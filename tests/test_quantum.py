@@ -7,8 +7,9 @@ import random
 import pytest
 
 from qdirac.corpus import RunConfig, parse_corpus, run_assertion
-from qdirac.errors import DimMismatch, NotAnOperator, NotAVector
+from qdirac.errors import DimMismatch, FuelExhausted, NotAnOperator, NotAVector
 from qdirac import oracle
+from qdirac import quantum as quantum_module
 from qdirac.oracle import mat_equiv
 from qdirac.parser import Parser
 from qdirac.quantum import (
@@ -255,3 +256,24 @@ def test_six_qubit_mixeq_is_oracle_checked():
     (a,) = parse_corpus(f"h6: MIXEQ {lhs} == {rhs}\n").assertions
     res = run_assertion(a, {}, RunConfig())
     assert (res.verdict, res.oracle_note, res.witness) == ("pass", "", "")
+
+
+def test_a_mixed_state_check_runs_on_one_rewriter(monkeypatch):
+    """eval_mix, unit_mix and mea_mix normalize every branch on the
+    assertion's one Rewriter: none is made per branch, and the check's steps
+    count the mixed-state work, on one fuel budget."""
+    src = ("m: MIXEQ unitmix(X # I(2), meamix(1, 0, mix1(density(|+> # |0>))))"
+           " == [1/2 : density(|1,0>) ; 1/2 : density(|0,0>)]\n")
+    (a,) = parse_corpus(src).assertions
+
+    def no_rewriter(*args, **kwargs):
+        raise AssertionError("a Rewriter made per branch")
+    monkeypatch.setattr(quantum_module, "Rewriter", no_rewriter)
+    res = run_assertion(a, {}, RunConfig())
+    assert res.verdict == "pass" and res.steps > 0, res
+    rw = Rewriter()
+    expr = Parser(a.lhs).parse_mixed()
+    eval_mix(expr, rewriter=rw)
+    assert rw.steps > 0
+    with pytest.raises(FuelExhausted):
+        eval_mix(expr, rewriter=Rewriter(fuel=rw.steps - 1))

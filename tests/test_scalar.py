@@ -198,6 +198,27 @@ def test_ring_operations_are_memoized(monkeypatch):
         assert not calls
 
 
+def test_negation_is_memoized(monkeypatch):
+    """A repeated negation or difference negates no coefficient again."""
+    negations = []
+    neg = Coefficient.__neg__
+
+    def counted(c):
+        negations.append(c)
+        return neg(c)
+    monkeypatch.setattr(Coefficient, "__neg__", counted)
+    x = Scalar.var("neg_x") + Scalar.inv_sqrt2() * Scalar.phase("neg_u")
+    y = Scalar.conj_var("neg_y")
+    for op in (lambda: -x, lambda: x - y):
+        negations.clear()
+        first = op()
+        assert negations
+        negations.clear()
+        assert op() is first
+        assert not negations
+    assert -(-x) is x
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_property_ring_results_are_interned(seed):
