@@ -157,18 +157,22 @@ class RunReport:
 
 
 def _sym_obs_equal(a: NormalForm, b: NormalForm) -> bool:
-    """b == c * a for one constant c with c * c^* == 1, decided exactly."""
-    if a.dims != b.dims or len(a.summands) != len(b.summands) or any(
-        fa != fb for (_, fa), (_, fb) in zip(a.summands, b.summands)
+    """b == c * a for one constant c with c * c^* == 1, decided exactly.  c
+    scales only the last block of a normal form, so the blocks before it
+    must be identical and the last ones proportional; no flat sum is built."""
+    *heads_a, last_a = a.blocks
+    *heads_b, last_b = b.blocks
+    if a.dims != b.dims or heads_a != heads_b or len(last_a) != len(last_b) or any(
+        fa != fb for (_, fa), (_, fb) in zip(last_a, last_b)
     ):
         return False
-    if a.is_zero():
+    if not last_a:
         return True
     # a constant keeps every monomial, so it is the ratio of leading coefficients
-    (_, ca), (_, cb) = a.summands[0][0].terms[0], b.summands[0][0].terms[0]
+    (_, ca), (_, cb) = last_a[0][0].terms[0], last_b[0][0].terms[0]
     c = Scalar.from_coeff(cb * ca.inverse())
     return (c * c.conj()).is_one() and all(
-        sb == c * sa for (sa, _), (sb, _) in zip(a.summands, b.summands)
+        sb == c * sa for (sa, _), (sb, _) in zip(last_a, last_b)
     )
 
 
@@ -278,6 +282,7 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
         res.verdict = "pass" if (sym_ok and oracle_ok) else "fail"
     except QDiracError as exc:
         res.verdict = "error"
+        res.steps = rewriter.steps
         res.witness = f"{type(exc).__name__}: {exc}"
     except RecursionError:
         res.verdict = "error"

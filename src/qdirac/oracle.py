@@ -15,9 +15,9 @@ those matrices:
 - `Evaluator`, which `mat_equiv` and `obs_equiv` use, makes the same matrices
   with less work: a product applies its left factor to the right factor's
   columns, a tensor product acts on them slot by slot, and each small
-  subterm is built once per comparison.  The library's gates and states and
-  their subterms are constants, built once per process by the first
-  Evaluator and shared by every later one.
+  subterm is built once per comparison.  The matrices of the library's
+  gates and states and their subterms are built once per process by the
+  first Evaluator and seed the memo of every later one.
 """
 
 from __future__ import annotations
@@ -260,15 +260,14 @@ class Evaluator:
     columns of m without building t: a product applies its factors one by
     one and a tensor product acts slot by slot, so no Kronecker product of
     large factors is formed.  The matrix of each subterm with at most
-    SMALL_ENTRIES entries is built once: a library constant's once per
-    process (_library), any other atom-free one for the whole comparison,
-    and any other once per `bind`.
+    SMALL_ENTRIES entries is built once: an atom-free one for the whole
+    comparison, and any other once per `bind`.  The atom-free memo starts
+    as a copy of the library's matrices (_library), built once per process.
     """
 
     def __init__(self):
-        self.library = _library()
-        self.atom_free: dict[Term, bool] = {}
-        self.shared: dict[Term, DenseMatrix] = {}
+        self.shared: dict[Term, DenseMatrix] = dict(_library())
+        self.atom_free: dict[Term, bool] = dict.fromkeys(self.shared, True)
         self.local: dict[Term, DenseMatrix] = {}
         self.bindings: dict[str, complex] = {}
 
@@ -288,8 +287,6 @@ class Evaluator:
             if children_known:
                 known[u] = all(known[c] for c in u.children) and (
                     u.kind != SCALE or u.payload.atoms() == (set(), set()))
-            elif u in self.library:
-                known[u] = True
             elif u not in known:
                 stack.append((u, True))
                 stack.extend((c, False) for c in u.children)
@@ -298,9 +295,6 @@ class Evaluator:
     def matrix(self, t: Term) -> DenseMatrix:
         small = t.rows * t.cols <= SMALL_ENTRIES
         if small:
-            m = self.library.get(t)
-            if m is not None:
-                return m
             # with no bindings no atom occurs (evaluating one would fail)
             memo = self.shared if not self.bindings or self.is_atom_free(t) else self.local
             m = memo.get(t)
@@ -374,9 +368,10 @@ class Evaluator:
 
 # Each gate and state of the term library, and every subterm under them
 # (library_subterms), mapped to its matrix: at most SMALL_ENTRIES entries,
-# with no atom.  Filled once per process, when the first Evaluator is made,
-# by a private Evaluator that reads it while it is filled.  The matrices are
-# shared, so no caller may mutate one.
+# with no atom.  Every Evaluator's memo of atom-free matrices starts as a
+# copy of it.  Filled once per process, when the first Evaluator is made, by
+# a private Evaluator that starts from it empty.  The matrices are shared, so
+# no caller may mutate one.
 _LIBRARY: Optional[dict[Term, DenseMatrix]] = None
 
 

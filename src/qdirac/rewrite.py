@@ -21,8 +21,9 @@ sparse evaluator the first time a product asks for them, over that fixed
 finite domain, not written down by hand and not at import time.  The
 sparse evaluator keeps the library's gates and states the same way: the
 value of each, and of every subterm under it, is built once per process,
-when the first Rewriter is made, and shared by every Rewriter after, at no
-fuel, as a lemma proved once is reused by every proof.
+when the first Rewriter is made, and seeds every Rewriter's memos, so a
+library term is a memo entry from the start, as a lemma proved once is
+reused by every proof.
 
 The traced driver is a deterministic staged pipeline over that one law set,
 tried in a fixed order: push daggers to the leaves, reduce the products,
@@ -539,10 +540,10 @@ class Rewriter:
         self.fuel = fuel
         self.steps = 0
         self.trace = trace
-        self._sparse_memo: dict[Term, tuple[dict, ...]] = {}
-        self._library = _constants()  # read after the memo, free of fuel
-        self._folded: dict[Term, dict] = {}  # term -> its blocks folded into one map
-        self._columns: dict[Term, dict] = {}  # layer factor -> its map by column bits
+        blocks, folded, columns = _constants()  # the library's entries, free of fuel
+        self._sparse_memo: dict[Term, tuple[dict, ...]] = dict(blocks)
+        self._folded: dict[Term, dict] = dict(folded)  # term -> its blocks folded into one map
+        self._columns: dict[Term, dict] = dict(columns)  # layer factor -> its map by column bits
         self._irreducible: set[Term] = set()  # fixpoints of reduce
         self._irreducible_in_sum: set[Term] = set()  # inner ADD nodes: all laws but Lsum
         self._pushed: set[Term] = set()  # outputs of push_daggers, which it leaves as they are
@@ -790,12 +791,10 @@ class Rewriter:
         """t with every dagger pushed down to a basis ket.  Iterative: the
         nodes are visited depth first, left to right, each rewritten at its
         root before its children are visited; a dagger left at a root is a
-        bra, whose ket is not visited.  A subterm this pass has output
-        before is output again as it is, unvisited: no law applies in it, so
+        bra, whose ket is not visited.  A child this pass has output before
+        is output again as it is, unvisited: no law applies in it, so
         visiting it would log no step."""
         pushed = self._pushed
-        if t in pushed:
-            return t
         path: list[int] = []
         frames = [(self._push_root(t, path), [])]  # (node, its children so far)
         while True:
@@ -883,14 +882,10 @@ class Rewriter:
         side (an operator's, whose normal form is one block, is folded), a
         scaling scales the last block and a dagger transposes each; a sum or
         a product that is not applied to a ket folds its operands first.  A
-        library constant's value is read from the shared table (_constants)
-        and costs no fuel."""
+        library term's value is in the memo from the start (_constants)."""
         hit = self._sparse_memo.get(t)
         if hit is not None:
             return hit
-        const = self._library.get(t)
-        if const is not None:
-            return const[0]
         kind = t.kind
         if kind == KET0:
             out = ({((0,), ()): _ONE},)
@@ -957,9 +952,6 @@ class Rewriter:
             return blocks[0]
         flat = self._folded.get(t)
         if flat is None:
-            const = self._library.get(t)
-            if const is not None:
-                return const[1]
             flat = self._folded[t] = self._fold(blocks, t)
         return flat
 
@@ -1023,11 +1015,7 @@ class Rewriter:
         own loop.)"""
         by_col = self._columns.get(f)
         if by_col is None:  # kept, since layers share their factors
-            const = self._library.get(f)
-            if const is not None:
-                by_col = const[2]
-            else:
-                by_col = self._columns[f] = _by_column(self._map(f))
+            by_col = self._columns[f] = _by_column(self._map(f))
         budget = self.fuel - self.steps
         out: dict = {}
         for (rb, cb), sb in vec.items():
@@ -1133,27 +1121,31 @@ def _by_column(m: dict) -> dict:
     return out
 
 
-# --- the library's constants --------------------------------------------
+# --- the library's memo entries ------------------------------------------
 
 # Each gate and state of the term library, and every subterm under them
-# (library_subterms), mapped to (its blocks, its one map, that map by column
-# bits): what _sparse, _map and _apply_factor build for it.  The table is
-# fixed in size by the library and is filled once per process, when the
-# first Rewriter is made, by a private Rewriter that reads it while it is
-# filled.  Every Rewriter reads it after its own memo, and a hit costs no
-# fuel, as a G_db entry costs none.  The values are shared, so no caller
-# may mutate one.
-_CONSTANTS: Optional[dict[Term, tuple[tuple[dict, ...], dict, dict]]] = None
+# (library_subterms), keyed to what _sparse, _map and _apply_factor memoize
+# for it: its blocks, the folded map of each one of more than one block, and
+# its map by column bits.  Every Rewriter starts its memos as copies of these
+# seeds, so a library term is an ordinary memo entry: a hit costs no fuel, a
+# chain's operands stop at it and a layer applies it whole.  The seeds are
+# fixed in size by the library and filled once per process, when the first
+# Rewriter is made, by a private Rewriter that starts from empty seeds.  The
+# values are shared, so no caller may mutate one.
+_CONSTANTS: Optional[tuple[dict, dict, dict]] = None
 
 
-def _constants() -> dict:
+def _constants() -> tuple[dict, dict, dict]:
     global _CONSTANTS
     if _CONSTANTS is None:
-        _CONSTANTS = table = {}
+        _CONSTANTS = blocks, folded, columns = {}, {}, {}
         rw = Rewriter()
         for t in library_subterms():
+            blocks[t] = rw._sparse(t)
             flat = rw._map(t)
-            table[t] = (rw._sparse(t), flat, _by_column(flat))
+            if len(blocks[t]) > 1:
+                folded[t] = flat
+            columns[t] = _by_column(flat)
     return _CONSTANTS
 
 

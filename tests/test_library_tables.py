@@ -28,11 +28,13 @@ def _subterms(roots) -> set:
     return out
 
 
-def _snapshot() -> tuple[dict, dict]:
-    """Copies of every value of both tables, compared by value."""
-    sparse = {t: (tuple(dict(b) for b in blocks), dict(flat),
-                  {c: list(rows) for c, rows in by_col.items()})
-              for t, (blocks, flat, by_col) in rewrite_module._constants().items()}
+def _snapshot() -> tuple[tuple, dict]:
+    """Copies of every value of the three sparse seeds and the dense table,
+    compared by value."""
+    blocks, folded, columns = rewrite_module._constants()
+    sparse = ({t: tuple(dict(b) for b in v) for t, v in blocks.items()},
+              {t: dict(flat) for t, flat in folded.items()},
+              {t: {c: list(rows) for c, rows in by_col.items()} for t, by_col in columns.items()})
     dense = {t: (m.rows, m.cols, list(m.entries)) for t, m in oracle_module._library().items()}
     return sparse, dense
 
@@ -67,14 +69,18 @@ def test_a_library_value_is_shared_and_free():
 
 
 def test_the_tables_hold_exactly_the_library_subterms():
-    """Both tables have one entry per subterm of a library gate or state,
-    however many and whatever terms were evaluated before."""
+    """The blocks and by-column seeds and the dense table have one entry per
+    subterm of a library gate or state, and the folded seed one per such
+    subterm of more than one block, however many and whatever terms were
+    evaluated before."""
     Rewriter().normalize(mul(gate("TOF"), gate("TOF")))
     assert mat_equiv(gate("CPS"), gate("CPS"))
     subterms = _subterms(gate(name) for name in gate_names())
     assert len(library_subterms()) == len(subterms) == 87
     assert set(library_subterms()) == subterms
-    assert rewrite_module._constants().keys() == subterms
+    blocks, folded, columns = rewrite_module._constants()
+    assert blocks.keys() == columns.keys() == subterms
+    assert folded.keys() == {t for t in subterms if len(blocks[t]) > 1}
     assert oracle_module._library().keys() == subterms
 
 

@@ -351,6 +351,41 @@ def test_cli_check_symbolic_obs(tmp_path, capsys):
         == {n: v for n, (_, _, v) in cases.items()}
 
 
+def test_obs_on_wide_factored_sides_is_decided(tmp_path, capsys):
+    """OBS compares the blocks of factored normal forms, never the flat sum:
+    2^21-entry product states pass for a ratio of modulus 1 and fail, with
+    the two normal forms as the witness, for another state or modulus."""
+    plus = "kron_n(21, |+>)"
+    cases = {
+        "o": (f"-1 .* {plus}", "pass"),
+        "i": (f"i .* {plus}", "pass"),
+        "minus": ("kron_n(21, |->)", "fail"),
+        "two": (f"2 .* {plus}", "fail"),
+    }
+    p = tmp_path / "wide_obs.qd"
+    p.write_text("".join(f"{n}: OBS {plus} == {r}\n" for n, (r, _) in cases.items()))
+    assert main(["check", str(p), "--oracle", "off", "--json"]) == EXIT_FAIL
+    results = json.loads(capsys.readouterr().out)["files"][0]["results"]
+    assert {r["name"]: r["verdict"] for r in results} == {n: v for n, (_, v) in cases.items()}
+    for r in results:
+        if r["verdict"] == "fail":
+            assert r["witness"].startswith("normal forms differ: |+> # |+> # ")
+
+
+def test_an_error_reports_the_steps_it_spent(monkeypatch):
+    """A fuel error keeps the steps spent before it, not 0."""
+    made = []
+
+    def small_fuel():
+        made.append(Rewriter(fuel=20))
+        return made[-1]
+    monkeypatch.setattr(corpus_module, "Rewriter", small_fuel)
+    (a,) = parse_corpus("h: EQ kron_n(3, H) * kron_n(3, H) == I(8)\n").assertions
+    res = corpus_module.run_assertion(a, {}, corpus_module.RunConfig(oracle=False))
+    assert res.verdict == "error" and res.witness.startswith("FuelExhausted")
+    assert res.steps == made[0].steps > 0
+
+
 def test_unequal_dims_fail_alike_with_and_without_the_oracle(tmp_path, capsys):
     """Sides of unequal dims are a symbolic fail; the oracle, which cannot
     compare them, leaves that verdict and its witness as they are."""

@@ -808,6 +808,39 @@ def test_sum_spine_is_linear():
     assert steps[3001] - steps[2000] <= 1.2 * (steps[2000] - steps[1000]), steps
 
 
+def test_a_repeated_layer_factor_is_grouped_by_column_once(monkeypatch):
+    """_apply_factor keeps each factor's map by column bits, so a product
+    repeating one non-library factor groups it once, however long."""
+    factor = "(B0 # I(512) + B3 # X # I(256))"
+    calls = []
+    by_column = rewrite_module._by_column
+    Rewriter()  # the library's seeds are filled before counting
+    monkeypatch.setattr(rewrite_module, "_by_column", lambda m: calls.append(1) or by_column(m))
+    for repeats in (10, 40, 160):
+        calls.clear()
+        nf = nf_of(parse(" * ".join([factor] * repeats) + " * kron_n(10, |0>)"))
+        assert nf == nf_of(parse("kron_n(10, |0>)"))
+        assert len(calls) == 1, repeats
+
+
+def test_traced_reduce_calls_grow_linearly_in_a_sum_under_a_product(monkeypatch):
+    """An inner node of a sum's spine, once reduced, is remembered
+    (_irreducible_in_sum), so H * (X * |0> + Z * |1> + ...) reduces each
+    summand a bounded number of times, not once per node above it."""
+    calls = []
+    reduce = Rewriter.reduce
+    monkeypatch.setattr(Rewriter, "reduce",
+                        lambda self, *a, **k: calls.append(1) or reduce(self, *a, **k))
+    counts = {}
+    for n in (100, 200, 400):
+        calls.clear()
+        summands = " + ".join(("X * |0>", "Z * |1>")[i % 2] for i in range(n))
+        Rewriter(trace=RewriteTrace()).normalize(parse(f"H * ({summands})"))
+        counts[n] = len(calls)
+    assert counts[400] - counts[200] == 2 * (counts[200] - counts[100]), counts
+    assert counts[400] <= 6 * 400, counts
+
+
 def _ghz(n: int):
     layers = [kron_all([gate("H")] + ([identity(2 ** (n - 1))] if n > 1 else []))]
     for k in range(n - 1):
