@@ -56,10 +56,12 @@ state or a ket literal costs its width, not 2^n entries; a product of
 aligned tensor products is the tensor product of its per-slot products
 (L13); and in a chain applied to a ket each gate acts only on the blocks
 its slots reach, passing identity blocks through unexpanded, with a
-product inside a layer applied gate by gate.  A vector's normal form is
-the finest factorization of its flat sum into blocks over contiguous
-qubits, split only where its pivot is invertible (NormalForm); operators
-stay one block.  The two modes are required to agree exactly, and the
+product inside a layer applied gate by gate; any other chain applies its
+factors, right to left, to its last operand's map, and a chain led by a bra
+is taken as its adjoint, led by a ket.  A vector's normal form is the
+finest factorization of its flat sum into blocks over contiguous qubits,
+split only where its pivot is invertible (NormalForm); operators stay one
+block.  The two modes are required to agree exactly, and the
 traced mode's last step, collecting the reduced term, runs the same
 sparse evaluator.
 """
@@ -880,9 +882,15 @@ class Rewriter:
         one empty block, and a block of no qubits, a 1x1 value, is the only
         block.  A vector's tensor product keeps its operands' blocks side by
         side (an operator's, whose normal form is one block, is folded), a
-        scaling scales the last block and a dagger transposes each; a sum or
-        a product that is not applied to a ket folds its operands first.  A
-        library term's value is in the memo from the start (_constants)."""
+        scaling scales the last block, a dagger transposes each and a sum
+        folds its operands into one map.  A product of aligned tensor
+        products is the tensor product of its per-slot products (L13), and
+        an identity operand drops out (L8).  Any other product chain is
+        multiplied from its right end: a ket's blocks take the factors one
+        by one (_apply_layer), and otherwise the last operand's one map
+        does, each earlier factor applied to its row bits (_apply_factor);
+        a chain led by a bra is taken as its adjoint, led by a ket.
+        A library term's value is in the memo from the start (_constants)."""
         hit = self._sparse_memo.get(t)
         if hit is not None:
             return hit
@@ -936,11 +944,14 @@ class Rewriter:
                 chain = operands(t, self._sparse_memo)
                 if chain[-1].cols == 1:  # a ket's blocks take the factors one by one
                     out = self._apply_layer(chain[:-1], self._sparse(chain[-1]), t)
-                else:  # contract column bits against row bits, from the left
-                    acc = self._map(chain[0])
-                    for f in chain[1:]:
-                        acc = self._mul_maps(acc, self._map(f), t)
-                    out = (acc,)
+                else:  # the last operand's map takes the factors, right to left
+                    bra = chain[0].rows == 1  # as its adjoint, the bra meets factors as a ket
+                    if bra:
+                        chain = [_adjoint(f) for f in reversed(chain)]
+                    acc = self._map(chain[-1])
+                    for f in reversed(chain[:-1]):
+                        acc = self._apply_factor(f, 0, f.cols.bit_length() - 1, acc, t)
+                    out = ({(c, r): s.conj() for (r, c), s in acc.items()},) if bra else (acc,)
         self._remember(t, out)
         return out
 
@@ -983,38 +994,11 @@ class Rewriter:
         dims = f"{show_dim(t.rows)}x{show_dim(t.cols)}"
         return FuelExhausted(self.fuel, f"{t.kind} {dims} ({detail}): {render_head(t, 60)}")
 
-    def _mul_maps(self, left: dict, right: dict, node: Term) -> dict:
-        """left * right for maps of any shape; node is the MUL being evaluated."""
-        by_row: dict[tuple[int, ...], list] = {}
-        for (rb, cb), sb in right.items():
-            by_row.setdefault(rb, []).append((cb, sb))
-        budget = self.fuel - self.steps
-        out: dict = {}
-        for (ra, ca), sa in left.items():
-            for cb, sb in by_row.get(ca, ()):
-                key = (ra, cb)
-                prod = sa * sb
-                cur = out.get(key)
-                if cur is None:
-                    if len(out) >= budget:  # charge fuel while the map grows
-                        raise self._out_of_fuel(node, f"map passing {len(out)} entries")
-                    out[key] = prod
-                    continue
-                merged = cur + prod
-                if merged.is_zero():
-                    del out[key]
-                else:
-                    out[key] = merged
-        self.steps += len(out)
-        return out
-
     def _apply_factor(self, f: Term, lo: int, hi: int, vec: dict, node: Term) -> dict:
         """f * vec where f acts on the row bits [lo:hi] of vec's keys and the
-        bits around them pass through.  (Slicing every key this way made
-        _mul_maps slower on small products, so the general case keeps its
-        own loop.)"""
+        bits around them pass through."""
         by_col = self._columns.get(f)
-        if by_col is None:  # kept, since layers share their factors
+        if by_col is None:  # kept, since layers and chains repeat their factors
             by_col = self._columns[f] = _by_column(self._map(f))
         budget = self.fuel - self.steps
         out: dict = {}
@@ -1111,6 +1095,15 @@ class Rewriter:
                 self.steps += sum(map(len, pieces))
         vec = vec[:i] + pieces + vec[j:]
         return _tensor(vec) if _NO_BITS in out and len(vec) > 1 else vec
+
+
+def _adjoint(f: Term) -> Term:
+    """f's adjoint, a tensor product's part by part (L15, L16, D_db)."""
+    if f.kind == KRON:
+        return kron_all([_adjoint(p) for p in operands(f)])
+    if f.kind == DAG:
+        return f.children[0]
+    return f if f.kind == IDENT else _ADJOINT.get(f) or dag(f)
 
 
 def _by_column(m: dict) -> dict:
@@ -1396,6 +1389,11 @@ def render_nf(nf: NormalForm) -> str:
             if len(tokens) > 1 and " # " in body:
                 body = f"({body})"
             return render_scaled(s, body)
+        blocks = nf.blocks
+        if prod(map(len, blocks)) > sum(map(len, blocks)):  # fewer summands than the flat sum
+            shapes = [(1, 2 ** len(b[0][1][1])) if rows == 1 else (2 ** len(b[0][1][0]), 1)
+                      for b in blocks]  # each block's own, from its first key
+            return " # ".join(f"({render_nf(NormalForm(d, (b,)))})" for d, b in zip(shapes, blocks))
     parts = []
     for s, (rbits, cbits) in nf.summands:
         if not rbits and not cbits:

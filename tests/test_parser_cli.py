@@ -353,22 +353,28 @@ def test_cli_check_symbolic_obs(tmp_path, capsys):
 
 def test_obs_on_wide_factored_sides_is_decided(tmp_path, capsys):
     """OBS compares the blocks of factored normal forms, never the flat sum:
-    2^21-entry product states pass for a ratio of modulus 1 and fail, with
-    the two normal forms as the witness, for another state or modulus."""
-    plus = "kron_n(21, |+>)"
+    2^21-entry states pass for a ratio of modulus 1 and fail, with the two
+    normal forms as the witness, for another state or modulus.  A state that
+    is no product of |0>, |1>, |+> and |-> is printed as its blocks."""
+    plus, phased = "kron_n(21, |+>)", "kron_n(21, |0> + i .* |1>)"
     cases = {
-        "o": (f"-1 .* {plus}", "pass"),
-        "i": (f"i .* {plus}", "pass"),
-        "minus": ("kron_n(21, |->)", "fail"),
-        "two": (f"2 .* {plus}", "fail"),
+        "o": (plus, f"-1 .* {plus}", "pass"),
+        "i": (plus, f"i .* {plus}", "pass"),
+        "minus": (plus, "kron_n(21, |->)", "fail"),
+        "two": (plus, f"2 .* {plus}", "fail"),
+        "phased_two": (phased, f"2 .* {phased}", "fail"),
     }
     p = tmp_path / "wide_obs.qd"
-    p.write_text("".join(f"{n}: OBS {plus} == {r}\n" for n, (r, _) in cases.items()))
+    p.write_text("".join(f"{n}: OBS {l} == {r}\n" for n, (l, r, _) in cases.items()))
     assert main(["check", str(p), "--oracle", "off", "--json"]) == EXIT_FAIL
     results = json.loads(capsys.readouterr().out)["files"][0]["results"]
-    assert {r["name"]: r["verdict"] for r in results} == {n: v for n, (_, v) in cases.items()}
+    assert {r["name"]: r["verdict"] for r in results} == {n: v for n, (_, _, v) in cases.items()}
     for r in results:
-        if r["verdict"] == "fail":
+        if r["name"] == "phased_two":
+            block = "(|0> + i .* |1>)"
+            assert r["witness"] == (f"normal forms differ: {' # '.join([block] * 21)} vs "
+                                    f"{' # '.join([block] * 20 + ['(2 .* |0> + 2*i .* |1>)'])}")
+        elif r["verdict"] == "fail":
             assert r["witness"].startswith("normal forms differ: |+> # |+> # ")
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdirac.rewrite as rewrite_module
-from qdirac.cli import EXIT_INPUT, main
+from qdirac.cli import EXIT_INPUT, EXIT_OK, main
 from qdirac.corpus import build_defs, parse_corpus
 from qdirac.errors import FuelExhausted, NotAnOperator, NotInReducedShape
 from qdirac.oracle import eval_dense, mat_equiv
@@ -776,17 +776,27 @@ def test_fuel_exhausted_names_the_node(capsys):
 
 
 def test_a_flat_sum_too_long_for_the_fuel_is_refused(capsys):
-    """A product of 21 one-qubit blocks is cheap, but printing it as a sum
-    needs its 2^21 summands: that is refused before they are built, as the
-    evaluator would have refused their map."""
+    """A product of 21 one-qubit blocks is cheap, but its flat sum has 2^21
+    summands: building that is refused, as the evaluator would have refused
+    their map.  It prints as its 21 blocks instead, no flat sum built, and
+    the printed text normalizes back to the same normal form."""
     t = kron_n(21, add(ket0(), scale(Scalar.i(), ket1())))
     nf = nf_of(t)
     assert len(nf.blocks) == 21
     with pytest.raises(FuelExhausted, match=r"flat normal form 2097152x1 \(2097152 summands\)"):
-        render_nf(nf)
-    assert main(["normalize", "kron_n(21, |0> + i .* |1>)"]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error: rewrite fuel exhausted") and err.count("\n") == 1
+        nf.summands
+    text = " # ".join(["(|0> + i .* |1>)"] * 21)
+    assert render_nf(nf) == text
+    assert main(["normalize", "kron_n(21, |0> + i .* |1>)"]) == EXIT_OK
+    assert capsys.readouterr().out == text + "\n"
+    assert nf_of(parse(text)) == nf
+    # each block prints as a one-block normal form; a scaled last block keeps its scalar
+    mixed = nf_of(parse("kron_n(2, <0| + 2 .* <1|) # (<0,0| + <1,1|) # 3 .* <+|"))
+    assert render_nf(mixed) == ("(<0| + 2 .* <1|) # (<0| + 2 .* <1|) # (<0,0| + <1,1|) # "
+                                "(3 .* <+|)")
+    assert nf_of(parse(render_nf(mixed))) == mixed
+    # blocks are printed only when they hold fewer summands than the flat sum
+    assert render_nf(nf_of(parse("(|0> + i .* |1>) # |+> # |1>"))).count(" + ") == 3
 
 
 def _ket_text(n: int, value: int) -> str:
@@ -810,7 +820,8 @@ def test_sum_spine_is_linear():
 
 def test_a_repeated_layer_factor_is_grouped_by_column_once(monkeypatch):
     """_apply_factor keeps each factor's map by column bits, so a product
-    repeating one non-library factor groups it once, however long."""
+    repeating one non-library factor groups it once, however long, whether
+    it is applied to a ket or is an operator chain."""
     factor = "(B0 # I(512) + B3 # X # I(256))"
     calls = []
     by_column = rewrite_module._by_column
@@ -821,6 +832,30 @@ def test_a_repeated_layer_factor_is_grouped_by_column_once(monkeypatch):
         nf = nf_of(parse(" * ".join([factor] * repeats) + " * kron_n(10, |0>)"))
         assert nf == nf_of(parse("kron_n(10, |0>)"))
         assert len(calls) == 1, repeats
+        # an operator chain, with no ket, applies its factors the same way
+        calls.clear()
+        assert nf_of(parse(" * ".join([factor] * repeats))) == nf_of(parse("I(1024)"))
+        assert len(calls) == 1, repeats
+
+
+def test_a_bra_meets_each_dense_layer_as_a_vector(monkeypatch):
+    """A chain led by a bra is evaluated as its adjoint, led by a ket, so the
+    bra meets each n-qubit layer as a vector: the scalar products stay
+    within a few times a dense layer's 4^n entries, where multiplying the
+    layers together first costs 8^n.  The value is the dense one, with
+    conjugate scalars and factors that are not self-adjoint."""
+    for src in ("(<0| + i .* <1|) * B1 * (B0 + i .* B2) * Y",
+                "(<+| # (2 .* <1|)) * (B1 # (Y + i .* Z)) * CX * (B2 # H)"):
+        assert mat_equiv(parse(src), nf_of(parse(src)).to_term()), src
+    Rewriter()  # the library's seeds are filled before counting
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for n in (6, 7, 8):
+        calls.clear()
+        layers = parse(f"kron_n({n}, <+|) * kron_n({n}, H) * kron_n({n}, H)")
+        assert nf_of(layers) == nf_of(parse(f"kron_n({n}, <+|)"))
+        assert len(calls) < 4 * 4 ** n, n
 
 
 def test_traced_reduce_calls_grow_linearly_in_a_sum_under_a_product(monkeypatch):
