@@ -54,16 +54,16 @@ column bits) keys to exact scalars, the keys a normal form's summands keep.
 A tensor product keeps its operands' blocks side by side, so a product
 state or a ket literal costs its width, not 2^n entries; a product of
 aligned tensor products is the tensor product of its per-slot products
-(L13); and in a chain applied to a ket each gate acts only on the blocks
-its slots reach, passing identity blocks through unexpanded, with a
-product inside a layer applied gate by gate; any other chain applies its
-factors, right to left, to its last operand's map, and a chain led by a bra
-is taken as its adjoint, led by a ket.  A vector's normal form is the
-finest factorization of its flat sum into blocks over contiguous qubits,
-split only where its pivot is invertible (NormalForm); operators stay one
-block.  The two modes are required to agree exactly, and the
-traced mode's last step, collecting the reduced term, runs the same
-sparse evaluator.
+(L13); in a chain applied to a ket each gate acts only on the blocks its
+slots reach, passing identity blocks through unexpanded, with a product
+inside a layer, or the dagger of one, applied gate by gate; a chain led by
+a bra is the conjugate transpose of its adjoint, a ket chain (L14); and an
+operator chain or an outer product applies its factors, right to left, to
+its last operand's map.  A vector's normal form is the finest
+factorization of its flat sum into blocks over contiguous qubits, split
+only where its pivot is invertible (NormalForm); operators stay one block.
+The two modes are required to agree exactly, and the traced mode's last
+step, collecting the reduced term, runs the same sparse evaluator.
 """
 
 from __future__ import annotations
@@ -199,7 +199,11 @@ class NormalForm:
         return total
 
     def apply_norm_hypothesis(self, pairs) -> "NormalForm":
-        """Rewrite every scalar under the hypotheses |a|^2 + |b|^2 = 1."""
+        """Rewrite every scalar under the hypotheses |a|^2 + |b|^2 = 1; a pair
+        fires only where both its atoms occur, and with none the blocks stay."""
+        if pairs:
+            names = {name for block in self.blocks for s, _ in block for name in s.atoms()[0]}
+            pairs = [(a, b) for a, b in pairs if a in names and b in names]
         if not pairs:
             return self
         return self.map_scalars(lambda s: s.apply_norm_hypothesis(pairs))
@@ -887,9 +891,9 @@ class Rewriter:
         products is the tensor product of its per-slot products (L13), and
         an identity operand drops out (L8).  Any other product chain is
         multiplied from its right end: a ket's blocks take the factors one
-        by one (_apply_layer), and otherwise the last operand's one map
-        does, each earlier factor applied to its row bits (_apply_factor);
-        a chain led by a bra is taken as its adjoint, led by a ket.
+        by one (_apply_layer), a chain led by a bra is the dagger of its
+        adjoint ket chain (L14), and otherwise the last operand's one map
+        takes them, each applied to its row bits (_apply_factor).
         A library term's value is in the memo from the start (_constants)."""
         hit = self._sparse_memo.get(t)
         if hit is not None:
@@ -944,14 +948,13 @@ class Rewriter:
                 chain = operands(t, self._sparse_memo)
                 if chain[-1].cols == 1:  # a ket's blocks take the factors one by one
                     out = self._apply_layer(chain[:-1], self._sparse(chain[-1]), t)
+                elif chain[0].rows == 1:  # a bra chain is the adjoint of a ket chain (L14)
+                    out = self._sparse(dag(mul_all([_adjoint(f) for f in reversed(chain)])))
                 else:  # the last operand's map takes the factors, right to left
-                    bra = chain[0].rows == 1  # as its adjoint, the bra meets factors as a ket
-                    if bra:
-                        chain = [_adjoint(f) for f in reversed(chain)]
                     acc = self._map(chain[-1])
                     for f in reversed(chain[:-1]):
                         acc = self._apply_factor(f, 0, f.cols.bit_length() - 1, acc, t)
-                    out = ({(c, r): s.conj() for (r, c), s in acc.items()},) if bra else (acc,)
+                    out = (acc,)
         self._remember(t, out)
         return out
 
@@ -1029,10 +1032,11 @@ class Rewriter:
         the last factor first.  An identity is skipped, a scaling scales the
         last block and passes its operand on, a tensor product passes on its
         factors, each at its slot offset, and a product not yet evaluated
-        passes on its chain at its own offset.  Any other factor acts on the
-        blocks its slots reach (_act).  The work is one explicit stack of
-        (factor, slot offset), so a product inside a layer, such as uf(n-1)
-        in Uf(n), is applied gate by gate, never built as its whole map."""
+        passes on its chain at its own offset, its dagger the adjoints of
+        that chain reversed (L14).  Any other factor acts on the blocks its
+        slots reach (_act).  The work is one explicit stack of (factor, slot
+        offset), so a product inside a layer, such as uf(n-1) in Uf(n), or
+        its dagger, is applied gate by gate, never built as its whole map."""
         work = [(f, 0) for f in factors]
         while work and vec[0]:
             f, lo = work.pop()
@@ -1055,6 +1059,8 @@ class Rewriter:
                 work += reversed(parts)
             elif kind == MUL and f not in self._sparse_memo:
                 work += [(g, lo) for g in operands(f, self._sparse_memo)]
+            elif kind == DAG and (p := f.children[0]).kind == MUL and p not in self._sparse_memo:
+                work += [(_adjoint(g), lo) for g in reversed(operands(p, self._sparse_memo))]
             else:
                 vec = self._act(f, lo, vec, node)
         return vec
@@ -1143,8 +1149,8 @@ def _constants() -> tuple[dict, dict, dict]:
 
 
 def _tensor(blocks) -> tuple:
-    """Blocks side by side as a value: zero if one is empty, and the scalars
-    of blocks of no qubits moved into the last block that has qubits."""
+    """A vector's blocks side by side as a value: zero if one is empty, and
+    the scalars of blocks of no qubits moved into the last one with qubits."""
     wide, c = [], _ONE
     for block in blocks:
         if not block:
@@ -1154,8 +1160,6 @@ def _tensor(blocks) -> tuple:
             wide.append(block)
         else:
             c = c * s
-    if not wide:
-        return ({_NO_BITS: c},)
     if c is not _ONE:
         wide[-1] = {k: c * s for k, s in wide[-1].items()}
     return tuple(wide)

@@ -330,6 +330,16 @@ def test_false_eq_on_wide_factored_sides_is_a_fail(tmp_path, capsys, monkeypatch
     assert res["witness"] == "normal forms differ past the first 100 summands walked"
 
 
+def test_a_norm_hypothesis_leaves_wide_factored_sides_factored(tmp_path, capsys):
+    """A HYP in force rewrites only the normal forms that hold both of its
+    atoms, so a 2^21-entry product state with no atom is never flattened."""
+    p = tmp_path / "hyp.qd"
+    p.write_text("HYP norm(a,b)\nw: EQ kron_n(21, |+>) == kron_n(21, |+>)\n")
+    assert main(["check", "--oracle", "off", str(p)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS  w [EQ]" in out and "ERROR" not in out
+
+
 def test_cli_check_symbolic_obs(tmp_path, capsys):
     """OBS holds for one constant ratio of modulus 1, with atoms in the scalars."""
     psi = "(a .* |0> + b .* |1>)"

@@ -525,6 +525,29 @@ def test_vector_normal_form_edge_cases():
     assert len(nf_of(parse("(CX * (H # I(2)) * |0,0>) # |+>")).blocks) == 2
 
 
+def test_a_norm_hypothesis_rewrites_only_where_both_atoms_occur():
+    """|a|^2 + |b|^2 = 1 rewrites a scalar holding a*a^* and b*b^*, also one
+    formed across two blocks that each stay as they are; a normal form
+    without both atoms comes back as the same object, never flattened."""
+    pairs = (("a", "b"),)
+    assert nf_of(parse("(a^* * a + b^* * b) .* |0>")).apply_norm_hypothesis(pairs) \
+        == nf_of(ket0())
+    two = nf_of(parse("(|0> + (a + b) .* |1>) # (|0> + (a^* + b^*) .* |1>)"))
+    assert len(two.blocks) == 2
+    assert two.apply_norm_hypothesis(pairs) == nf_of(parse(
+        "|0,0> + (a^* + b^*) .* |0,1> + (a + b) .* |1,0> + (1 + a * b^* + a^* * b) .* |1,1>"))
+    for src in ("kron_n(21, |+>)", "a .* |0> # |+>"):
+        nf = nf_of(parse(src))
+        assert nf.apply_norm_hypothesis(pairs) is nf, src
+
+
+def test_scalar_blocks_and_zero_layer_factors():
+    """A 1x1 block left by a bra factor moves its scalar into the last block
+    with qubits (_tensor), and a zero-scaled layer factor zeroes the ket."""
+    assert render_nf(nf_of(parse("(<0| # I(2)) * (|+> # |0>)"))) == "1/2*sqrt2 .* |0>"
+    assert render_nf(nf_of(parse("(0 .* X) * |0>"))) == "O(2,1)"
+
+
 def test_denotation_preserved():
     rng = random.Random(12)
     for _ in range(150):
@@ -839,7 +862,8 @@ def test_a_repeated_layer_factor_is_grouped_by_column_once(monkeypatch):
 
 
 def test_a_bra_meets_each_dense_layer_as_a_vector(monkeypatch):
-    """A chain led by a bra is evaluated as its adjoint, led by a ket, so the
+    """A chain led by a bra is evaluated as the dagger of its adjoint, a ket
+    chain whose blocks take the layers one by one (_apply_layer), so the
     bra meets each n-qubit layer as a vector: the scalar products stay
     within a few times a dense layer's 4^n entries, where multiplying the
     layers together first costs 8^n.  The value is the dense one, with
@@ -922,13 +946,16 @@ def test_steps_track_the_answer_not_the_dimension():
         nf = rw.normalize(lhs)
         assert nf == nf_of(rhs), render(lhs)
         assert rw.steps <= 16 * (len(nf.summands) + n), (render(lhs)[:60], rw.steps)
-    # a product answer costs its width, whatever its flat size (2^65 at n=64)
+    # a product answer costs its width, whatever its flat size (2^65 at n=64);
+    # a bra meets Uf(n) as the dagger of the ket chain Uf(n)^ * |+>^n # |->
     for n in (8, 16, 32, 64):
         hn1 = kron(kron_n(n, gate("H")), gate("H"))
         zeros_one = kron(kron_n(n, ket0()), ket1())
         plus_minus = kron(kron_n(n, gate("ket_plus")), gate("ket_minus"))
+        bra = parse(f"kron_n({n}, <+|) # <-|")
         for lhs, rhs in [(mul(hn1, zeros_one), plus_minus), (mul(uf(n), plus_minus), plus_minus),
-                         (mul(hn1, plus_minus), zeros_one), (plus_minus, plus_minus)]:
+                         (mul(hn1, plus_minus), zeros_one), (plus_minus, plus_minus),
+                         (mul(bra, uf(n)), bra), (mul(dag(uf(n)), plus_minus), plus_minus)]:
             rw = Rewriter()
             nf = rw.normalize(lhs)
             assert nf == nf_of(rhs), render(lhs)[:60]
