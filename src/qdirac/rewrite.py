@@ -28,7 +28,9 @@ reused by every proof.
 The traced driver is a deterministic staged pipeline over that one law set,
 tried in a fixed order: push daggers to the leaves, reduce the products,
 then collect the result into a canonical sum of basis matrices
-|rbits><cbits|.  Reduction stops at the shape the collector reads: above
+|rbits><cbits|.  A term's own bits (Term.pushed, Term.shaped) tell a stage
+that it has nothing to do there, so no stage walks a term it leaves as it
+is.  Reduction stops at the shape the collector reads: above
 every product only the laws that drop an operand (L3, L9, L10) fire, so the
 sums, scalings and tensor products there are left for the collector, which
 multiplies them out by exact arithmetic, rather than expanded law by law.
@@ -552,8 +554,6 @@ class Rewriter:
         self._columns: dict[Term, dict] = dict(columns)  # layer factor -> its map by column bits
         self._irreducible: set[Term] = set()  # fixpoints of reduce
         self._irreducible_in_sum: set[Term] = set()  # inner ADD nodes: all laws but Lsum
-        self._pushed: set[Term] = set()  # outputs of push_daggers, which it leaves as they are
-        self._shaped: dict[Term, bool] = {}  # term -> whether _in_shape holds
 
     # -- bookkeeping
     def _log(self, law: str, path, before: Term, after: Term):
@@ -637,9 +637,10 @@ class Rewriter:
 
         A position is open when no product lies above it: the root, a child
         of an open sum, scaling or tensor product, and the result of a law
-        fired at an open product.  A term in shape (_in_shape) comes back
-        from an open position at once.  An open sum, scaling or tensor
-        product fires only the laws that drop an operand (L3, L9, L10), then
+        fired at an open product.  A term in shape (Term.shaped, set when it
+        was built) comes back from an open position at once, unwalked.  An
+        open sum, scaling or tensor product fires only the laws that drop an
+        operand (L3, L9, L10), then
         reduces its children, each at an open position; the sums, scalings
         and tensor products it keeps are unified_base's to collect.  An open
         product reduces its operands to a fixpoint (reduce), and the result
@@ -654,7 +655,7 @@ class Rewriter:
             node, done = frame
             if done is None:
                 node = frame[0] = self._open_root(node, path)
-                if node.kind in (SCALE, ADD, KRON) and not self._in_shape(node):
+                if node.kind in (SCALE, ADD, KRON) and not node.shaped:
                     frame[1] = []
                     continue
             elif len(done) < len(node.children):
@@ -674,7 +675,7 @@ class Rewriter:
         """Fire laws at the root of t, at an open position, until it is in
         shape, a product no law rewrites, or a sum, scaling or tensor
         product with no operand to drop."""
-        while not self._in_shape(t):
+        while not t.shaped:
             if t.kind == MUL:
                 new = self.reduce(t, tuple(path), _open=True)
                 if new is t:
@@ -687,32 +688,6 @@ class Rewriter:
                 self._log(r[0], path, t, new)
             t = new
         return t
-
-    def _in_shape(self, t: Term) -> bool:
-        """Whether t is in the shape unified_base collects (_check_reduced)
-        and has no operand for L3, L9 or L10 to drop.  An explicit-stack
-        walk, each distinct subterm judged once per Rewriter."""
-        known = self._shaped
-        hit = known.get(t)
-        if hit is not None:
-            return hit
-        stack = [t]
-        while stack:
-            node = stack[-1]
-            if node in known:
-                stack.pop()
-                continue
-            if node.kind in (SCALE, ADD, KRON):
-                pending = [c for c in node.children if c not in known]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                ok = all(known[c] for c in node.children) and _drop_operand(node) is None
-            else:
-                ok = _is_collected_leaf(node)
-            known[node] = ok
-            stack.pop()
-        return known[t]
 
     def reduce(self, t: Term, _path: tuple[int, ...] = (), _in_sum: bool = False,
                _open: bool = False) -> Term:
@@ -794,32 +769,32 @@ class Rewriter:
 
     # -- dagger pushing (L14-L16), run as a first stage
     def push_daggers(self, t: Term) -> Term:
-        """t with every dagger pushed down to a basis ket.  Iterative: the
-        nodes are visited depth first, left to right, each rewritten at its
-        root before its children are visited; a dagger left at a root is a
-        bra, whose ket is not visited.  A child this pass has output before
-        is output again as it is, unvisited: no law applies in it, so
-        visiting it would log no step."""
-        pushed = self._pushed
+        """t with every dagger pushed down to a basis ket.  A term whose
+        daggers all sit on basis kets (Term.pushed, set when it was built)
+        is returned as it is, and such a subterm is output as it is,
+        unvisited: no law applies in it, so visiting it would log no step.
+        Iterative: the other nodes are visited depth first, left to right,
+        each rewritten at its root before its children are visited."""
+        if t.pushed:
+            return t
         path: list[int] = []
         frames = [(self._push_root(t, path), [])]  # (node, its children so far)
         while True:
             node, done = frames[-1]
-            if node.kind != DAG and len(done) < len(node.children):
+            if len(done) < len(node.children):
                 path.append(len(done))
                 child = node.children[len(done)]
                 if child.kind == DAG:
                     child = self._push_root(child, path)
-                if child.children and child.kind != DAG and child not in pushed:
-                    frames.append((child, []))
-                else:  # a leaf, a bra or an output
+                if child.pushed:  # a leaf, a bra or a subterm with no dagger to push
                     path.pop()
                     done.append(child)
+                else:
+                    frames.append((child, []))
                 continue
             frames.pop()
             if any(d is not c for d, c in zip(done, node.children)):
                 node = _rebuild(node, done)
-            pushed.add(node)
             if not frames:
                 return node
             path.pop()
@@ -866,11 +841,11 @@ class Rewriter:
         """The normal form of t.  Traced, it pushes the daggers, reduces the
         products (_reduce_open) and collects the resulting term (unified_base),
         logging each law instance; the trace ends at a term in the shape the
-        collector reads, not at a flat sum.  Untraced, it evaluates t over the
-        sparse representation."""
+        collector reads, not at a flat sum, and the collector runs on the fuel
+        left.  Untraced, it evaluates t over the sparse representation."""
         if self.trace is None:
             return self._normalize_sparse(t)
-        return unified_base(self._reduce_open(self.push_daggers(t)))
+        return unified_base(self._reduce_open(self.push_daggers(t)), self.fuel - self.steps)
 
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
@@ -893,7 +868,8 @@ class Rewriter:
         multiplied from its right end: a ket's blocks take the factors one
         by one (_apply_layer), a chain led by a bra is the dagger of its
         adjoint ket chain (L14), and otherwise the last operand's one map
-        takes them, each applied to its row bits (_apply_factor).
+        takes them, each applied to its row bits (_apply_factor).  A value
+        shared with an equal term (L13, L8, L14) is charged only there.
         A library term's value is in the memo from the start (_constants)."""
         hit = self._sparse_memo.get(t)
         if hit is not None:
@@ -940,21 +916,25 @@ class Rewriter:
         else:  # MUL
             a, b = t.children
             aligned = _try_mult_kron(a, b) if a.kind == KRON and b.kind == KRON else None
+            equal = None  # a term equal to t by a law, whose value t shares
             if aligned is not None:  # L13: the KRON of the per-segment products
-                out = self._sparse(aligned)
+                equal = aligned
             elif a.kind == IDENT or b.kind == IDENT:  # L8, with nothing expanded
-                out = self._sparse(b if a.kind == IDENT else a)
+                equal = b if a.kind == IDENT else a
             else:
                 chain = operands(t, self._sparse_memo)
                 if chain[-1].cols == 1:  # a ket's blocks take the factors one by one
                     out = self._apply_layer(chain[:-1], self._sparse(chain[-1]), t)
                 elif chain[0].rows == 1:  # a bra chain is the adjoint of a ket chain (L14)
-                    out = self._sparse(dag(mul_all([_adjoint(f) for f in reversed(chain)])))
+                    equal = dag(mul_all([_adjoint(f) for f in reversed(chain)]))
                 else:  # the last operand's map takes the factors, right to left
                     acc = self._map(chain[-1])
                     for f in reversed(chain[:-1]):
                         acc = self._apply_factor(f, 0, f.cols.bit_length() - 1, acc, t)
                     out = (acc,)
+            if equal is not None:  # charged when it was built, so not again
+                out = self._sparse_memo[t] = self._sparse(equal)
+                return out
         self._remember(t, out)
         return out
 
@@ -1168,41 +1148,30 @@ def _tensor(blocks) -> tuple:
 # --- normal-form collection (the unified_base step) --------------------
 
 
-def _is_collected_leaf(t: Term) -> bool:
-    """Whether t is a zero, an identity, a basis ket or bra, or |b><b'|: a
-    leaf of the shape unified_base collects."""
-    kind = t.kind
-    if kind == MUL:
-        a, b = t.children
-        return a.kind in (KET0, KET1) and b.kind == DAG and b.children[0].kind in (KET0, KET1)
-    if kind == DAG:
-        return t.children[0].kind in (KET0, KET1)
-    return kind in (ZERO, IDENT, KET0, KET1)
-
-
-_NOT_COLLECTED = {DAG: "irreducible dagger", MUL: "irreducible product"}
-
-
 def _check_reduced(t: Term) -> None:
     """Raise NotInReducedShape unless t is built by SCALE, ADD and KRON from
-    zeros, basis kets and bras, |b><b'| and identities."""
+    zeros, basis kets and bras, |b><b'| and identities.  A term in shape
+    (Term.shaped) passes at once, and the walk skips each subterm in shape,
+    so it runs only to name the first dagger or product out of shape."""
     stack, seen = [t], set()
     while stack:
         t = stack.pop()
-        if t in seen:
+        if t.shaped or t in seen:
             continue
         seen.add(t)
         if t.kind in (SCALE, ADD, KRON):
             stack.extend(reversed(t.children))
-        elif not _is_collected_leaf(t):
-            what = _NOT_COLLECTED.get(t.kind, "unexpected node in reduced term")
+        else:  # a dagger or product; every other leaf is in shape
+            what = "irreducible dagger" if t.kind == DAG else "irreducible product"
             raise NotInReducedShape(f"{what}: {render(t)}")
 
 
-def unified_base(t: Term) -> NormalForm:
-    """Collect a fully reduced term into its canonical normal form."""
+def unified_base(t: Term, fuel: int = DEFAULT_FUEL) -> NormalForm:
+    """Collect a fully reduced term into its canonical normal form, on a
+    fresh Rewriter with this fuel.  A term in shape (Term.shaped) is
+    checked without a walk."""
     _check_reduced(t)
-    return Rewriter()._normalize_sparse(t)
+    return Rewriter(fuel)._normalize_sparse(t)
 
 
 # --- derived tables (G_db, B_db) ---------------------------------------

@@ -4,7 +4,9 @@ Terms are immutable and hash-consed: structurally equal terms are the same
 object, so equality checks used by the rewrite tables are O(1).  Dimension
 errors can only arise at construction time; every rewrite therefore maps
 well-formed terms to well-formed terms.  Every dim is a power of two, so a
-term acts on whole qubit slots.
+term acts on whole qubit slots.  Each term also carries two bits the traced
+rewriter's stage guards read, set once when the term is first built, from
+its children's bits and kinds, with no walk (see Term).
 """
 
 from __future__ import annotations
@@ -27,11 +29,22 @@ DAG = "dag"
 _intern: dict = {}
 
 
+_BASIS = (KET0, KET1)
+_ZERO_SCALAR, _ONE_SCALAR = Scalar.zero(), Scalar.one()  # interned, so compared by identity
+
+
 class Term:
     """A node of an expression tree.  Interned, so structural equality is
-    identity: a Term hashes and compares as the object itself does."""
+    identity: a Term hashes and compares as the object itself does.
 
-    __slots__ = ("kind", "payload", "children", "rows", "cols")
+    Two bits are set when a term is first interned, from its children's:
+    `pushed`, every dagger in it sits on a basis ket, so dagger pushing
+    (L14-L16, D_db) leaves it as it is; and `shaped`, it is built by SCALE,
+    ADD and KRON from zeros, identities, basis kets and bras and |b><b'|,
+    the shape the traced collector reads, with no zero or unit scalar and no
+    zero operand, so none of L3, L9 and L10 drops an operand in it."""
+
+    __slots__ = ("kind", "payload", "children", "rows", "cols", "pushed", "shaped")
 
     def __new__(cls, kind, payload, children, rows, cols):
         # Children are interned and compare by identity, so the key holds them.
@@ -45,6 +58,23 @@ class Term:
         self.children = children
         self.rows = rows
         self.cols = cols
+        if kind == MUL:  # only |b><b'| is in shape
+            a, b = children
+            self.pushed = a.pushed and b.pushed
+            self.shaped = b.kind == DAG and a.kind in _BASIS and b.shaped
+        elif kind == SCALE:
+            x = children[0]
+            self.pushed = x.pushed
+            self.shaped = (x.shaped and x.kind != ZERO
+                           and payload is not _ZERO_SCALAR and payload is not _ONE_SCALAR)
+        elif kind == DAG:  # a bra, or a dagger to push
+            self.pushed = self.shaped = children[0].kind in _BASIS
+        elif children:  # a sum or tensor product
+            a, b = children
+            self.pushed = a.pushed and b.pushed
+            self.shaped = a.shaped and b.shaped and a.kind != ZERO and b.kind != ZERO
+        else:  # a leaf
+            self.pushed = self.shaped = True
         _intern[key] = self
         return self
 

@@ -18,6 +18,17 @@ _SINGLE_GATES = ("X", "Y", "Z", "H", "B0", "B1", "B2", "B3")
 _STATES_1Q = ("|0>", "|1>", "|+>", "|->")
 
 
+def subterms(roots) -> set:
+    """The terms roots and every subterm under them, each once."""
+    out, stack = set(), list(roots)
+    while stack:
+        t = stack.pop()
+        if t not in out:
+            out.add(t)
+            stack.extend(t.children)
+    return out
+
+
 def rand_coeff(rng: random.Random) -> Scalar:
     choice = rng.randrange(6)
     if choice == 0:

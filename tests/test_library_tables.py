@@ -15,17 +15,7 @@ from qdirac.rewrite import RewriteTrace, Rewriter
 from qdirac.scalar import Scalar
 from qdirac.term import gate, gate_names, kron, library_subterms, mul
 
-from conftest import CORPUS_DIR, REPO_DIR, rand_circuit
-
-
-def _subterms(roots) -> set:
-    out, stack = set(), list(roots)
-    while stack:
-        t = stack.pop()
-        if t not in out:
-            out.add(t)
-            stack.extend(t.children)
-    return out
+from conftest import CORPUS_DIR, REPO_DIR, rand_circuit, subterms
 
 
 def _snapshot() -> tuple[tuple, dict]:
@@ -75,13 +65,13 @@ def test_the_tables_hold_exactly_the_library_subterms():
     evaluated before."""
     Rewriter().normalize(mul(gate("TOF"), gate("TOF")))
     assert mat_equiv(gate("CPS"), gate("CPS"))
-    subterms = _subterms(gate(name) for name in gate_names())
-    assert len(library_subterms()) == len(subterms) == 87
-    assert set(library_subterms()) == subterms
+    under = subterms(gate(name) for name in gate_names())
+    assert len(library_subterms()) == len(under) == 87
+    assert set(library_subterms()) == under
     blocks, folded, columns = rewrite_module._constants()
-    assert blocks.keys() == columns.keys() == subterms
-    assert folded.keys() == {t for t in subterms if len(blocks[t]) > 1}
-    assert oracle_module._library().keys() == subterms
+    assert blocks.keys() == columns.keys() == under
+    assert folded.keys() == {t for t in under if len(blocks[t]) > 1}
+    assert oracle_module._library().keys() == under
 
 
 def test_atom_walks_stop_at_library_constants(monkeypatch):

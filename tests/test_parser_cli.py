@@ -393,7 +393,7 @@ def test_an_error_reports_the_steps_it_spent(monkeypatch):
     made = []
 
     def small_fuel():
-        made.append(Rewriter(fuel=20))
+        made.append(Rewriter(fuel=16))
         return made[-1]
     monkeypatch.setattr(corpus_module, "Rewriter", small_fuel)
     (a,) = parse_corpus("h: EQ kron_n(3, H) * kron_n(3, H) == I(8)\n").assertions

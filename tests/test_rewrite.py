@@ -23,14 +23,17 @@ from qdirac.rewrite import (
 )
 from qdirac.scalar import Scalar
 from qdirac.term import (
-    ADD, MUL, add, add_all, dag, gate, identity, ket0, ket1, ket_string, kron, kron_all, kron_n,
-    mul, operands, render, scale, uf, zero,
+    ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, add, add_all, dag, gate, identity, ket0,
+    ket1, ket_string, kron, kron_all, kron_n, mul, operands, render, scale, uf, zero,
 )
 
-from conftest import CORPUS_DIR, REPO_DIR, rand_circuit, rand_op, rand_scalar, rand_state, rand_term
+from conftest import (
+    CORPUS_DIR, REPO_DIR, rand_circuit, rand_op, rand_scalar, rand_state, rand_term, subterms,
+)
 
 LAW_IDS = {f"L{i}" for i in range(1, 17)} | {"Lsum", "G_db", "B_db", "D_db"}
 PLUS, MINUS = gate("ket_plus"), gate("ket_minus")
+BASIS = (KET0, KET1)
 BRA_PLUS, BRA_MINUS = rewrite_module._BRA_PLUS, rewrite_module._BRA_MINUS
 
 
@@ -186,8 +189,9 @@ def test_import_builds_no_table_entry():
 
 
 def test_dagger_push_visits_each_dagger_free_subterm_once(monkeypatch):
-    """A subterm push_daggers has output before is not walked again, while a
-    repeated subterm that has daggers to push logs its steps at each path."""
+    """A term whose daggers all sit on basis kets (Term.pushed), such as
+    every output of push_daggers, is not walked, while a repeated subterm
+    that has daggers to push logs its steps at each path."""
     calls = []
     push_root = Rewriter._push_root
     monkeypatch.setattr(Rewriter, "_push_root",
@@ -202,6 +206,80 @@ def test_dagger_push_visits_each_dagger_free_subterm_once(monkeypatch):
     Rewriter(trace=twice).push_daggers(kron(shared, shared))
     assert [(s.law, s.path) for s in twice.steps] == [
         (s.law, bytes([i]) + s.path) for i in (0, 1) for s in once.steps]
+
+
+def _in_shape_by_walk(t, known: dict) -> bool:
+    """The collected shape, by a walk: SCALE, ADD and KRON over zeros,
+    identities, basis kets and bras and |b><b'|, with no operand for L3, L9
+    or L10 to drop."""
+    if t not in known:
+        kind = t.kind
+        if kind in (SCALE, ADD, KRON):
+            known[t] = (all(_in_shape_by_walk(c, known) for c in t.children)
+                        and rewrite_module._drop_operand(t) is None)
+        elif kind == MUL:
+            a, b = t.children
+            known[t] = a.kind in BASIS and b.kind == DAG and b.children[0].kind in BASIS
+        elif kind == DAG:
+            known[t] = t.children[0].kind in BASIS
+        else:
+            known[t] = kind in (ZERO, IDENT) + BASIS
+    return known[t]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_term_bits_match_the_walks_they_replace(seed):
+    """Term.pushed holds exactly where push_daggers leaves a term as it is,
+    and Term.shaped exactly where the walk over the collected shape holds,
+    on every subterm of random terms and circuits, of their daggers, and of
+    the terms their traced reduction reaches, most of which are in shape."""
+    rng = random.Random(seed)
+    terms = [rand_term(rng, closed=False), rand_circuit(rng, rng.randint(1, 3), closed=False)]
+    terms += [dag(t) for t in terms]
+    for t in terms[:2]:
+        trace = RewriteTrace()
+        Rewriter(trace=trace).normalize(t)
+        terms.append(replay(t, trace))
+        terms += [s.after for s in trace.steps]
+    known: dict = {}
+    for sub in subterms(terms):
+        assert sub.pushed == (Rewriter().push_daggers(sub) is sub), render(sub)
+        assert sub.shaped == _in_shape_by_walk(sub, known), render(sub)
+
+
+def test_a_term_in_shape_is_collected_without_a_walk(monkeypatch):
+    """A traced normalization of a term already pushed and in shape calls no
+    dagger law and asks no operand to be dropped: the bits answer both."""
+    counts = {"push": 0, "drop": 0}
+    push_root, drop_operand = Rewriter._push_root, rewrite_module._drop_operand
+
+    def counted_push(self, t, path):
+        counts["push"] += 1
+        return push_root(self, t, path)
+
+    def counted_drop(t):
+        counts["drop"] += 1
+        return drop_operand(t)
+    monkeypatch.setattr(Rewriter, "_push_root", counted_push)
+    monkeypatch.setattr(rewrite_module, "_drop_operand", counted_drop)
+    t = parse("1/2*sqrt2 .* kron_n(16, |0>) + 1/2*sqrt2 .* kron_n(16, |1>)")
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t) and not trace.steps
+    assert counts == {"push": 0, "drop": 0}
+
+
+def test_traced_collection_runs_on_the_callers_fuel():
+    """The collector of a traced normalize runs on the fuel the reduction
+    left, so it stops where the untraced evaluation does, and a traced call
+    that fits reports only its law steps."""
+    t = parse("kron_n(6, |0> + |1>) + I(64) * |1,1,1,1,1,1>")
+    for trace in (None, RewriteTrace()):
+        with pytest.raises(FuelExhausted):
+            Rewriter(fuel=10, trace=trace).normalize(t)
+    rw = Rewriter(fuel=200, trace=RewriteTrace())
+    assert rw.normalize(t) == nf_of(t) and rw.steps == 1
 
 
 def test_every_law_fires():
@@ -257,8 +335,9 @@ def test_traced_steps_track_the_answer():
     U * k * k^ * U^.  On H^n * H^n they grow linearly in n, since its
     I(2^n) is left for unified_base to collect, and so they do on the
     Deutsch-Jozsa oracle applied to |+>^n # |-> or its bra, as its CX wings
-    meet two-qubit table states.  Each case runs on fuel just above its
-    bound, so a blow-up stops at once."""
+    meet two-qubit table states.  Each case's reduction runs on fuel just
+    above its bound, so a blow-up stops at once; the collection, which a
+    traced normalize charges to the same fuel, is checked on its own."""
     h = gate("H")
     cases = [(parse(" * ".join(["H"] * n) + " * |0>"), 2 * n + 1) for n in range(2, 65)]
     cases += [(parse("<0| * " + " * ".join(["H"] * n)), 2 * n + 1) for n in range(2, 65)]
@@ -275,7 +354,7 @@ def test_traced_steps_track_the_answer():
     cases.append((parse(simon.lhs), 700))
     for t, bound in cases:
         rw = Rewriter(fuel=bound + 1, trace=RewriteTrace())
-        assert rw.normalize(t) == nf_of(t), render(t)[:60]
+        assert unified_base(rw._reduce_open(rw.push_daggers(t))) == nf_of(t), render(t)[:60]
         assert rw.steps <= bound, (render(t)[:60], rw.steps)
     # Uf(n) fixes |+>^n # |-> and, being self-adjoint, its bra too; the
     # reduced term is that tensor product of table states, which is checked
@@ -723,7 +802,7 @@ def test_fuel_exhaustion():
     big = ket_string("0" * 6)
     layer = kron(gate("H"), kron_all_h(5))
     with pytest.raises(FuelExhausted):
-        Rewriter(fuel=5).normalize(mul(layer, big))
+        Rewriter(fuel=3).normalize(mul(layer, big))
 
 
 def kron_all_h(n):
