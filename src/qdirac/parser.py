@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import ParseError
 from .quantum import MixExpr, MixedState, density, pure_mix, super_
@@ -34,40 +34,43 @@ from .term import (
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "ket", "bra", "num", "ident", "op", "eof"
-    text: str
-    pos: int  # offset in the source; line and column are computed for errors only
-
-
-# A token with the whitespace before it; at the end of the input, "eof".
-_TOKEN = re.compile(r"\s*(?:(?P<ket>\|,*[01+-][01+,-]*>)|(?P<bra><,*[01+-][01+,-]*\|)"
-                    r"|(?P<num>[0-9]+)|(?P<ident>[^\W\d]\w*)"
-                    r"|(?P<op>\.\*|[()^*+\-#/:;\[\],=])|(?P<eof>\Z))")
+_TOKEN = re.compile(r"\|,*[01+-][01+,-]*>|<,*[01+-][01+,-]*\||[0-9]+|[^\W\d]\w*"
+                    r"|\.\*|[()^*+\-#/:;\[\],=]")
 _SPACE = re.compile(r"\s*")
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos, match, make = 0, _TOKEN.match, Token._make
-    while True:
-        m = match(src, pos)
-        if m is not None:
-            kind = m.lastgroup
-            text = m[kind]
-            # a name starts with a letter or '_', not with a numeral such as '²'
-            if kind != "ident" or text[0].isalpha() or text[0] == "_":
-                pos = m.end()
-                tokens.append(make((kind, text, pos - len(text))))
-                if kind == "eof":
-                    return tokens
-                continue
+def tokenize(src: str) -> list[str]:
+    """The token texts of src and "" for the end of input, from one findall
+    pass; a token's kind is its first character (`|` ket, `<` bra, digit
+    num, letter or `_` name, else op).  What no token matches is skipped, so
+    the tokens must cover all but whitespace, and a source that is not ASCII
+    is scanned for a name led by a numeral such as '²'."""
+    texts = _TOKEN.findall(src)
+    if sum(map(len, texts)) != len("".join(src.split())) or not src.isascii():
+        _check_tokens(src)
+    texts.append("")
+    return texts
+
+
+def _check_tokens(src: str) -> None:
+    """Raise the ParseError of the first character that starts no token:
+    one that no token matches, or a numeral that starts a name."""
+    pos = 0
+    for m in _TOKEN.finditer(src):
         pos = _SPACE.match(src, pos).end()
         ch = src[pos]
-        if ch in "|<":
-            raise ParseError(f"malformed {'ket' if ch == '|' else 'bra'} literal",
-                             *_position(src, pos))
-        raise ParseError(f"unexpected character {ch!r}", *_position(src, pos))
+        if pos < m.start() or ch.isalnum() and not (ch.isalpha() or ch.isdecimal()):
+            break
+        pos = m.end()
+    else:
+        pos = _SPACE.match(src, pos).end()
+        if pos == len(src):
+            return
+        ch = src[pos]
+    if ch in "|<":
+        raise ParseError(f"malformed {'ket' if ch == '|' else 'bra'} literal",
+                         *_position(src, pos))
+    raise ParseError(f"unexpected character {ch!r}", *_position(src, pos))
 
 
 def _position(src: str, pos: int) -> tuple[int, int]:
@@ -119,6 +122,10 @@ _MIXES = {
 }
 
 
+def _is_name(text: str) -> bool:
+    return text[:1].isalpha() or text[:1] == "_"
+
+
 class Parser:
     def __init__(self, src: str, defs: Optional[dict[str, Term]] = None):
         self.src = src
@@ -126,19 +133,22 @@ class Parser:
         self.pos = 0
         self.defs = defs or {}
 
-    def _error(self, message: str, tok: Token) -> ParseError:
-        return ParseError(message, *_position(self.src, tok.pos))
+    def _error(self, message: str, at: int) -> ParseError:
+        """The error at token `at`, whose offset the source is scanned for."""
+        starts = [m.start() for m in _TOKEN.finditer(self.src)] + [len(self.src)]
+        return ParseError(message, *_position(self.src, starts[at]))
 
-    def _int(self, tok: Token) -> int:
+    def _int(self, at: int) -> int:
+        text = self.tokens[at]
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than Python converts
-            raise self._error(f"number of {len(tok.text)} digits is too long", tok) from None
+            raise self._error(f"number of {len(text)} digits is too long", at) from None
 
     def expect_op(self, text: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.text != text:
-            raise self._error(f"expected {text!r}, found {tok.text or 'end of input'}", tok)
+        if tok != text:
+            raise self._error(f"expected {text!r}, found {tok or 'end of input'}", self.pos)
         self.pos += 1
 
     # -- entry points
@@ -150,8 +160,8 @@ class Parser:
 
     def _end(self, value):
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            raise self._error(f"unexpected trailing input {tok.text!r}", tok)
+        if tok:
+            raise self._error(f"unexpected trailing input {tok!r}", self.pos)
         return value
 
     # -- terms and scalars
@@ -169,13 +179,13 @@ class Parser:
         left = self.primary(scalar)
         tokens = self.tokens
         while True:
-            text = tokens[self.pos].text
+            text = tokens[self.pos]
             is_scalar = isinstance(left, Scalar)
             if text == "^" and not is_scalar:  # postfix binds tightest
                 self.pos += 1
                 left = dag(left)
                 continue
-            if text == "^" and tokens[self.pos + 1].text == "*":  # `a^*` conjugates
+            if text == "^" and tokens[self.pos + 1] == "*":  # `a^*` conjugates
                 self.pos += 2
                 left = left.conj()
                 continue
@@ -193,23 +203,24 @@ class Parser:
         return left
 
     def _not_a_term(self, start: int) -> ParseError:
-        while self.tokens[start].text == "(":
+        while self.tokens[start] == "(":
             start += 1
         tok = self.tokens[start]
-        if tok.kind == "ident":
-            return self._error(f"unknown name {tok.text!r}", tok)
-        return self._error(f"expected an expression, found {tok.text}", tok)
+        if _is_name(tok):
+            return self._error(f"unknown name {tok!r}", start)
+        return self._error(f"expected an expression, found {tok}", start)
 
     def primary(self, scalar: bool):
-        tok = self.tokens[self.pos]
-        self.pos += 1  # steps past eof only on the way to the error below
-        kind, text = tok.kind, tok.text
-        if kind == "num":
-            p = self._int(tok)
-            if self.tokens[self.pos].text != "/":
+        at = self.pos
+        text = self.tokens[at]
+        self.pos += 1  # steps past the end of input only on the way to the error below
+        first = text[:1]
+        if first.isdigit():
+            p = self._int(at)
+            if self.tokens[self.pos] != "/":
                 return Scalar.rational(p)
             self.pos += 1
-            den = self.tokens[self.pos]
+            den = self.pos
             q = self._num()
             if q == 0:
                 raise self._error("division by zero", den)
@@ -220,20 +231,20 @@ class Parser:
             return inner
         if text == "-":
             return -self.expr(_NEGATED, True)
-        if kind == "ident":
-            return self._name(tok, scalar)
-        if kind in ("ket", "bra") and not scalar:
+        if _is_name(text):
+            return self._name(at, scalar)
+        if (first == "|" or first == "<") and not scalar:
             t = ket_string(text[1:-1].replace(",", ""))
-            return t if kind == "ket" else dag(t)
+            return t if first == "|" else dag(t)
         raise self._error(f"expected {'a scalar' if scalar else 'an expression'}, "
-                          f"found {text or 'end of input'}", tok)
+                          f"found {text or 'end of input'}", at)
 
-    def _name(self, tok: Token, scalar: bool):
-        name = tok.text
+    def _name(self, at: int, scalar: bool):
+        name = self.tokens[at]
         call = _CALLS.get(name)
         builds = call[0] if call else Term if name in self.defs or name in _GATES else Scalar
         if scalar and builds is Term:
-            raise self._error(f"{name!r} is not a scalar", tok)
+            raise self._error(f"{name!r} is not a scalar", at)
         if call:
             return call[2](*self._args(name, call[1]))
         if builds is Scalar:
@@ -261,41 +272,43 @@ class Parser:
             return self.mix()
         if kind == "phase":  # [-][k*]angle
             k = 1
-            if self.tokens[self.pos].text == "-":
+            if self.tokens[self.pos] == "-":
                 self.pos += 1
                 k = -1
-            if self.tokens[self.pos].kind == "num":
+            if self.tokens[self.pos][:1].isdigit():
                 k *= self._num()
                 self.expect_op("*")
             return self._arg(name, "angle"), k
-        tok = self.tokens[self.pos]  # an angle or atom name
+        at = self.pos  # an angle or atom name
         self.pos += 1
-        if tok.kind != "ident":
-            raise self._error(f"{name} takes an {kind} name", tok)
-        return tok.text
+        if not _is_name(self.tokens[at]):
+            raise self._error(f"{name} takes an {kind} name", at)
+        return self.tokens[at]
 
     def _num(self) -> int:
-        tok = self.tokens[self.pos]
-        if tok.kind != "num":
-            raise self._error(f"expected a number, found {tok.text!r}", tok)
+        at = self.pos
+        tok = self.tokens[at]
+        if not tok[:1].isdigit():
+            raise self._error(f"expected a number, found {tok!r}", at)
         self.pos += 1
-        return self._int(tok)
+        return self._int(at)
 
     # -- mixed states
     def mix(self) -> MixExpr:
-        tok = self.tokens[self.pos]
+        at = self.pos
+        tok = self.tokens[at]
         self.pos += 1
-        if tok.text == "[":
+        if tok == "[":
             branches = [self._branch()]
-            while self.tokens[self.pos].text == ";":
+            while self.tokens[self.pos] == ";":
                 self.pos += 1
                 branches.append(self._branch())
             self.expect_op("]")
             return MixedState(tuple(branches))
-        if tok.kind == "ident" and tok.text in _MIXES:
-            kinds, build = _MIXES[tok.text]
-            return build(*self._args(tok.text, kinds))
-        raise self._error("expected a mixed state", tok)
+        if tok in _MIXES:
+            kinds, build = _MIXES[tok]
+            return build(*self._args(tok, kinds))
+        raise self._error("expected a mixed state", at)
 
     def _branch(self) -> tuple[Scalar, Term]:
         p = self.expr(0, True)

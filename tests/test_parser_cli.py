@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 import shlex
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +18,7 @@ import qdirac.corpus as corpus_module
 from qdirac.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from qdirac.corpus import KINDS, parse_corpus
 from qdirac.errors import DimMismatch, ParseError
-from qdirac.parser import parse, parse_mixed, parse_scalar
+from qdirac.parser import parse, parse_mixed, parse_scalar, tokenize
 from qdirac.quantum import MixedState, eval_mix
 from qdirac.rewrite import Rewriter, render_nf
 from qdirac.scalar import Scalar
@@ -25,7 +27,7 @@ from qdirac.term import (
     scale, zero,
 )
 
-from conftest import CORPUS_DIR, REPO_DIR
+from conftest import CORPUS_DIR, REPO_DIR, rand_term
 
 
 def nf(t):
@@ -445,13 +447,14 @@ def test_cli_bench_unknown_case(capsys):
 
 # Token soup over the grammar's alphabet: kets, operators, call names, atoms
 # and gates, and numbers 0..20 (large arguments have their own tests).
+_SOUP_WORDS = [
+    "|0>", "|1>", "|+>", "|->", "|0,1>", "<0|", "<1|",
+    "+", "-", "*", "#", ".*", "^", "^*", "(", ")", ",", "/", "[", "]", ":", ";",
+    "I", "O", "density", "super", "uf", "kron_n", "CE", "Mea0", "Mea", "conj", "e",
+    "meamix", "unitmix", "mix1", "H", "X", "CX", "a", "b", "u", "i", "sqrt2",
+]
 _SOUP = st.one_of(
-    st.sampled_from([
-        "|0>", "|1>", "|+>", "|->", "|0,1>", "<0|", "<1|",
-        "+", "-", "*", "#", ".*", "^", "^*", "(", ")", ",", "/", "[", "]", ":", ";",
-        "I", "O", "density", "super", "uf", "kron_n", "CE", "Mea0", "Mea", "conj", "e",
-        "meamix", "unitmix", "mix1", "H", "X", "CX", "a", "b", "u", "i", "sqrt2",
-    ]),
+    st.sampled_from(_SOUP_WORDS),
     st.integers(min_value=0, max_value=20).map(str),
 )
 _EXPR = st.lists(_SOUP, min_size=1, max_size=14).map(" ".join)
@@ -459,6 +462,81 @@ _ASSERTION = st.tuples(st.sampled_from(KINDS), _EXPR, _EXPR).map(lambda t: "{} {
 # at most one line that may reject the whole file: a DEF, a HYP or bare soup
 _PREAMBLE = st.lists(st.one_of(_EXPR.map("DEF p = {}".format), st.just("HYP norm(a,b)"), _EXPR),
                      max_size=1)
+
+
+# The tokenizer as a scanner of one token at a time: the whitespace before
+# a token, then its kind's group, or the end of input.
+_ONE_TOKEN = re.compile(r"\s*(?:(\|,*[01+-][01+,-]*>)|(<,*[01+-][01+,-]*\|)|([0-9]+)"
+                        r"|([^\W\d]\w*)|(\.\*|[()^*+\-#/:;\[\],=])|(\Z))")
+
+
+def _scanned_tokens(src):
+    """src's token texts and "" for the end of input, scanned one token at a
+    time; None at a character that starts no token, or a name that starts
+    with no letter or '_'."""
+    texts, pos = [], 0
+    while True:
+        m = _ONE_TOKEN.match(src, pos)
+        if m is None or (m.lastindex == 4 and not (m[4][0].isalpha() or m[4][0] == "_")):
+            return None
+        texts.append(m[m.lastindex])
+        if m.lastindex == 6:
+            return texts
+        pos = m.end()
+
+
+_ODD = ["$", "²", "é", "é1", "x²", "٣", "\t", "\n", "\r\n", "\x0b", "\x1c", "\u3000", "|0,2>",
+        "<0|1", "|,0>", "<,1,|", "|", "<", ">", ".", "!", "_x", "A1", "99999"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.sampled_from(_ODD), max_size=6))
+def test_property_tokens_are_those_scanned_one_at_a_time(seed, odd):
+    """tokenize, one pass over the source, gives the texts of a scanner that
+    matches one token at a time, and raises a ParseError where that scanner
+    stops: over rendered random terms, and over token soup with characters
+    that start no token."""
+    rng = random.Random(seed)
+    words = [render(rand_term(rng))] + [rng.choice(_SOUP_WORDS) for _ in range(rng.randint(0, 8))]
+    words += odd
+    rng.shuffle(words)
+    for src in (words[0], rng.choice(["", " ", "\n"]).join(words)):
+        expected = _scanned_tokens(src)
+        if expected is None:
+            with pytest.raises(ParseError):
+                tokenize(src)
+        else:
+            assert tokenize(src) == expected, src
+
+
+def test_bad_tokens_keep_their_messages_and_positions(tmp_path, capsys):
+    """Each error names the character or token it stops at, with the line
+    and column the scanner of one token at a time gave."""
+    cases = {
+        "I(²)": ("unexpected character '²'", 1, 3),
+        "|0,2>": ("malformed ket literal", 1, 1),
+        "<0|1": ("unexpected trailing input '1'", 1, 4),
+        "$": ("unexpected character '$'", 1, 1),
+        "x²": ("unknown name 'x²'", 1, 1),
+        "|0> + \t§": ("unexpected character '§'", 1, 8),
+        "e(-3*)": ("e takes an angle name", 1, 6),
+        "H *\n  (|0> +\n  |1,2>)": ("malformed ket literal", 3, 3),
+        "kron_n(3, H) * " + "9" * 5000: ("number of 5000 digits is too long", 1, 16),
+    }
+    for src, (message, line, column) in cases.items():
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{message} (line {line}, column {column})", line, column), src
+    p = tmp_path / "bad.qd"
+    p.write_text("# a file\nDEF psi = H * |0>\nok: EQ psi == |+>\nbad: EQ H * psi == |0,2> + |1>\n")
+    assert main(["check", str(p), "--oracle", "off"]) == EXIT_FAIL
+    assert ("witness: ParseError: malformed ket literal (line 1, column 1)"
+            in capsys.readouterr().out)
+    p.write_text("ok: EQ X == X\nDEF psi = H *\t$\n")
+    assert main(["check", str(p)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: unexpected character '$' (line 1, column 5)\n"
 
 
 def _run_cli(argv) -> tuple[int, str]:
