@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qdirac.corpus as corpus_module
 import qdirac.rewrite as rewrite_module
 from qdirac.cli import EXIT_INPUT, EXIT_OK, main
 from qdirac.corpus import build_defs, parse_corpus
@@ -272,11 +273,11 @@ def test_a_term_in_shape_is_collected_without_a_walk(monkeypatch):
 
 def test_traced_collection_runs_on_the_callers_fuel():
     """The collector of a traced normalize runs on the fuel the reduction
-    left, so it stops where the untraced evaluation does, and a traced call
-    that fits reports only its law steps."""
+    left, so it stops where the untraced evaluation does, naming the budget
+    the caller gave, and a traced call that fits reports only its law steps."""
     t = parse("kron_n(6, |0> + |1>) + I(64) * |1,1,1,1,1,1>")
     for trace in (None, RewriteTrace()):
-        with pytest.raises(FuelExhausted):
+        with pytest.raises(FuelExhausted, match=r"\(budget 10\)"):
             Rewriter(fuel=10, trace=trace).normalize(t)
     rw = Rewriter(fuel=200, trace=RewriteTrace())
     assert rw.normalize(t) == nf_of(t) and rw.steps == 1
@@ -436,6 +437,71 @@ def test_property_bra_and_outer_product_chains(seed):
     nf = Rewriter(trace=trace).normalize(t)
     assert nf == nf_of(t)
     assert unified_base(replay(t, trace)) == nf
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_an_operator_chain_through_kets_agrees_with_the_dense_oracle(seed):
+    """An operator chain U * k * j^ * V, or U * k * j^ * W * l * m^ * V,
+    nested any way, with scaled, daggered and atom-holding factors, is the
+    tensor product of its vector ends: its normal form is the dense matrix
+    and the traced pipeline's."""
+    rng = random.Random(seed)
+    q = rng.randint(1, 2)
+
+    def ops():
+        out = []
+        for _ in range(rng.randint(0, 2)):
+            f = rand_op(rng, q, depth=1, closed=False)
+            r = rng.random()
+            out.append(dag(f) if r < 0.2 else scale(rand_scalar(rng, False), f) if r < 0.4 else f)
+        return out
+
+    def outer():
+        ket, bra = (rand_state(rng, q, depth=1, closed=False) for _ in range(2))
+        if rng.random() < 0.3:
+            ket = scale(rand_scalar(rng, False), ket)
+        return [ket, dag(bra)]
+    factors = [rand_op(rng, q, depth=1, closed=False), *ops(), *outer()]
+    if rng.random() < 0.5:
+        factors += [*ops(), *outer()]
+    factors += [*ops(), rand_op(rng, q, depth=1, closed=False)]
+    t = _nest_at_random(rng, factors)
+    nf = nf_of(t)
+    assert mat_equiv(t, nf.to_term(), samples=3), render(t)
+    assert Rewriter(trace=RewriteTrace()).normalize(t) == nf
+
+
+def test_a_ket_chain_is_charged_once():
+    """A ket chain is charged for the entries each factor builds, and its
+    value is memoized without charging its last map again."""
+    for src, steps in (("H * |0>", 2), ("X * |0>", 1), ("H * X * |0>", 3)):
+        rw = Rewriter()
+        rw.normalize(parse(src))
+        assert rw.steps == steps, src
+
+
+def test_an_outer_product_chain_costs_the_answer(monkeypatch):
+    """The H-layer MIXEQ, U * |0^n><0^n| * U^ against |+^n><+^n|, with no
+    oracle: an operator chain holding a ket is the tensor product of its
+    vector ends, so its steps and scalar products stay within 3 * 4^n, the
+    2^n x 2^n answer, where multiplying its operators gave about 6 * 4^n
+    steps and 3.4-4.3 * 4^n products."""
+    Rewriter()  # the library's memo entries, built once per process
+    calls = [0]
+    mul_scalars = Scalar.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul_scalars(a, b)
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    for n in range(4, 9):
+        lhs = f"unitmix(kron_n({n}, H), mix1(density(kron_n({n}, |0>))))"
+        (a,) = parse_corpus(f"h: MIXEQ {lhs} == mix1(density(kron_n({n}, |+>)))\n").assertions
+        calls[0] = 0
+        res = corpus_module.run_assertion(a, {}, corpus_module.RunConfig(oracle=False))
+        assert res.verdict == "pass", res.witness
+        assert res.steps <= 3 * 4 ** n and calls[0] <= 3 * 4 ** n + 64, (n, res.steps, calls[0])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -802,7 +868,7 @@ def test_fuel_exhaustion():
     big = ket_string("0" * 6)
     layer = kron(gate("H"), kron_all_h(5))
     with pytest.raises(FuelExhausted):
-        Rewriter(fuel=3).normalize(mul(layer, big))
+        Rewriter(fuel=1).normalize(mul(layer, big))
 
 
 def kron_all_h(n):
@@ -864,7 +930,7 @@ def test_fuel_exhausted_names_the_node(capsys):
         Rewriter(fuel=5000).normalize(mul(plus10, dag(plus10)))
     assert info.value.budget == 5000
     where = info.value.where
-    assert where.startswith("mul 1024x1024 (map passing "), where
+    assert where.startswith("mul 1024x1024 (map of 1048576 entries): "), where
     head = where.split(": ", 1)[1]
     assert len(head) == 60 and head.endswith("..."), head
     assert head[:-3] == render(plus10)[:57]
