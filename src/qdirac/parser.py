@@ -58,19 +58,15 @@ def _check_tokens(src: str) -> None:
     pos = 0
     for m in _TOKEN.finditer(src):
         pos = _SPACE.match(src, pos).end()
-        ch = src[pos]
-        if pos < m.start() or ch.isalnum() and not (ch.isalpha() or ch.isdecimal()):
+        if pos < m.start() or not (m[0][0].isascii() or _is_name(m[0])):
             break
         pos = m.end()
     else:
         pos = _SPACE.match(src, pos).end()
-        if pos == len(src):
-            return
+    if pos < len(src):
         ch = src[pos]
-    if ch in "|<":
-        raise ParseError(f"malformed {'ket' if ch == '|' else 'bra'} literal",
-                         *_position(src, pos))
-    raise ParseError(f"unexpected character {ch!r}", *_position(src, pos))
+        raise ParseError(f"malformed {'ket' if ch == '|' else 'bra'} literal" if ch in "|<"
+                         else f"unexpected character {ch!r}", *_position(src, pos))
 
 
 def _position(src: str, pos: int) -> tuple[int, int]:
@@ -137,13 +133,6 @@ class Parser:
         """The error at token `at`, whose offset the source is scanned for."""
         starts = [m.start() for m in _TOKEN.finditer(self.src)] + [len(self.src)]
         return ParseError(message, *_position(self.src, starts[at]))
-
-    def _int(self, at: int) -> int:
-        text = self.tokens[at]
-        try:
-            return int(text)
-        except ValueError:  # more digits than Python converts
-            raise self._error(f"number of {len(text)} digits is too long", at) from None
 
     def expect_op(self, text: str) -> None:
         tok = self.tokens[self.pos]
@@ -213,10 +202,9 @@ class Parser:
     def primary(self, scalar: bool):
         at = self.pos
         text = self.tokens[at]
-        self.pos += 1  # steps past the end of input only on the way to the error below
         first = text[:1]
         if first.isdigit():
-            p = self._int(at)
+            p = self._num()
             if self.tokens[self.pos] != "/":
                 return Scalar.rational(p)
             self.pos += 1
@@ -225,6 +213,7 @@ class Parser:
             if q == 0:
                 raise self._error("division by zero", den)
             return Scalar.rational(p, q)
+        self.pos += 1  # steps past the end of input only on the way to the error below
         if text == "(":
             inner = self.expr(0, scalar)
             self.expect_op(")")
@@ -291,7 +280,10 @@ class Parser:
         if not tok[:1].isdigit():
             raise self._error(f"expected a number, found {tok!r}", at)
         self.pos += 1
-        return self._int(at)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than Python converts
+            raise self._error(f"number of {len(tok)} digits is too long", at) from None
 
     # -- mixed states
     def mix(self) -> MixExpr:

@@ -60,12 +60,11 @@ aligned tensor products is the tensor product of its per-slot products
 slots reach, passing identity blocks through unexpanded, with a product
 inside a layer, or the dagger of one, applied gate by gate; a chain led by
 a bra is the conjugate transpose of its adjoint, a ket chain (L14); an
-operator chain that holds a ket is the tensor product of its two vector
-ends, (A * |v>) # (<w| * B); and any other operator chain applies its
-factors, right to left, to its last operand's map.  A vector's normal form
-is the finest factorization of its flat sum into blocks over contiguous
-qubits, split only where its pivot is invertible (NormalForm); operators
-stay one block.
+operator chain through a ket is the tensor product of its vector ends,
+(A * |v>) # (<w| * B); and any other applies its factors, right to left,
+to its last operand's map.  A vector's normal form is the finest
+factorization of its flat sum into blocks over contiguous qubits, split
+only where its pivot is invertible (NormalForm); operators stay one block.
 The two modes are required to agree exactly, and the traced mode's last
 step, collecting the reduced term, runs the same sparse evaluator.
 """
@@ -847,7 +846,11 @@ class Rewriter:
         left.  Untraced, it evaluates t over the sparse representation."""
         if self.trace is None:
             return self._normalize_sparse(t)
-        return unified_base(self._reduce_open(self.push_daggers(t)), self.fuel, self.steps)
+        reduced = self._reduce_open(self.push_daggers(t))
+        _check_reduced(reduced)
+        rw = Rewriter(self.fuel)  # the collector runs on the fuel left of this budget
+        rw.steps = self.steps
+        return rw._normalize_sparse(reduced)
 
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
@@ -867,14 +870,13 @@ class Rewriter:
         folds its operands into one map.  A product of aligned tensor
         products is the tensor product of its per-slot products (L13), and
         an identity operand drops out (L8).  Any other product chain is
-        multiplied from its vector ends: a ket's blocks take the factors one
-        by one (_apply_layer), a chain led by a bra is the dagger of its
-        adjoint ket chain (L14), and an operator chain that holds a ket is
-        cut after its first one, A * |v> * <w| * B = (A * |v>) # (<w| * B),
-        the blocks of those two vector ends folded into one map.  Only an
-        operator chain with no ket multiplies operators: its last operand's
-        map takes the factors, right to left (_apply_factor).  A product is
-        charged as its maps are built, so its value is memoized uncharged.
+        multiplied from its vector ends: a chain that ends in a ket applies
+        its factors to the ket's blocks one by one (_apply_layer), one led by
+        a bra is the dagger of its adjoint (L14), and an operator chain
+        through a ket is cut after its first one, A * |v> * <w| * B =
+        (A * |v>) # (<w| * B), both ends' blocks folded into one map.  Any
+        other chain's factors take its last operand's map, right to left
+        (_apply_factor).  A product is charged as its maps are built.
         A library term's value is in the memo from the start (_constants)."""
         hit = self._sparse_memo.get(t)
         if hit is not None:
@@ -925,12 +927,12 @@ class Rewriter:
                 out = self._sparse(b if a.kind == IDENT else a)
             else:
                 chain = operands(t, self._sparse_memo)
-                k = next((i for i, f in enumerate(chain) if f.cols == 1), None)
-                if k == len(chain) - 1:  # a ket's blocks take the factors one by one
+                if chain[-1].cols == 1:  # a ket's blocks take the factors one by one
                     out = self._apply_layer(chain[:-1], self._sparse(chain[-1]), t)
                 elif chain[0].rows == 1:  # a bra chain is the adjoint of a ket chain (L14)
                     out = self._sparse(dag(mul_all([_adjoint(f) for f in reversed(chain)])))
-                elif k is not None:  # |v> * <w|, the tensor product of its vector ends
+                elif (k := next((i for i, f in enumerate(chain) if f.cols == 1), None)) is not None:
+                    # an operator chain through a ket: |v> * <w|, the tensor product of its ends
                     ket = self._sparse(mul_all(chain[:k + 1]))
                     out = (self._fold(ket + self._sparse(mul_all(chain[k + 1:])), t),)
                 else:  # the last operand's map takes the factors, right to left
@@ -957,15 +959,19 @@ class Rewriter:
         return flat
 
     def _fold(self, blocks, node: Term) -> dict:
-        """The one map of a tensor product of blocks.  Fuel is charged for
-        its entries before any is allocated."""
+        """The one map of a tensor product of blocks, folded from the right.
+        Fuel is charged for its entries before any is allocated."""
         if len(blocks) == 1:
             return blocks[0]
         size = prod(map(len, blocks))
         if self.steps + size > self.fuel:
             raise self._out_of_fuel(node, f"map of {size} entries")
         self.steps += size
-        return _kron_maps(blocks)
+        out = blocks[-1]
+        for left in reversed(blocks[:-1]):
+            out = {(ra + rb, ca + cb): sa * sb
+                   for (ra, ca), sa in left.items() for (rb, cb), sb in out.items()}
+        return out
 
     def _out_of_fuel(self, t: Term, detail: str) -> FuelExhausted:
         """The error naming the node whose evaluation ran out of fuel."""
@@ -1087,17 +1093,6 @@ def _adjoint(f: Term) -> Term:
     return f if f.kind == IDENT else _ADJOINT.get(f) or dag(f)
 
 
-def _kron_maps(blocks) -> dict:
-    """The tensor product of maps, the first one's entries outermost.  Each
-    half is folded first, so the maps built on the way stay small."""
-    if len(blocks) == 1:
-        return blocks[0]
-    mid = len(blocks) // 2
-    left, right = _kron_maps(blocks[:mid]), _kron_maps(blocks[mid:])
-    return {(ra + rb, ca + cb): sa * sb
-            for (ra, ca), sa in left.items() for (rb, cb), sb in right.items()}
-
-
 def _by_column(m: dict) -> dict:
     """A map's entries grouped by column bits: cbits -> [(rbits, scalar)]."""
     out: dict = {}
@@ -1172,15 +1167,12 @@ def _check_reduced(t: Term) -> None:
             raise NotInReducedShape(f"{what}: {render(t)}")
 
 
-def unified_base(t: Term, fuel: int = DEFAULT_FUEL, spent: int = 0) -> NormalForm:
+def unified_base(t: Term, fuel: int = DEFAULT_FUEL) -> NormalForm:
     """Collect a fully reduced term into its canonical normal form, on a
-    fresh Rewriter with this fuel, `spent` of it already used, so running
-    out names the caller's budget.  A term in shape (Term.shaped) is
+    fresh Rewriter with this fuel.  A term in shape (Term.shaped) is
     checked without a walk."""
     _check_reduced(t)
-    rw = Rewriter(fuel)
-    rw.steps = spent
-    return rw._normalize_sparse(t)
+    return Rewriter(fuel)._normalize_sparse(t)
 
 
 # --- derived tables (G_db, B_db) ---------------------------------------
