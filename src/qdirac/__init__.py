@@ -17,8 +17,8 @@ from .oracle import (
     DenseMatrix, ObsResult, SampleEnv, eval_dense, mat_equiv, obs_equiv,
 )
 from .quantum import (
-    MixedState, density, eval_mix, mea_mix, mix_equal, probability, pure_mix, super_,
-    super_reduce, total_mass, unit_mix,
+    MixedState, Pure, density, eval_mix, mea_mix, mix_equal, probability, pure_mix, super_,
+    total_mass, unit_mix,
 )
 from .parser import parse, parse_mixed, parse_scalar
 from .corpus import Assertion, RunConfig, RunReport, parse_corpus, run_file

@@ -27,7 +27,7 @@ from .parser import Parser
 from .quantum import MixedState, eval_mix, mix_equal, sym_mix_difference
 from .rewrite import DEFAULT_FUEL, NormalForm, Rewriter, render_nf
 from .scalar import Scalar
-from .term import Term, render_head
+from .term import Term, render_head, render_scaled
 
 KINDS = ("EQ", "MATEQ", "OBS", "MIXEQ")
 # what a RecursionError from the recursive parser or rewriter is reported as
@@ -209,13 +209,20 @@ def _nf_difference(a: NormalForm, b: NormalForm) -> str:
 
 
 def _branch_text(m: MixedState, i: int) -> str:
-    """Branch i of m as `[p : op]`, op cut to 120 characters: the kept normal
-    form of a computed branch, a leaf's operator as written."""
+    """Branch i of m as `[p : op]`, op cut to 120 characters: a computed pure
+    branch as c .* density of its vector's normal form, another computed
+    branch as its kept normal form, a leaf as written."""
     if i >= len(m.branches):
         return f"no branch {i} (of {len(m.branches)})"
     p, op = m.branches[i]
-    nf = m.nfs[i]
-    return f"[{p} : {render_head(op if nf is None else nf.to_term(), 120)}]"
+    kept = m.nfs[i]
+    if isinstance(kept, NormalForm):
+        return f"[{p} : {render_head(kept.to_term(), 120)}]"
+    if kept is None or kept.nf is None:
+        return f"[{p} : {render_head(op, 120)}]"
+    text = f"density({render_nf(kept.nf)})"
+    text = text if kept.c.is_one() else render_scaled(kept.c, text)
+    return f"[{p} : {text if len(text) <= 120 else text[:117] + '...'}]"
 
 
 def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> AssertionResult:

@@ -14,7 +14,8 @@ those matrices:
   is the baseline `qdirac bench` times against the symbolic engine.
 - `Evaluator`, which `mat_equiv` and `obs_equiv` use, makes the same matrices
   with less work: a product applies its left factor to the right factor's
-  columns, a tensor product acts on them slot by slot, and each small
+  columns, one through a ket is the outer product of its two vector ends,
+  a tensor product acts on them slot by slot, and each small
   subterm is built once per comparison.  The matrices of the library's
   gates and states and their subterms are built once per process by the
   first Evaluator and seed the memo of every later one.
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import DimMismatch, NotSquare, show_dim
 from .term import (
-    ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, library_subterms, operands,
+    ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, dag, library_subterms, operands,
 )
 
 DEFAULT_TOL = 1e-9
@@ -301,11 +302,20 @@ class Evaluator:
             if m is not None:
                 return m
         kind = t.kind
-        if kind == MUL:
-            *left, right = operands(t)
-            m = self.matrix(right)
-            for f in reversed(left):
+        if kind == MUL:  # from the vector end: the first ket, or the last operand
+            parts = operands(t)
+            k = next((i for i, f in enumerate(parts) if f.cols == 1), len(parts) - 1)
+            m = self.matrix(parts[k])
+            for f in reversed(parts[:k]):
                 m = self.act(f, m)
+            if k + 1 < len(parts):  # through a ket: the outer product of the vector ends,
+                bra, w = parts[k + 1:], DenseMatrix(1, 1, [1 + 0j])  # the bra's as a column
+                if bra == [dag(t.children[0])]:  # density(v): v's column, built once
+                    bra, w = (), m
+                for f in bra:
+                    w = self.act(f, w, adjoint=True)
+                w = [y.conjugate() for y in w.entries]
+                m = DenseMatrix(m.rows, len(w), [x * y for x in m.entries for y in w])
         elif kind == ADD:
             first, *rest = operands(t)
             m = self.matrix(first)

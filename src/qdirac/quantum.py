@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
-from .errors import (
-    DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, PatternMismatch, show_dim,
-)
+from .errors import DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, show_dim
 from .oracle import DEFAULT_SEED, DEFAULT_TOL, mat_equiv
 from .rewrite import NormalForm, Rewriter
 from .scalar import Scalar
-from .term import Term, dag, mea, mul, render, scale
+from .term import MUL, Term, dag, mea, mul, render, scale
 
 NormPairs = tuple[tuple[str, str], ...]
 
@@ -30,41 +28,50 @@ def super_(m: Term, rho: Term) -> Term:
     return mul(mul(m, rho), dag(m))
 
 
-def super_reduce(m: Term, psi: Term, norm_pairs: NormPairs = (),
-                 rewriter: Rewriter | None = None) -> NormalForm:
-    """Normalize super(m, density(psi)) by reducing the vector side first."""
-    if psi.cols != 1:
-        raise PatternMismatch(
-            f"super_reduce needs a density of a vector, got {show_dim(psi.dims)}")
-    if m.cols != psi.rows:
-        raise DimMismatch((m.rows, psi.rows), psi.dims, "super_reduce operand")
-    rw = rewriter or Rewriter()
-    v = rw.normalize(mul(m, psi)).to_term()
-    return rw.normalize(mul(v, dag(v))).apply_norm_hypothesis(norm_pairs)
-
-
-def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = ()) -> Scalar:
+def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = (),
+                rewriter: Rewriter | None = None) -> Scalar:
+    """<psi| M^ M |psi>, the squared norm of M|psi>: the product of its
+    normal form's block norms, so a factored vector costs its width."""
     if psi.cols != 1:
         raise NotAVector(f"probability needs a state vector, got {show_dim(psi.dims)}")
     if m_op.rows != m_op.cols or m_op.cols != psi.rows:
         raise DimMismatch((psi.rows, psi.rows), m_op.dims, "measurement operator")
-    expr = mul(dag(psi), mul(dag(m_op), mul(m_op, psi)))
-    return Rewriter().normalize(expr).as_scalar().apply_norm_hypothesis(norm_pairs)
+    p = Scalar.one()
+    for block in (rewriter or Rewriter()).normalize(mul(m_op, psi)).blocks:
+        p = p * sum((s * s.conj() for s, _ in block), Scalar.zero())
+    return p.apply_norm_hypothesis(norm_pairs)
+
+
+class Pure(NamedTuple):
+    """A pure branch c.|psi><psi|: psi as written, and its normal form,
+    hypotheses applied, once computed."""
+
+    c: Scalar
+    psi: Term
+    nf: NormalForm | None = None
+
+
+def _leaf_state(op: Term) -> Pure | None:
+    """The pure state (1, psi) of a leaf operator written density(psi)."""
+    if op.kind == MUL and op.children[0].cols == 1 and op.children[1] is dag(op.children[0]):
+        return Pure(Scalar.one(), op.children[0])
+    return None
 
 
 @dataclass(frozen=True)
 class MixedState:
     """Ordered ensemble of (probability, operator) branches.
 
-    Each operator is the branch as written: a leaf's (`[p : op]`, `mix1`) as
-    parsed, and after unit_mix or mea_mix the super-operator or projection
-    applied to the previous operator, unevaluated, which is what the oracle
-    reads.  `nfs` keeps, per branch, the normal form the symbolic engine
-    computed for it, hypotheses applied, or None for a leaf branch, which has
-    none; the symbolic comparison reads those."""
+    Each operator is the branch as written, which the oracle reads: a leaf's
+    (`[p : op]`, `mix1`) as parsed, else c .* (psi * psi^) for a pure branch
+    and the super-operator or projection applied to the previous operator,
+    unevaluated, for any other.  `nfs` keeps what the symbolic comparison
+    reads: a Pure state for a branch whose leaf is written density(psi),
+    kept pure by unitaries and projections, the normal form of any other
+    computed branch, None for any other leaf."""
 
     branches: tuple[tuple[Scalar, Term], ...]
-    nfs: tuple[NormalForm | None, ...] = ()
+    nfs: tuple[NormalForm | Pure | None, ...] = ()
 
     def __post_init__(self):
         dims = {op.dims for _, op in self.branches}
@@ -74,7 +81,7 @@ class MixedState:
             if op.rows != op.cols:
                 raise NotAnOperator(f"branch operator has dims {show_dim(op.dims)}")
         if not self.nfs:
-            object.__setattr__(self, "nfs", (None,) * len(self.branches))
+            object.__setattr__(self, "nfs", tuple(_leaf_state(op) for _, op in self.branches))
         elif len(self.nfs) != len(self.branches):
             raise ValueError("one normal form per branch")
 
@@ -110,24 +117,41 @@ def eval_mix(expr: MixExpr, norm_pairs: NormPairs = (),
 
 
 def _stage_inputs(m: MixedState):
-    """Per branch (p, the operator as written, the term the engine continues
-    from: the kept normal form's, or a leaf's operator)."""
-    for (p, op), nf in zip(m.branches, m.nfs):
-        yield p, op, op if nf is None else nf.to_term()
+    """Per branch (p, the operator as written, what the engine continues
+    from: a Pure state, a kept normal form's term or a leaf's operator)."""
+    for (p, op), kept in zip(m.branches, m.nfs):
+        yield p, op, kept.to_term() if isinstance(kept, NormalForm) else kept or op
+
+
+def _pure(c: Scalar, psi: Term, norm_pairs: NormPairs, rw: Rewriter) -> Pure:
+    return Pure(c, psi, rw.normalize(psi).apply_norm_hypothesis(norm_pairs))
+
+
+def _written(pure: Pure) -> Term:
+    rho = density(pure.psi)
+    return rho if pure.c.is_one() else scale(pure.c, rho)
 
 
 def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = (),
              rewriter: Rewriter | None = None) -> MixedState:
+    """U rho U^ per branch; a pure branch c|psi><psi| becomes c|U psi><U psi|."""
     rw = rewriter or Rewriter()
     branches, nfs = [], []
     for p, op, rho in _stage_inputs(m):
-        nfs.append(rw.normalize(super_(u, rho)).apply_norm_hypothesis(norm_pairs))
-        branches.append((p, super_(u, op)))
+        if isinstance(rho, Pure):
+            nfs.append(_pure(rho.c, mul(u, rho.psi), norm_pairs, rw))
+            branches.append((p, _written(nfs[-1])))
+        else:
+            nfs.append(rw.normalize(super_(u, rho)).apply_norm_hypothesis(norm_pairs))
+            branches.append((p, super_(u, op)))
     return MixedState(tuple(branches), tuple(nfs))
 
 
 def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
             rewriter: Rewriter | None = None) -> MixedState:
+    """Each branch split by the projections M = Mea0, Mea1 on qubit k into
+    branches of probability p, divided by p where it has an inverse.  A pure
+    c|psi><psi| becomes (c / p)|M psi><M psi|, p = c <psi|M|psi>: no sqrt(p)."""
     rw = rewriter or Rewriter()
     branches, nfs = [], []
     for p, op, rho in _stage_inputs(m):
@@ -135,22 +159,27 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
             raise DimMismatch((2 ** (n + 1), 2 ** (n + 1)), op.dims, "mea_mix branch")
         for proj_name in ("Mea0", "Mea1"):
             proj = mea(proj_name, n, k)
-            # projective, so tr(M rho M) = tr(M rho)
-            prob_nf = rw.normalize(mul(proj, rho)).apply_norm_hypothesis(norm_pairs)
-            branch_p = prob_nf.trace().apply_norm_hypothesis(norm_pairs)
+            if isinstance(rho, Pure):
+                branch_p = rho.c * probability(rho.psi, proj, norm_pairs, rw)
+            else:
+                post_nf = rw.normalize(mul(proj, mul(rho, proj))).apply_norm_hypothesis(norm_pairs)
+                branch_p = post_nf.trace()
+            branch_p = branch_p.apply_norm_hypothesis(norm_pairs)
             if branch_p.is_zero():
                 continue
-            post_nf = rw.normalize(mul(proj, mul(rho, proj)))
-            post_nf = post_nf.apply_norm_hypothesis(norm_pairs)
-            post = mul(proj, mul(op, proj))
             try:
                 inv = branch_p.reciprocal()
-                post_nf = post_nf.map_scalars(lambda s: s * inv)
-                post = scale(inv, post)
-            except NonInvertibleScalar:
-                pass  # symbolic trace: leave the branch unnormalized
-            branches.append((p * branch_p, post))
-            nfs.append(post_nf)
+            except NonInvertibleScalar:  # symbolic trace: leave the branch unnormalized
+                inv = Scalar.one()
+            if isinstance(rho, Pure):
+                nfs.append(_pure(rho.c * inv, mul(proj, rho.psi), norm_pairs, rw))
+                branches.append((p * branch_p, _written(nfs[-1])))
+            else:
+                post = mul(proj, mul(op, proj))
+                if not inv.is_one():
+                    post_nf, post = post_nf.map_scalars(lambda s: s * inv), scale(inv, post)
+                nfs.append(post_nf)
+                branches.append((p * branch_p, post))
     return MixedState(tuple(branches), tuple(nfs))
 
 
@@ -173,18 +202,47 @@ def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_T
 
 def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
                        rewriter: Rewriter | None = None) -> int | None:
-    """Ordered branchwise comparison, operators compared by normal form: the
-    kept one of a computed branch, a leaf's normalized here.  The index of the
-    first branch that differs, or None if the states are equal."""
+    """Ordered branchwise comparison, decided exactly: two pure branches by
+    their vectors (_pure_equal), any other pair by operator normal forms, a
+    computed branch's kept one, or the written operator's (for a pure
+    branch, c .* (psi * psi^) by the cut path).  The index of the first
+    branch that differs, or None if the states are equal."""
     rw = rewriter or Rewriter()
 
-    def nf(m: MixedState, i: int) -> NormalForm:
-        kept = m.nfs[i]
-        if kept is None:
-            kept = rw.normalize(m.branches[i][1])
-        return kept.apply_norm_hypothesis(norm_pairs)
+    def vector(s: Pure) -> Pure:
+        return s if s.nf is not None else _pure(s.c, s.psi, norm_pairs, rw)
 
-    return _first_difference(a, b, norm_pairs, lambda i: nf(a, i) == nf(b, i))
+    def operator(m: MixedState, i: int) -> NormalForm:
+        kept = m.nfs[i]
+        nf = kept if isinstance(kept, NormalForm) else rw.normalize(m.branches[i][1])
+        return nf.apply_norm_hypothesis(norm_pairs)
+
+    def equal(i: int) -> bool:
+        sa, sb = a.nfs[i], b.nfs[i]
+        if isinstance(sa, Pure) and isinstance(sb, Pure):
+            return _pure_equal(vector(sa), vector(sb), norm_pairs)
+        return operator(a, i) == operator(b, i)
+
+    return _first_difference(a, b, norm_pairs, equal)
+
+
+def _pure_equal(a: Pure, b: Pure, norm_pairs: NormPairs) -> bool:
+    """c_a|x><x| == c_b|y><y|, so y = l.x with c_a == c_b.l.l^*.  l scales a
+    normal form's last block: the blocks before it are identical, the last
+    ones proportional, y_j.x_0 == x_j.y_0, and c_a.x_0.x_0^* == c_b.y_0.y_0^*,
+    cross-multiplied, so nothing is divided.  A vector whose pivot holds an
+    atom is one block, so where the block counts differ, the flat sums."""
+    x, y = a.nf, b.nf
+    if x.is_zero() or y.is_zero():
+        return x.is_zero() and y.is_zero()
+    xs, ys = (x.blocks, y.blocks) if len(x.blocks) == len(y.blocks) else (
+        (x.summands,), (y.summands,))
+    if xs[:-1] != ys[:-1] or [k for _, k in xs[-1]] != [k for _, k in ys[-1]]:
+        return False
+    x0, y0 = xs[-1][0][0], ys[-1][0][0]
+    return all(s.apply_norm_hypothesis(norm_pairs).is_zero() for s in (
+        a.c * x0 * x0.conj() - b.c * y0 * y0.conj(),
+        *(sy * x0 - sx * y0 for (sx, _), (sy, _) in zip(xs[-1], ys[-1]))))
 
 
 def _first_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs,

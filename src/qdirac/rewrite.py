@@ -890,8 +890,7 @@ class Rewriter:
             out = ({},)
         elif kind == IDENT:
             n = t.payload
-            if self.steps + n > self.fuel:  # charge fuel before allocating
-                raise self._out_of_fuel(t, f"map of {show_dim(n)} entries")
+            self._charge_before(t, n)
             out = ({(bits, bits): _ONE for bits in product((0, 1), repeat=n.bit_length() - 1)},)
         elif kind == SCALE:  # the last block scaled; nothing under a zero scalar is evaluated
             c = t.payload
@@ -899,16 +898,21 @@ class Rewriter:
                 out = ({},)
             else:
                 blocks = self._sparse(t.children[0])
+                self._charge_before(t, len(blocks[-1]))
                 out = blocks[:-1] + ({k: c * s for k, s in blocks[-1].items()},)
         elif kind == DAG:
+            blocks = self._sparse(t.children[0])
+            self._charge_before(t, sum(map(len, blocks)))
             out = tuple([{(cbits, rbits): s.conj() for (rbits, cbits), s in block.items()}
-                         for block in self._sparse(t.children[0])])
+                         for block in blocks])
         elif kind == ADD:  # merge the whole chain into one map, memoized at the top
             parts = operands(t, self._sparse_memo)
             acc = dict(self._map(parts[0]))
             for part in parts[1:]:
                 for k, s in self._map(part).items():
                     cur = acc.get(k)
+                    if cur is None and self.steps + len(acc) >= self.fuel:  # charged as it grows
+                        raise self._out_of_fuel(t, f"map passing {len(acc)} entries")
                     merged = s if cur is None else cur + s
                     if merged.is_zero():
                         del acc[k]
@@ -964,14 +968,19 @@ class Rewriter:
         if len(blocks) == 1:
             return blocks[0]
         size = prod(map(len, blocks))
-        if self.steps + size > self.fuel:
-            raise self._out_of_fuel(node, f"map of {size} entries")
+        self._charge_before(node, size)
         self.steps += size
         out = blocks[-1]
         for left in reversed(blocks[:-1]):
             out = {(ra + rb, ca + cb): sa * sb
                    for (ra, ca), sa in left.items() for (rb, cb), sb in out.items()}
         return out
+
+    def _charge_before(self, t: Term, size: int) -> None:
+        """Refuse t's map of `size` entries before it is built, where the
+        fuel left cannot pay for it."""
+        if self.steps + size > self.fuel:
+            raise self._out_of_fuel(t, f"map of {show_dim(size)} entries")
 
     def _out_of_fuel(self, t: Term, detail: str) -> FuelExhausted:
         """The error naming the node whose evaluation ran out of fuel."""

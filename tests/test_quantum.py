@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdirac.corpus import RunConfig, parse_corpus, run_assertion
 from qdirac.errors import DimMismatch, FuelExhausted, NotAnOperator, NotAVector
@@ -14,7 +15,7 @@ from qdirac.oracle import mat_equiv
 from qdirac.parser import Parser
 from qdirac.quantum import (
     MixedState, density, eval_mix, mea_mix, mix_equal, probability, pure_mix,
-    super_, super_reduce, sym_mix_difference, total_mass, unit_mix,
+    super_, sym_mix_difference, total_mass, unit_mix,
 )
 from qdirac.rewrite import Rewriter
 from qdirac.scalar import Scalar
@@ -22,7 +23,7 @@ from qdirac.term import (
     add, dag, gate, identity, ket0, ket1, ket_string, kron, mea, mul, scale,
 )
 
-from conftest import rand_op, rand_state
+from conftest import rand_op, rand_scalar, rand_state
 
 HALF = Scalar.rational(1, 2)
 QUARTER = Scalar.rational(1, 4)
@@ -36,17 +37,6 @@ def test_density_and_super_shapes():
         density(gate("X"))
     with pytest.raises(DimMismatch):
         super_(gate("CX"), rho)
-
-
-def test_super_reduce_matches_direct_normalization():
-    rng = random.Random(31)
-    for _ in range(60):
-        qubits = rng.randint(1, 2)
-        psi = rand_state(rng, qubits, closed=True)
-        m = rand_op(rng, qubits, closed=True)
-        via_vector = super_reduce(m, psi)
-        direct = Rewriter().normalize(super_(m, density(psi)))
-        assert via_vector == direct, (repr(m), repr(psi))
 
 
 def test_global_phase_vanishes_in_density():
@@ -156,7 +146,8 @@ def test_mixed_state_validation_and_render():
 
 def test_false_mixeq_names_the_first_differing_branch():
     """A false MIXEQ fails with a witness naming the first branch that
-    differs, its operators cut short, even when they have 1024 summands."""
+    differs: a pure branch by c and its vector's normal form, short where
+    the density has 1024 summands."""
     src = ("big: MIXEQ unitmix(kron_n(5, H), mix1(density(kron_n(5, |0>))))"
            " == unitmix(kron_n(5, H), mix1(density(kron_n(5, |1>))))\n"
            "short: MIXEQ [1/2 : density(|0>) ; 1/2 : density(|1>)] == [1/2 : density(|0>)]\n")
@@ -167,7 +158,7 @@ def test_false_mixeq_names_the_first_differing_branch():
     assert big.startswith(prefix)
     sides = big[len(prefix):].split(" vs ")
     assert len(sides) == 2 and sides[0] != sides[1]
-    assert all(s.startswith("[1 : ") and s.endswith("...]") and len(s) == 126 for s in sides)
+    assert all(s.startswith("[1 : ") and s.endswith(")]") and len(s) == 42 for s in sides)
     assert short == "mixed states differ at branch 1: [1/2 : |1> * <1|] vs no branch 1 (of 1)"
 
 
@@ -205,21 +196,24 @@ def _h_layer_mixeq(n: int) -> str:
 
 def test_branches_keep_written_operator_and_its_normal_form():
     """After unit_mix and mea_mix each branch's operator as written and the
-    normal form kept for it are the same matrix, with atoms and hypotheses
-    too; a leaf branch keeps no normal form."""
+    pure state kept for it, c .* (psi * psi^) with psi its vector's normal
+    form, are the same matrix, with atoms and hypotheses too; a leaf branch
+    keeps its vector as written, no normal form yet."""
     rng = random.Random(35)
     for case in range(60):
         qubits = 1 + case % 2
         closed = case % 4 < 2
         hyps = (("a", "b"),) if case % 8 >= 4 else ()
-        leaf = pure_mix(density(rand_state(rng, qubits, closed=closed)))
-        assert leaf.nfs == (None,)
+        psi = rand_state(rng, qubits, closed=closed)
+        leaf = pure_mix(density(psi))
+        assert leaf.nfs == (quantum_module.Pure(Scalar.one(), psi),)
         measured = mea_mix(qubits - 1, rng.randrange(qubits), leaf, hyps)
         evolved = unit_mix(rand_op(rng, qubits, closed=closed), measured, hyps)
         for m in (measured, evolved):
             assert len(m.nfs) == len(m.branches)
-            for (_, op), nf in zip(m.branches, m.nfs):
-                assert mat_equiv(op, nf.to_term(), norm_pairs=hyps), (case, repr(op))
+            for (_, op), kept in zip(m.branches, m.nfs):
+                kept_op = scale(kept.c, density(kept.nf.to_term()))
+                assert mat_equiv(op, kept_op, norm_pairs=hyps), (case, repr(op))
 
 
 def test_oracle_reads_the_written_circuit_not_the_kept_normal_form():
@@ -277,3 +271,106 @@ def test_a_mixed_state_check_runs_on_one_rewriter(monkeypatch):
     assert rw.steps > 0
     with pytest.raises(FuelExhausted):
         eval_mix(expr, rewriter=Rewriter(fuel=rw.steps - 1))
+
+
+def _stages(rng: random.Random, qubits: int, closed: bool, inner):
+    """inner under one to three random unitmix and meamix stages."""
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            inner = ("unitmix", rand_op(rng, qubits, closed=closed), inner)
+        else:
+            inner = ("meamix", qubits - 1, rng.randrange(qubits), inner)
+    return inner
+
+
+def _with_leaf(expr, leaf):
+    """expr with its innermost mixed state replaced by leaf."""
+    if isinstance(expr, MixedState):
+        return leaf
+    return (*expr[:-1], _with_leaf(expr[-1], leaf))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_pure_branches_decide_as_their_density_normal_forms(seed):
+    """Random 1-3 qubit states, closed or with atoms under HYP norm(a,b),
+    through random unitmix and meamix stages: comparing the pure branches by
+    their vectors gives the first differing branch that comparing explicit
+    operator normal forms gives (a leaf written 1 .* density(psi) is no pure
+    branch), a pure branch against an operator one agrees too, and mix_equal
+    agrees with the verdict.  The right side is the left one itself, its
+    state under a global phase, rescaled or replaced, or its last unitary
+    swapped or one stage more."""
+    rng = random.Random(seed)
+    qubits = rng.randint(1, 3)
+    closed = rng.random() < 0.5
+    hyps = () if closed else (("a", "b"),)
+    psi = rand_state(rng, qubits, closed=closed)
+    left = _stages(rng, qubits, closed, pure_mix(density(psi)))
+    variant = rng.randrange(5)
+    if variant == 0:
+        right = _with_leaf(left, pure_mix(density(scale(Scalar.phase("u"), psi))))
+    elif variant == 1:
+        right = _with_leaf(left, pure_mix(density(scale(rand_scalar(rng, closed), psi))))
+    elif variant == 2:
+        right = _with_leaf(left, pure_mix(density(rand_state(rng, qubits, closed=closed))))
+    elif variant == 3:
+        right = left
+    else:  # one unitary swapped, or one stage more
+        right = _stages(rng, qubits, closed, left) if left[0] == "meamix" else (
+            "unitmix", rand_op(rng, qubits, closed=closed), left[2])
+
+    def operator_leaf(expr):
+        leaf = expr
+        while not isinstance(leaf, MixedState):
+            leaf = leaf[-1]
+        return _with_leaf(expr, pure_mix(scale(Scalar.one(), leaf.branches[0][1])))
+
+    rw = Rewriter()
+    pure_a, pure_b = (eval_mix(e, hyps, rw) for e in (left, right))
+    op_a, op_b = (eval_mix(operator_leaf(e), hyps, rw) for e in (left, right))
+    assert all(isinstance(k, quantum_module.Pure) for k in pure_a.nfs + pure_b.nfs)
+    assert not any(isinstance(k, quantum_module.Pure) for k in op_a.nfs + op_b.nfs)
+    verdict = sym_mix_difference(op_a, op_b, hyps, rw)
+    assert sym_mix_difference(pure_a, pure_b, hyps, rw) == verdict, (seed, variant)
+    assert sym_mix_difference(pure_a, op_b, hyps, rw) == verdict, (seed, variant)
+    assert mix_equal(pure_a, pure_b, norm_pairs=hyps) == (verdict is None), (seed, variant)
+
+
+def test_a_swapped_gate_fails_at_its_branch():
+    """Measuring CX * (|+> # |0>) gives |0,0> and |1,1>; with CZ in place of
+    CX the second branch is |1,0>, so the check fails there, with the oracle
+    and without it."""
+    rhs = "[1/2 : density(|0,0>) ; 1/2 : density(|1,1>)]"
+    src = (f"ok: MIXEQ meamix(1, 0, unitmix(CX, mix1(density(|+> # |0>)))) == {rhs}\n"
+           f"swapped: MIXEQ meamix(1, 0, unitmix(CZ, mix1(density(|+> # |0>)))) == {rhs}\n")
+    for cfg in (RunConfig(), RunConfig(oracle=False)):
+        ok, swapped = (run_assertion(a, {}, cfg) for a in parse_corpus(src).assertions)
+        assert ok.verdict == "pass", ok
+        assert swapped.verdict == "fail", swapped
+        # the computed branch prints c and its vector, the leaf as written
+        assert swapped.witness == (
+            "mixed states differ at branch 1: [1/2 : 2 .* density(1/2*sqrt2 .* |1,0>)]"
+            " vs [1/2 : |1> # |1> * (|1> # |1>)^]"), swapped
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_wide_mixed_states_are_decided_in_steps_linear_in_the_width(n):
+    """With the oracle off, the H-layer MIXEQ passes and its false variant
+    fails at branch 0, not with an error; at n=16 a second H layer and a
+    measurement after the first pass too.  A pure branch is a factored
+    vector, so the steps stay within a few per qubit."""
+    h, zeros, plus = f"kron_n({n}, H)", f"kron_n({n}, |0>)", f"kron_n({n}, |+>)"
+    layer = f"unitmix({h}, mix1(density({zeros})))"
+    src = [f"h: MIXEQ {layer} == mix1(density({plus}))",
+           f"f: MIXEQ {layer} == mix1(density(kron_n({n - 1}, |+>) # |->))"]
+    if n == 16:
+        src += [f"t: MIXEQ unitmix({h}, {layer}) == mix1(density({zeros}))",
+                f"m: MIXEQ meamix({n - 1}, 0, {layer}) == "
+                f"meamix({n - 1}, 0, mix1(density({plus})))"]
+    results = [run_assertion(a, {}, RunConfig(oracle=False))
+               for a in parse_corpus("\n".join(src) + "\n").assertions]
+    verdicts = {r.name: r.verdict for r in results}
+    assert verdicts == {name[0]: "fail" if name[0] == "f" else "pass" for name in src}, results
+    assert results[1].witness.startswith("mixed states differ at branch 0: [1 : density(|+> # ")
+    assert all(r.steps <= 4 * n for r in results), [(r.name, r.steps) for r in results]

@@ -928,6 +928,24 @@ def test_fuel_is_charged_before_allocating():
         assert peak < limit, (t.dims, peak)
 
 
+def test_scale_dagger_and_sum_are_refused_within_the_fuel():
+    """A scaling, a dagger or a sum whose map the fuel left cannot pay for
+    is refused before that map is built, so the steps never pass the fuel."""
+    for src in ("(kron_n(6, |+>) * kron_n(6, <+|))^",
+                "2 .* (kron_n(6, |+>) * kron_n(6, <+|))",
+                "kron_n(6, |+>) * kron_n(6, <+|) + kron_n(6, |->) * kron_n(6, <-|)"):
+        rw = Rewriter(fuel=5000)
+        with pytest.raises(FuelExhausted):
+            rw.normalize(parse(src))
+        assert rw.steps <= 5000, (src, rw.steps)
+    # a sum of a term already paid for grows its map entry by entry
+    rw = Rewriter(fuel=6000)
+    rw.normalize(parse("kron_n(6, |+>) * kron_n(6, <+|)"))
+    with pytest.raises(FuelExhausted, match="map passing"):
+        rw.normalize(parse("kron_n(6, |0>) * kron_n(6, <1|) + kron_n(6, |+>) * kron_n(6, <+|)"))
+    assert rw.steps <= 6000, rw.steps
+
+
 def test_fuel_exhausted_names_the_node(capsys):
     plus10 = kron_n(10, gate("ket_plus"))
     with pytest.raises(FuelExhausted) as info:
