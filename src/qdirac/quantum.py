@@ -135,6 +135,8 @@ def _written(pure: Pure) -> Term:
 def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = (),
              rewriter: Rewriter | None = None) -> MixedState:
     """U rho U^ per branch; a pure branch c|psi><psi| becomes c|U psi><U psi|."""
+    if m.branches and u.cols != m.dims[0]:
+        raise DimMismatch((u.rows, m.dims[0]), m.dims, "super operand")
     rw = rewriter or Rewriter()
     branches, nfs = [], []
     for p, op, rho in _stage_inputs(m):
