@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import DimMismatch, NotSquare, show_dim
 from .term import (
-    ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, dag, library_subterms, operands,
+    ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, library_subterms, operands,
 )
 
 DEFAULT_TOL = 1e-9
@@ -310,8 +310,8 @@ class Evaluator:
                 m = self.act(f, m)
             if k + 1 < len(parts):  # through a ket: the outer product of the vector ends,
                 bra, w = parts[k + 1:], DenseMatrix(1, 1, [1 + 0j])  # the bra's as a column
-                if bra == [dag(t.children[0])]:  # density(v): v's column, built once
-                    bra, w = (), m
+                if len(bra) == 1 and bra[0].kind == DAG and bra[0].children[0] is t.children[0]:
+                    bra, w = (), m  # density(v): v's column, built once
                 for f in bra:
                     w = self.act(f, w, adjoint=True)
                 w = [y.conjugate() for y in w.entries]
