@@ -24,7 +24,7 @@ from .oracle import (
     mat_equiv, obs_equiv,
 )
 from .parser import Parser
-from .quantum import MixedState, eval_mix, mix_equal, sym_mix_difference
+from .quantum import MixedState, Pure, eval_mix, mix_equal, sym_mix_difference
 from .rewrite import DEFAULT_FUEL, NormalForm, Rewriter, render_nf
 from .scalar import Scalar
 from .term import Term, render_head, render_scaled
@@ -208,14 +208,15 @@ def _nf_difference(a: NormalForm, b: NormalForm) -> str:
     return f"normal forms differ past the first {walked} summands walked"
 
 
-def _branch_text(m: MixedState, i: int) -> str:
-    """Branch i of m as `[p : op]`, op cut to 120 characters: a computed pure
-    branch as c .* density of its vector's normal form, another computed
-    branch as its kept normal form, a leaf as written."""
+def _branch_text(m: MixedState, i: int, state: Pure | None) -> str:
+    """Branch i of m as `[p : op]`, op cut to 120 characters: a pure branch
+    whose vector's normal form is known (state, as compared, or kept) as
+    c .* density of it, another computed branch as its kept normal form, a
+    leaf as written."""
     if i >= len(m.branches):
         return f"no branch {i} (of {len(m.branches)})"
     p, op = m.branches[i]
-    kept = m.nfs[i]
+    kept = state or m.nfs[i]
     if isinstance(kept, NormalForm):
         return f"[{p} : {render_head(kept.to_term(), 120)}]"
     if kept is None or kept.nf is None:
@@ -223,6 +224,18 @@ def _branch_text(m: MixedState, i: int) -> str:
     text = f"density({render_nf(kept.nf)})"
     text = text if kept.c.is_one() else render_scaled(kept.c, text)
     return f"[{p} : {text if len(text) <= 120 else text[:117] + '...'}]"
+
+
+def _block_difference(x: Pure | None, y: Pure | None) -> str:
+    """`, block j: u vs v` for the first block of two compared pure states'
+    vector normal forms that differs, each rendered alone; empty if none."""
+    if x is None or x.nf.is_zero() or y.nf.is_zero():
+        return ""
+    for j, pair in enumerate(zip(x.nf.blocks, y.nf.blocks)):
+        if pair[0] != pair[1]:
+            u, v = (render_nf(NormalForm((2 ** len(b[0][1][0]), 1), (b,))) for b in pair)
+            return f", block {j}: {u} vs {v}"
+    return ""
 
 
 def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> AssertionResult:
@@ -236,8 +249,9 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
             diff = sym_mix_difference(lhs, rhs, a.hypotheses, rewriter)
             sym_ok = diff is None
             if not sym_ok:
-                res.witness = (f"mixed states differ at branch {diff}: "
-                               f"{_branch_text(lhs, diff)} vs {_branch_text(rhs, diff)}")
+                i, x, y = diff
+                res.witness = (f"mixed states differ at branch {i}: {_branch_text(lhs, i, x)}"
+                               f" vs {_branch_text(rhs, i, y)}{_block_difference(x, y)}")
         else:
             lhs = Parser(a.lhs, defs).parse_term()
             rhs = Parser(a.rhs, defs).parse_term()

@@ -19,6 +19,12 @@ those matrices:
   subterm is built once per comparison.  The matrices of the library's
   gates and states and their subterms are built once per process by the
   first Evaluator and seed the memo of every later one.
+
+Terms are hash-consed, so one term is one matrix under every binding: a
+pair whose two sides are one term is equal unevaluated.  A term's `closed`
+bit, set when it is interned, says no atom occurs under it: the atom walk
+stops there, closed terms compare under one empty binding, and a closed
+subterm's matrix is built once per comparison, not once per binding.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import DimMismatch, NotSquare, show_dim
@@ -123,7 +130,7 @@ class DenseMatrix:
     def approx_eq(self, other: "DenseMatrix", tol: float = DEFAULT_TOL) -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return all(abs(x - y) <= tol for x, y in zip(self.entries, other.entries))
+        return max(map(abs, map(sub, self.entries, other.entries))) <= tol
 
     def max_abs_index(self) -> tuple[int, int]:
         best, idx = -1.0, 0
@@ -171,17 +178,16 @@ class SampleEnv:
 def collect_atoms(*terms: Term) -> tuple[set[str], set[str]]:
     """All (variable, phase-angle) atom names under Scale nodes of the terms,
     found in one walk, so a subterm they share is visited once; the walk
-    stops at a library constant, which holds no atom."""
+    stops at a closed subterm, which holds no atom."""
     variables: set[str] = set()
     angles: set[str] = set()
     stack = list(terms)
     seen = set()
-    library = _library()
     while stack:
         cur = stack.pop()
-        if id(cur) in seen or cur in library:
+        if cur.closed or cur in seen:
             continue
-        seen.add(id(cur))
+        seen.add(cur)
         if cur.kind == SCALE:
             v, a = cur.payload.atoms()
             variables |= v
@@ -225,11 +231,11 @@ def eval_dense(t: Term, env: SampleEnv | None = None) -> DenseMatrix:
 def envs_for(terms: Sequence[Term], samples: Optional[int], seed: int,
              norm_pairs: tuple[tuple[str, str], ...]) -> list[SampleEnv]:
     """The bindings a comparison of the terms runs under: one empty binding
-    when no term has atoms and there are no hypotheses, else `samples`
+    when every term is closed and there are no hypotheses, else `samples`
     seeded ones."""
-    variables, angles = collect_atoms(*terms)
-    if not variables and not angles and not norm_pairs:
+    if not norm_pairs and all(t.closed for t in terms):
         return [SampleEnv({}, seed)]
+    variables, angles = collect_atoms(*terms)
     n = samples if samples is not None else DEFAULT_SAMPLES
     return [
         SampleEnv.sample(variables, angles, seed + k, norm_pairs) for k in range(n)
@@ -261,14 +267,13 @@ class Evaluator:
     columns of m without building t: a product applies its factors one by
     one and a tensor product acts slot by slot, so no Kronecker product of
     large factors is formed.  The matrix of each subterm with at most
-    SMALL_ENTRIES entries is built once: an atom-free one for the whole
-    comparison, and any other once per `bind`.  The atom-free memo starts
-    as a copy of the library's matrices (_library), built once per process.
+    SMALL_ENTRIES entries is built once: a closed one for the whole
+    comparison, and any other once per `bind`.  The closed memo starts as a
+    copy of the library's matrices (_library), built once per process.
     """
 
     def __init__(self):
         self.shared: dict[Term, DenseMatrix] = dict(_library())
-        self.atom_free: dict[Term, bool] = dict.fromkeys(self.shared, True)
         self.local: dict[Term, DenseMatrix] = {}
         self.bindings: dict[str, complex] = {}
 
@@ -276,28 +281,10 @@ class Evaluator:
         self.bindings = env.bindings
         self.local = {}
 
-    def is_atom_free(self, t: Term) -> bool:
-        """Whether no atom occurs under t.  Iterative, since a normal form's
-        sum can be 1024 summands long; kept for every subterm it visits."""
-        known = self.atom_free
-        if t in known:
-            return known[t]
-        stack = [(t, False)]
-        while stack:
-            u, children_known = stack.pop()
-            if children_known:
-                known[u] = all(known[c] for c in u.children) and (
-                    u.kind != SCALE or u.payload.atoms() == (set(), set()))
-            elif u not in known:
-                stack.append((u, True))
-                stack.extend((c, False) for c in u.children)
-        return known[t]
-
     def matrix(self, t: Term) -> DenseMatrix:
         small = t.rows * t.cols <= SMALL_ENTRIES
         if small:
-            # with no bindings no atom occurs (evaluating one would fail)
-            memo = self.shared if not self.bindings or self.is_atom_free(t) else self.local
+            memo = self.shared if t.closed else self.local
             m = memo.get(t)
             if m is not None:
                 return m
@@ -378,7 +365,7 @@ class Evaluator:
 
 # Each gate and state of the term library, and every subterm under them
 # (library_subterms), mapped to its matrix: at most SMALL_ENTRIES entries,
-# with no atom.  Every Evaluator's memo of atom-free matrices starts as a
+# closed.  Every Evaluator's memo of closed matrices starts as a
 # copy of it.  Filled once per process, when the first Evaluator is made, by
 # a private Evaluator that starts from it empty.  The matrices are shared, so
 # no caller may mutate one.
@@ -404,7 +391,7 @@ def mat_equiv(a: Term | Sequence[Term], b: Term | Sequence[Term],
     a and b may also be sequences of terms of equal length, equal when each
     pair is: the pairs share one Evaluator and bindings sampled from the
     atoms of them all, so a subterm several pairs hold is built once per
-    binding."""
+    binding.  A pair whose sides are one term is equal and left out first."""
     if isinstance(a, Term):
         a, b = (a,), (b,)
     if len(a) != len(b):
@@ -412,10 +399,13 @@ def mat_equiv(a: Term | Sequence[Term], b: Term | Sequence[Term],
     for x, y in zip(a, b):
         if x.dims != y.dims:
             raise DimMismatch(x.dims, y.dims)
+    pairs = [(x, y) for x, y in zip(a, b) if x is not y]
+    if not pairs:
+        return True
     ev = Evaluator()
-    for env in envs_for((*a, *b), samples, seed, norm_pairs):
+    for env in envs_for([t for pair in pairs for t in pair], samples, seed, norm_pairs):
         ev.bind(env)
-        if not all(ev.matrix(x).approx_eq(ev.matrix(y), tol) for x, y in zip(a, b)):
+        if not all(ev.matrix(x).approx_eq(ev.matrix(y), tol) for x, y in pairs):
             return False
     return True
 
@@ -437,9 +427,12 @@ class ObsResult:
 def obs_equiv(a: Term, b: Term, samples: Optional[int] = None,
               tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
               norm_pairs: tuple[tuple[str, str], ...] = ()) -> ObsResult:
-    """Equality up to a single global phase of unit modulus."""
+    """Equality up to a single global phase of unit modulus; a term is
+    equivalent to itself with phase 1, unevaluated."""
     if a.dims != b.dims:
         raise DimMismatch(a.dims, b.dims)
+    if a is b:
+        return ObsResult(True, phase=1 + 0j)
     phase: complex | None = None
     ev = Evaluator()
     for env in envs_for((a, b), samples, seed, norm_pairs):

@@ -203,13 +203,17 @@ def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_T
 
 
 def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
-                       rewriter: Rewriter | None = None) -> int | None:
+                       rewriter: Rewriter | None = None
+                       ) -> tuple[int, Pure | None, Pure | None] | None:
     """Ordered branchwise comparison, decided exactly: two pure branches by
     their vectors (_pure_equal), any other pair by operator normal forms, a
     computed branch's kept one, or the written operator's (for a pure
-    branch, c .* (psi * psi^) by the cut path).  The index of the first
-    branch that differs, or None if the states are equal."""
+    branch, c .* (psi * psi^) by the cut path).  None if the states are
+    equal, else (i, x, y): i the index of the first branch that differs, and
+    x and y its two pure states with their normal forms, as compared, or
+    None, None where its branches were not compared as two vectors."""
     rw = rewriter or Rewriter()
+    compared: dict[int, tuple[Pure, Pure]] = {}
 
     def vector(s: Pure) -> Pure:
         return s if s.nf is not None else _pure(s.c, s.psi, norm_pairs, rw)
@@ -222,10 +226,12 @@ def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
     def equal(i: int) -> bool:
         sa, sb = a.nfs[i], b.nfs[i]
         if isinstance(sa, Pure) and isinstance(sb, Pure):
-            return _pure_equal(vector(sa), vector(sb), norm_pairs)
+            x, y = compared[i] = vector(sa), vector(sb)
+            return _pure_equal(x, y, norm_pairs)
         return operator(a, i) == operator(b, i)
 
-    return _first_difference(a, b, norm_pairs, equal)
+    i = _first_difference(a, b, norm_pairs, equal)
+    return None if i is None else (i, *compared.get(i, (None, None)))
 
 
 def _pure_equal(a: Pure, b: Pure, norm_pairs: NormPairs) -> bool:

@@ -168,13 +168,16 @@ _PRODUCT: dict = {}
 _CONJ: dict = {}
 _NEG: dict = {}
 _INVERSE: dict = {}
+_RATIONAL: dict = {}  # (p, q) -> the scalar p/q, so a parsed literal is one lookup
 
 
 class Scalar:
     """Canonical finite sum of Coefficient-weighted monomials.  Interned, so
-    equal scalars are the same object, and compare and hash as it does."""
+    equal scalars are the same object, and compare and hash as it does.
+    Whether it is `constant`, with no atom, is set when it is interned, and
+    a constant's complex value is computed once."""
 
-    __slots__ = ("terms", "_text")
+    __slots__ = ("terms", "_text", "constant", "_value")
 
     def __new__(cls, terms: Mapping[Monomial, Coefficient] | None = None):
         # monomials are distinct, so sorting the pairs never compares coefficients
@@ -184,6 +187,8 @@ class Scalar:
             self = _intern[key] = object.__new__(cls)
             self.terms = key  # ((monomial, coefficient), ...), sorted by monomial
             self._text = None
+            self.constant = not key or (len(key) == 1 and key[0][0] == _EMPTY_MONO)
+            self._value = None  # a constant's complex value, once evaluated
         return self
 
     # --- constructors -------------------------------------------------
@@ -201,7 +206,10 @@ class Scalar:
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar.from_coeff(Coefficient(Fraction(p, q)))
+        hit = _RATIONAL.get((p, q))
+        if hit is None:
+            hit = _RATIONAL[(p, q)] = Scalar.from_coeff(Coefficient(Fraction(p, q)))
+        return hit
 
     @staticmethod
     def i() -> "Scalar":
@@ -314,6 +322,10 @@ class Scalar:
         return variables, angles
 
     def evaluate(self, env: Mapping[str, complex] | None = None) -> complex:
+        if self.constant:
+            if self._value is None:
+                self._value = self.terms[0][1].evaluate() if self.terms else 0j
+            return self._value
         env = env or {}
         total = 0j
         for (var_part, phase_part), coeff in self.terms:

@@ -4,9 +4,11 @@ Terms are immutable and hash-consed: structurally equal terms are the same
 object, so equality checks used by the rewrite tables are O(1).  Dimension
 errors can only arise at construction time; every rewrite therefore maps
 well-formed terms to well-formed terms.  Every dim is a power of two, so a
-term acts on whole qubit slots.  Each term also carries two bits the traced
-rewriter's stage guards read, set once when the term is first built, from
-its children's bits and kinds, with no walk (see Term).
+term acts on whole qubit slots.  Each term also carries three bits, set
+once when the term is first built, from its children's bits and kinds and,
+under a scaling, its scalar, with no walk (see Term): two that the traced
+rewriter's stage guards read, and one that tells the dense oracle a term
+holds no atom.
 """
 
 from __future__ import annotations
@@ -37,14 +39,16 @@ class Term:
     """A node of an expression tree.  Interned, so structural equality is
     identity: a Term hashes and compares as the object itself does.
 
-    Two bits are set when a term is first interned, from its children's:
+    Three bits are set when a term is first interned, from its children's:
     `pushed`, every dagger in it sits on a basis ket, so dagger pushing
-    (L14-L16, D_db) leaves it as it is; and `shaped`, it is built by SCALE,
+    (L14-L16, D_db) leaves it as it is; `shaped`, it is built by SCALE,
     ADD and KRON from zeros, identities, basis kets and bras and |b><b'|,
     the shape the traced collector reads, with no zero or unit scalar and no
-    zero operand, so none of L3, L9 and L10 drops an operand in it."""
+    zero operand, so none of L3, L9 and L10 drops an operand in it; and
+    `closed`, no atom occurs under it, so it has one matrix under every
+    binding (a scaling's scalar is `constant`)."""
 
-    __slots__ = ("kind", "payload", "children", "rows", "cols", "pushed", "shaped")
+    __slots__ = ("kind", "payload", "children", "rows", "cols", "pushed", "shaped", "closed")
 
     def __new__(cls, kind, payload, children, rows, cols):
         # Children are interned and compare by identity, so the key holds them.
@@ -62,19 +66,23 @@ class Term:
             a, b = children
             self.pushed = a.pushed and b.pushed
             self.shaped = b.kind == DAG and a.kind in _BASIS and b.shaped
+            self.closed = a.closed and b.closed
         elif kind == SCALE:
             x = children[0]
             self.pushed = x.pushed
             self.shaped = (x.shaped and x.kind != ZERO
                            and payload is not _ZERO_SCALAR and payload is not _ONE_SCALAR)
+            self.closed = x.closed and payload.constant
         elif kind == DAG:  # a bra, or a dagger to push
             self.pushed = self.shaped = children[0].kind in _BASIS
+            self.closed = children[0].closed
         elif children:  # a sum or tensor product
             a, b = children
             self.pushed = a.pushed and b.pushed
             self.shaped = a.shaped and b.shaped and a.kind != ZERO and b.kind != ZERO
+            self.closed = a.closed and b.closed
         else:  # a leaf
-            self.pushed = self.shaped = True
+            self.pushed = self.shaped = self.closed = True
         _intern[key] = self
         return self
 

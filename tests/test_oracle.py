@@ -199,6 +199,26 @@ def test_obs_equiv_non_unit_scale_rejected():
     assert not res.equivalent
 
 
+def test_identical_sides_are_equal_unevaluated(monkeypatch):
+    """One interned term is one matrix under every binding: mat_equiv on
+    identical pairs, and obs_equiv on one term, bind no Evaluator, with atoms
+    and hypotheses too; a pair that differs among them is still evaluated."""
+    binds = []
+    bind = Evaluator.bind
+    monkeypatch.setattr(Evaluator, "bind", lambda self, env: binds.append(env) or bind(self, env))
+    rng = random.Random(26)
+    terms = [rand_term(rng, closed=False) for _ in range(30)]
+    for t in terms:
+        assert mat_equiv(t, t) and mat_equiv(t, t, norm_pairs=(("a", "b"),))
+        res = obs_equiv(t, t, norm_pairs=(("a", "b"),))
+        assert res.equivalent and res.phase == 1
+    assert mat_equiv(terms, terms)
+    assert not binds
+    x, z = gate("X"), gate("Z")
+    assert not mat_equiv([*terms, x], [*terms, z])
+    assert len(binds) == 1
+
+
 def test_obs_equiv_zero_cases():
     assert obs_equiv(zero(2, 1), zero(2, 1)).equivalent
     assert not obs_equiv(zero(2, 1), ket0()).equivalent

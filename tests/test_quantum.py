@@ -147,7 +147,8 @@ def test_mixed_state_validation_and_render():
 def test_false_mixeq_names_the_first_differing_branch():
     """A false MIXEQ fails with a witness naming the first branch that
     differs: a pure branch by c and its vector's normal form, short where
-    the density has 1024 summands."""
+    the density has 1024 summands, and then the first block where the two
+    vectors' normal forms differ."""
     src = ("big: MIXEQ unitmix(kron_n(5, H), mix1(density(kron_n(5, |0>))))"
            " == unitmix(kron_n(5, H), mix1(density(kron_n(5, |1>))))\n"
            "short: MIXEQ [1/2 : density(|0>) ; 1/2 : density(|1>)] == [1/2 : density(|0>)]\n")
@@ -156,9 +157,11 @@ def test_false_mixeq_names_the_first_differing_branch():
     big, short = (r.witness for r in results)
     prefix = "mixed states differ at branch 0: "
     assert big.startswith(prefix)
-    sides = big[len(prefix):].split(" vs ")
+    branches, block = big[len(prefix):].split(", block ")
+    sides = branches.split(" vs ")
     assert len(sides) == 2 and sides[0] != sides[1]
     assert all(s.startswith("[1 : ") and s.endswith(")]") and len(s) == 42 for s in sides)
+    assert block == "0: sqrt2 .* |+> vs sqrt2 .* |->"
     assert short == "mixed states differ at branch 1: [1/2 : |1> * <1|] vs no branch 1 (of 1)"
 
 
@@ -224,7 +227,7 @@ def test_oracle_reads_the_written_circuit_not_the_kept_normal_form():
     truth = pure_mix(density(gate("ket_plus")))
     assert sym_mix_difference(evolved, truth) is None
     corrupt = MixedState(evolved.branches, (Rewriter().normalize(density(ket1())),))
-    assert sym_mix_difference(corrupt, truth) == 0
+    assert sym_mix_difference(corrupt, truth)[0] == 0
     assert mix_equal(corrupt, truth)
 
 
@@ -331,9 +334,13 @@ def test_pure_branches_decide_as_their_density_normal_forms(seed):
     op_a, op_b = (eval_mix(operator_leaf(e), hyps, rw) for e in (left, right))
     assert all(isinstance(k, quantum_module.Pure) for k in pure_a.nfs + pure_b.nfs)
     assert not any(isinstance(k, quantum_module.Pure) for k in op_a.nfs + op_b.nfs)
-    verdict = sym_mix_difference(op_a, op_b, hyps, rw)
-    assert sym_mix_difference(pure_a, pure_b, hyps, rw) == verdict, (seed, variant)
-    assert sym_mix_difference(pure_a, op_b, hyps, rw) == verdict, (seed, variant)
+    def branch(a, b):  # the index of the first branch that differs, or None
+        diff = sym_mix_difference(a, b, hyps, rw)
+        return diff and diff[0]
+
+    verdict = branch(op_a, op_b)
+    assert branch(pure_a, pure_b) == verdict, (seed, variant)
+    assert branch(pure_a, op_b) == verdict, (seed, variant)
     assert mix_equal(pure_a, pure_b, norm_pairs=hyps) == (verdict is None), (seed, variant)
 
 
@@ -348,10 +355,27 @@ def test_a_swapped_gate_fails_at_its_branch():
         ok, swapped = (run_assertion(a, {}, cfg) for a in parse_corpus(src).assertions)
         assert ok.verdict == "pass", ok
         assert swapped.verdict == "fail", swapped
-        # the computed branch prints c and its vector, the leaf as written
+        # each pure branch prints c and its vector's normal form, the leaf's
+        # as compared, and then the first block where the vectors differ
         assert swapped.witness == (
             "mixed states differ at branch 1: [1/2 : 2 .* density(1/2*sqrt2 .* |1,0>)]"
-            " vs [1/2 : |1> # |1> * (|1> # |1>)^]"), swapped
+            " vs [1/2 : density(|1,1>)], block 1: 1/2*sqrt2 .* |0> vs |1>"), swapped
+
+
+def test_mix_equal_evaluates_the_one_branch_that_differs(monkeypatch):
+    """Branches written as one term are equal unevaluated; with CZ swapped
+    for CX in the last branch that pair is still evaluated and refuted."""
+    binds = []
+    bind = oracle.Evaluator.bind
+    monkeypatch.setattr(oracle.Evaluator, "bind",
+                        lambda self, env: binds.append(env) or bind(self, env))
+    ok, swapped = (
+        eval_mix(Parser(f"[1/4 : density(|0,0>) ; 1/4 : density(|+> # |1>) ; "
+                        f"1/2 : density({g} * (|+> # |0>))]", {}).parse_mixed())
+        for g in ("CX", "CZ"))
+    assert mix_equal(ok, ok) and not binds
+    assert not mix_equal(ok, swapped)
+    assert len(binds) == 1
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -227,3 +227,24 @@ def test_property_ring_results_are_interned(seed):
     assert (x * y) is (y * x)
     assert (x + y) is (y + x)
     assert x.conj().conj() is x
+
+
+def test_constants_are_known_and_evaluated_once(monkeypatch):
+    """`constant` holds exactly where no atom occurs; a constant's value is
+    computed from its coefficients once, on its first evaluation, so a
+    constant too large for a float is interned all the same, and a rational
+    literal is one lookup after its first use."""
+    rng = random.Random(31)
+    scalars = [rand_scalar(rng, closed=rng.random() < 0.5) for _ in range(200)]
+    for s in scalars:
+        assert s.constant == (s.atoms() == (set(), set())), s
+    evaluations = []
+    evaluate = Coefficient.evaluate
+    monkeypatch.setattr(Coefficient, "evaluate", lambda c: evaluations.append(c) or evaluate(c))
+    fresh = Scalar.rational(1234, 7919) + Scalar.i() * Scalar.sqrt2()
+    assert abs(fresh.evaluate() - complex(1234 / 7919, 2 ** 0.5)) <= TOL
+    assert fresh.evaluate({"a": 1j}) == fresh.evaluate() and len(evaluations) == 1
+    assert Scalar.zero().evaluate() == 0
+    assert Scalar.rational(2 ** 1100).constant
+    monkeypatch.setattr(Coefficient, "__init__", None)  # no Coefficient is built
+    assert Scalar.rational(1234, 7919) is Scalar.rational(1234, 7919)

@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from qdirac.errors import DimMismatch, ParseError, UnknownGate
 from qdirac.oracle import DenseMatrix, SampleEnv, eval_dense, mat_equiv
 from qdirac.term import (
-    ADD, KRON, MUL, add, add_all, ce, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n,
+    ADD, KRON, MUL, SCALE, add, add_all, ce, dag, gate, identity, ket0, ket1, ket_string, kron, kron_n,
     mea, mul, operands, render, render_head, scale, uf, zero,
 )
 from qdirac.parser import parse, parse_scalar
 from qdirac.scalar import Scalar
 
-from conftest import rand_term
+from conftest import rand_term, subterms
 
 S2 = 1 / math.sqrt(2)
 
@@ -263,3 +263,19 @@ def test_render_head_is_a_cut_render():
     for _ in range(40):
         wide = add(wide, wide)
     assert render_head(wide, 11) == "|0> + |0..."
+
+
+def _walk_finds_an_atom(t) -> bool:
+    return any(u.kind == SCALE and u.payload.atoms() != (set(), set()) for u in subterms([t]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_closed_bit_matches_an_atom_walk(seed):
+    """Term.closed, set at interning from the children's bits and a scaling's
+    scalar, holds exactly where a full walk finds no atom, at every subterm
+    of a random term with atoms."""
+    rng = random.Random(seed)
+    t = rand_term(rng, closed=rng.random() < 0.3)
+    for sub in subterms([t]):
+        assert sub.closed == (not _walk_finds_an_atom(sub)), render(sub)
