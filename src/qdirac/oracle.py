@@ -389,9 +389,9 @@ def mat_equiv(a: Term | Sequence[Term], b: Term | Sequence[Term],
     """Entrywise numeric equality of a and b, sampled over free atoms.
 
     a and b may also be sequences of terms of equal length, equal when each
-    pair is: the pairs share one Evaluator and bindings sampled from the
-    atoms of them all, so a subterm several pairs hold is built once per
-    binding.  A pair whose sides are one term is equal and left out first."""
+    pair is.  A pair whose sides are one term is equal and left out first;
+    the others share one Evaluator and bindings sampled from the atoms of
+    them all, so a subterm several pairs hold is built once per binding."""
     if isinstance(a, Term):
         a, b = (a,), (b,)
     if len(a) != len(b):
