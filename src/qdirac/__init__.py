@@ -3,7 +3,7 @@
 from .errors import (
     DimMismatch, FuelExhausted, InvalidQubitIndex,
     NonInvertibleScalar, NotAnOperator, NotAVector, NotInReducedShape, NotSquare,
-    ParseError, PatternMismatch, QDiracError, UnboundAtom, UnknownCase, UnknownGate,
+    ParseError, QDiracError, UnboundAtom, UnknownCase, UnknownGate,
 )
 from .scalar import Coefficient, Scalar
 from .term import (

@@ -66,10 +66,6 @@ class FuelExhausted(QDiracError):
         super().__init__(f"rewrite fuel exhausted (budget {budget}) at {where}")
 
 
-class PatternMismatch(QDiracError):
-    pass
-
-
 class InvalidQubitIndex(QDiracError):
     pass
 

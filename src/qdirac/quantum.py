@@ -65,13 +65,13 @@ class MixedState:
     Each operator is the branch as written, which the oracle reads: a leaf's
     (`[p : op]`, `mix1`) as parsed, else c .* (psi * psi^) for a pure branch
     and the super-operator or projection applied to the previous operator,
-    unevaluated, for any other.  `nfs` keeps what the symbolic comparison
-    reads: a Pure state for a branch whose leaf is written density(psi),
-    kept pure by unitaries and projections, the normal form of any other
-    computed branch, None for any other leaf."""
+    unevaluated, for any other.  `nfs` keeps a Pure state for a branch whose
+    leaf is written density(psi), kept pure by unitaries and projections,
+    and None for any other branch: the symbolic comparison normalizes its
+    written operator, whose earlier stages the shared Rewriter has memoized."""
 
     branches: tuple[tuple[Scalar, Term], ...]
-    nfs: tuple[NormalForm | Pure | None, ...] = ()
+    nfs: tuple[Pure | None, ...] = ()
 
     def __post_init__(self):
         dims = {op.dims for _, op in self.branches}
@@ -116,13 +116,6 @@ def eval_mix(expr: MixExpr, norm_pairs: NormPairs = (),
     return unit_mix(u, eval_mix(inner, norm_pairs, rw), norm_pairs=norm_pairs, rewriter=rw)
 
 
-def _stage_inputs(m: MixedState):
-    """Per branch (p, the operator as written, what the engine continues
-    from: a Pure state, a kept normal form's term or a leaf's operator)."""
-    for (p, op), kept in zip(m.branches, m.nfs):
-        yield p, op, kept.to_term() if isinstance(kept, NormalForm) else kept or op
-
-
 def _pure(c: Scalar, psi: Term, norm_pairs: NormPairs, rw: Rewriter) -> Pure:
     return Pure(c, psi, rw.normalize(psi).apply_norm_hypothesis(norm_pairs))
 
@@ -139,13 +132,9 @@ def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = (),
         raise DimMismatch((u.rows, m.dims[0]), m.dims, "super operand")
     rw = rewriter or Rewriter()
     branches, nfs = [], []
-    for p, op, rho in _stage_inputs(m):
-        if isinstance(rho, Pure):
-            nfs.append(_pure(rho.c, mul(u, rho.psi), norm_pairs, rw))
-            branches.append((p, _written(nfs[-1])))
-        else:
-            nfs.append(rw.normalize(super_(u, rho)).apply_norm_hypothesis(norm_pairs))
-            branches.append((p, super_(u, op)))
+    for (p, op), rho in zip(m.branches, m.nfs):
+        nfs.append(rho and _pure(rho.c, mul(u, rho.psi), norm_pairs, rw))
+        branches.append((p, _written(nfs[-1]) if rho else super_(u, op)))
     return MixedState(tuple(branches), tuple(nfs))
 
 
@@ -156,16 +145,16 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
     c|psi><psi| becomes (c / p)|M psi><M psi|, p = c <psi|M|psi>: no sqrt(p)."""
     rw = rewriter or Rewriter()
     branches, nfs = [], []
-    for p, op, rho in _stage_inputs(m):
+    for (p, op), rho in zip(m.branches, m.nfs):
         if op.rows != 2 ** (n + 1):
             raise DimMismatch((2 ** (n + 1), 2 ** (n + 1)), op.dims, "mea_mix branch")
         for proj_name in ("Mea0", "Mea1"):
             proj = mea(proj_name, n, k)
-            if isinstance(rho, Pure):
+            if rho:
                 branch_p = rho.c * probability(rho.psi, proj, norm_pairs, rw)
             else:
-                post_nf = rw.normalize(mul(proj, mul(rho, proj))).apply_norm_hypothesis(norm_pairs)
-                branch_p = post_nf.trace()
+                post = mul(proj, mul(op, proj))
+                branch_p = rw.normalize(post).apply_norm_hypothesis(norm_pairs).trace()
             branch_p = branch_p.apply_norm_hypothesis(norm_pairs)
             if branch_p.is_zero():
                 continue
@@ -173,15 +162,12 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
                 inv = branch_p.reciprocal()
             except NonInvertibleScalar:  # symbolic trace: leave the branch unnormalized
                 inv = Scalar.one()
-            if isinstance(rho, Pure):
+            if rho:
                 nfs.append(_pure(rho.c * inv, mul(proj, rho.psi), norm_pairs, rw))
                 branches.append((p * branch_p, _written(nfs[-1])))
             else:
-                post = mul(proj, mul(op, proj))
-                if not inv.is_one():
-                    post_nf, post = post_nf.map_scalars(lambda s: s * inv), scale(inv, post)
-                nfs.append(post_nf)
-                branches.append((p * branch_p, post))
+                nfs.append(None)
+                branches.append((p * branch_p, post if inv.is_one() else scale(inv, post)))
     return MixedState(tuple(branches), tuple(nfs))
 
 
@@ -206,9 +192,9 @@ def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
                        rewriter: Rewriter | None = None
                        ) -> tuple[int, Pure | None, Pure | None] | None:
     """Ordered branchwise comparison, decided exactly: two pure branches by
-    their vectors (_pure_equal), any other pair by operator normal forms, a
-    computed branch's kept one, or the written operator's (for a pure
-    branch, c .* (psi * psi^) by the cut path).  None if the states are
+    their vectors (_pure_equal), any other pair by the normal forms of the
+    written operators (for a pure branch, c .* (psi * psi^) by the cut path),
+    on the Rewriter that computed the states.  None if the states are
     equal, else (i, x, y): i the index of the first branch that differs, and
     x and y its two pure states with their normal forms, as compared, or
     None, None where its branches were not compared as two vectors."""
@@ -219,9 +205,7 @@ def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
         return s if s.nf is not None else _pure(s.c, s.psi, norm_pairs, rw)
 
     def operator(m: MixedState, i: int) -> NormalForm:
-        kept = m.nfs[i]
-        nf = kept if isinstance(kept, NormalForm) else rw.normalize(m.branches[i][1])
-        return nf.apply_norm_hypothesis(norm_pairs)
+        return rw.normalize(m.branches[i][1]).apply_norm_hypothesis(norm_pairs)
 
     def equal(i: int) -> bool:
         sa, sb = a.nfs[i], b.nfs[i]

@@ -183,14 +183,6 @@ class NormalForm:
             out = add(p, out)
         return out
 
-    def map_scalars(self, fn) -> "NormalForm":
-        items = {}
-        for s, key in self.summands:
-            s2 = fn(s)
-            if not s2.is_zero():
-                items[key] = s2
-        return _canonical(self.dims, (items,))
-
     def trace(self) -> Scalar:
         """Sum of the diagonal summands, those whose row bits equal their column bits."""
         if self.dims[0] != self.dims[1]:
@@ -209,7 +201,12 @@ class NormalForm:
             pairs = [(a, b) for a, b in pairs if a in names and b in names]
         if not pairs:
             return self
-        return self.map_scalars(lambda s: s.apply_norm_hypothesis(pairs))
+        items = {}
+        for s, key in self.summands:
+            s = s.apply_norm_hypothesis(pairs)
+            if not s.is_zero():
+                items[key] = s
+        return _canonical(self.dims, (items,))
 
     def __str__(self):
         return render_nf(self)

@@ -239,6 +239,18 @@ def test_cli_check_matches_golden_output(monkeypatch, capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_a_constant_past_float_range_skips_the_oracle(tmp_path, capsys):
+    """The oracle cannot evaluate 2^1100 as a float, so it is skipped with a
+    note and the symbolic verdict stands: exit 0, no traceback."""
+    n = 2 ** 1100
+    p = tmp_path / "big.qd"
+    p.write_text(f"big: MATEQ {n} .* X == X * ({n} .* I(2))\n")
+    assert main(["check", str(p)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert "  PASS  big [MATEQ] steps=" in out and err == "", (out, err)
+    assert out.splitlines()[1].endswith(" oracle=skipped (a value past float range)"), out
+
+
 def test_readme_quick_tour_normalize(capsys):
     """Each `$ qdirac normalize ...` example prints what README shows."""
     lines = (REPO_DIR / "README.md").read_text().splitlines()

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdirac.corpus import RunConfig, parse_corpus, run_assertion
+from qdirac.corpus import RunConfig, build_defs, parse_corpus, run_assertion
 from qdirac.errors import DimMismatch, FuelExhausted, NotAnOperator, NotAVector
 from qdirac import oracle
 from qdirac import quantum as quantum_module
@@ -23,7 +23,7 @@ from qdirac.term import (
     add, dag, gate, identity, ket0, ket1, ket_string, kron, mea, mul, scale,
 )
 
-from conftest import rand_op, rand_scalar, rand_state
+from conftest import CORPUS_DIR, rand_op, rand_scalar, rand_state
 
 HALF = Scalar.rational(1, 2)
 QUARTER = Scalar.rational(1, 4)
@@ -220,13 +220,14 @@ def test_branches_keep_written_operator_and_its_normal_form():
 
 
 def test_oracle_reads_the_written_circuit_not_the_kept_normal_form():
-    """A corrupted kept normal form is flagged by the symbolic comparison,
-    while the oracle, which reads the operators as written, still finds the
-    state equal to the true one."""
+    """A corrupted kept pure state, the one kind of state a branch keeps, is
+    flagged by the symbolic comparison, while the oracle, which reads the
+    operators as written, still finds the state equal to the true one."""
     evolved = unit_mix(gate("H"), pure_mix(density(ket0())))
     truth = pure_mix(density(gate("ket_plus")))
     assert sym_mix_difference(evolved, truth) is None
-    corrupt = MixedState(evolved.branches, (Rewriter().normalize(density(ket1())),))
+    wrong = quantum_module.Pure(Scalar.one(), ket1(), Rewriter().normalize(ket1()))
+    corrupt = MixedState(evolved.branches, (wrong,))
     assert sym_mix_difference(corrupt, truth)[0] == 0
     assert mix_equal(corrupt, truth)
 
@@ -342,6 +343,69 @@ def test_pure_branches_decide_as_their_density_normal_forms(seed):
     assert branch(pure_a, pure_b) == verdict, (seed, variant)
     assert branch(pure_a, op_b) == verdict, (seed, variant)
     assert mix_equal(pure_a, pure_b, norm_pairs=hyps) == (verdict is None), (seed, variant)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_a_branch_keeps_a_pure_state_or_nothing(seed):
+    """Through random unitmix and meamix stages, a branch keeps a Pure state
+    with its vector's normal form exactly when its leaf is written
+    density(psi), and None for an operator leaf: never an operator normal
+    form."""
+    rng = random.Random(seed)
+    qubits = rng.randint(1, 3)
+    closed = rng.random() < 0.5
+    hyps = () if closed else (("a", "b"),)
+    rho = density(rand_state(rng, qubits, closed=closed))
+    leaves = ((pure_mix(rho), True), (pure_mix(scale(Scalar.one(), rho)), False),
+              (pure_mix(super_(rand_op(rng, qubits, closed=closed), rho)), False))
+    for leaf, pure in leaves:
+        m = eval_mix(_stages(rng, qubits, closed, leaf), hyps)
+        assert len(m.nfs) == len(m.branches), seed
+        for kept in m.nfs:
+            assert (isinstance(kept, quantum_module.Pure) and kept.nf is not None
+                    if pure else kept is None), (seed, kept)
+
+
+def test_operator_leaf_stages_continue_from_the_written_branch():
+    """Two H layers on the operator leaf kron_n(6, B0), no density(psi),
+    pass with the oracle off within 3 * 4^6 steps, each stage read from the
+    one before as written; an X layer in place of the second fails at
+    branch 0, not with an error."""
+    leaf = "[1 : kron_n(6, B0)]"
+    layer = f"unitmix(kron_n(6, H), {leaf})"
+    src = (f"hh: MIXEQ unitmix(kron_n(6, H), {layer}) == {leaf}\n"
+           f"xh: MIXEQ unitmix(kron_n(6, X), {layer}) == {leaf}\n")
+    hh, xh = (run_assertion(a, {}, RunConfig(oracle=False))
+              for a in parse_corpus(src).assertions)
+    assert hh.verdict == "pass" and hh.steps <= 3 * 4 ** 6, hh
+    assert xh.verdict == "fail", xh
+    assert xh.witness.startswith("mixed states differ at branch 0: [1 : "), xh
+
+
+def test_stages_on_teleport_operator_leaves_pass_with_and_without_the_oracle():
+    """Under HYP norm(a,b), teleport's outcome branches rh31 and rh33, each
+    4 .* super(...) and so no pure branch, through one and two unitmix and
+    meamix stages: the corrections give |0,1> # psi and |1,1> # psi, a
+    measurement of a qubit the branch fixes keeps it, and one of psi's
+    qubit leaves it unnormalized, its probability a*a^* or b*b^*."""
+    defs = build_defs(parse_corpus((CORPUS_DIR / "teleport.qd").read_text()).defs)
+    iix, iiz = "I(2) # I(2) # X", "I(2) # I(2) # Z"
+    src = "HYP norm(a,b)\n" + "".join(f"{name}: MIXEQ {lhs} == {rhs}\n" for name, lhs, rhs in (
+        ("u1", f"unitmix({iix}, [1 : rh31])", "[1 : density(|0,1> # psi)]"),
+        ("u2", f"unitmix({iiz}, unitmix({iix}, [1 : rh33]))", "[1 : density(|1,1> # psi)]"),
+        ("m1", "meamix(2, 0, [1 : rh31])", "[1 : density(|0,1> # (a .* |1> + b .* |0>))]"),
+        ("m2", "meamix(2, 1, meamix(2, 0, [1 : rh31]))", "[1 : rh31]"),
+        ("um", f"meamix(2, 1, unitmix({iix}, [1 : rh31]))", "[1 : density(|0,1> # psi)]"),
+        ("mu", f"unitmix({iix}, meamix(2, 0, [1 : rh31]))", "[1 : density(|0,1> # psi)]"),
+        ("s1", "meamix(2, 2, [1 : rh31])",
+         "meamix(2, 2, mix1(density(|0,1> # (a .* |1> + b .* |0>))))"),
+        ("s2", f"meamix(2, 2, unitmix({iix}, [1 : rh31]))",
+         "meamix(2, 2, mix1(density(|0,1> # psi)))"),
+    ))
+    for cfg in (RunConfig(), RunConfig(oracle=False)):
+        results = [run_assertion(a, defs, cfg) for a in parse_corpus(src).assertions]
+        assert all(r.verdict == "pass" and not r.oracle_note for r in results), results
 
 
 def test_a_swapped_gate_fails_at_its_branch():
