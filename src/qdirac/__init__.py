@@ -10,9 +10,8 @@ from .term import (
     Term, add, ce, dag, gate, gate_names, identity, ket0, ket1, ket_string, kron,
     kron_n, mea, mul, render, scale, uf, zero,
 )
-from .rewrite import (
-    NormalForm, RewriteTrace, Rewriter, render_nf, replay, unified_base,
-)
+from .normal_form import NormalForm
+from .rewrite import RewriteTrace, Rewriter, render_nf, replay, unified_base
 from .oracle import (
     DenseMatrix, ObsResult, SampleEnv, eval_dense, mat_equiv, obs_equiv,
 )

@@ -18,14 +18,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import ParseError, QDiracError, show_dim
+from .errors import FuelExhausted, ParseError, QDiracError, show_dim
+from .normal_form import NormalForm
 from .oracle import (
     DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, DENSE_DIM_LIMIT,
     mat_equiv, obs_equiv,
 )
 from .parser import Parser
 from .quantum import MixedState, Pure, eval_mix, mix_equal, sym_mix_difference
-from .rewrite import DEFAULT_FUEL, NormalForm, Rewriter, render_nf
+from .rewrite import Rewriter, render_nf
 from .scalar import Scalar
 from .term import Term, render_head, render_scaled
 
@@ -157,23 +158,15 @@ class RunReport:
 
 
 def _sym_obs_equal(a: NormalForm, b: NormalForm) -> bool:
-    """b == c * a for one constant c with c * c^* == 1, decided exactly.  c
-    scales only the last block of a normal form, so the blocks before it
-    must be identical and the last ones proportional; no flat sum is built."""
-    *heads_a, last_a = a.blocks
-    *heads_b, last_b = b.blocks
-    if a.dims != b.dims or heads_a != heads_b or len(last_a) != len(last_b) or any(
-        fa != fb for (_, fa), (_, fb) in zip(last_a, last_b)
-    ):
-        return False
-    if not last_a:
-        return True
-    # a constant keeps every monomial, so it is the ratio of leading coefficients
-    (_, ca), (_, cb) = last_a[0][0].terms[0], last_b[0][0].terms[0]
-    c = Scalar.from_coeff(cb * ca.inverse())
-    return (c * c.conj()).is_one() and all(
-        sb == c * sa for (sa, _), (sb, _) in zip(last_a, last_b)
-    )
+    """b == c * a for one constant c with c * c^* == 1, decided exactly on
+    the pairs of scalars NormalForm.proportional walks; no flat sum is built."""
+    def ratio_test(sa: Scalar, sb: Scalar):
+        # a constant keeps every monomial, so it is the ratio of leading coefficients
+        (_, ca), (_, cb) = sa.terms[0], sb.terms[0]
+        c = Scalar.from_coeff(cb * ca.inverse())
+        return (lambda x, y: y == c * x) if (c * c.conj()).is_one() else None
+
+    return a.proportional(b, ratio_test)
 
 
 def _basis_text(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> str:
@@ -185,37 +178,25 @@ def _basis_text(rbits: tuple[int, ...], cbits: tuple[int, ...]) -> str:
 
 def _nf_difference(a: NormalForm, b: NormalForm) -> str:
     """Where the unequal a and b differ: their dims if those do, else the
-    first basis key, in normal-form order, whose scalars differ, a summand
-    a side lacks read as 0.  Both sides' summands are walked in key order
-    and merged, no flat sum built, at a fuel of one step per summand walked;
-    past that the witness says only that they differ further on."""
+    first basis key whose scalars differ (NormalForm.first_difference), or,
+    past the fuel of that walk, only that they differ further on."""
     if a.dims != b.dims:
         return f"normal forms differ in dims: {show_dim(a.dims)} vs {show_dim(b.dims)}"
-    zero, end = Scalar.zero(), (None, None)
-    walk_a, walk_b = a.walk(), b.walk()
-    (sa, ka), (sb, kb) = next(walk_a, end), next(walk_b, end)
-    walked = 0
-    while walked < DEFAULT_FUEL:
-        if ka != kb:  # the smaller key is a summand the other side lacks
-            if kb is None or (ka is not None and ka < kb):
-                kb, sb = ka, zero
-            else:
-                ka, sa = kb, zero
-        if sa != sb:
-            return f"normal forms differ at {_basis_text(*ka)}: {sa} vs {sb}"
-        (sa, ka), (sb, kb) = next(walk_a, end), next(walk_b, end)
-        walked += 2
-    return f"normal forms differ past the first {walked} summands walked"
+    try:
+        key, sa, sb = a.first_difference(b)
+    except FuelExhausted as exc:
+        return f"normal forms differ past the first {exc.budget} summands walked"
+    return f"normal forms differ at {_basis_text(*key)}: {sa} vs {sb}"
 
 
-def _branch_text(m: MixedState, i: int, state: Pure | None) -> str:
+def _branch_text(m: MixedState, i: int, state: Pure | NormalForm | None) -> str:
     """Branch i of m as `[p : op]`, op cut to 120 characters: a pure branch
     whose vector's normal form is known (state, as compared, or kept) as
     c .* density of it, any other branch as written."""
     if i >= len(m.branches):
         return f"no branch {i} (of {len(m.branches)})"
     p, op = m.branches[i]
-    kept = state or m.nfs[i]
+    kept = state if isinstance(state, Pure) else m.nfs[i]
     if kept is None or kept.nf is None:
         return f"[{p} : {render_head(op, 120)}]"
     text = f"density({render_nf(kept.nf)})"
@@ -223,15 +204,17 @@ def _branch_text(m: MixedState, i: int, state: Pure | None) -> str:
     return f"[{p} : {text if len(text) <= 120 else text[:117] + '...'}]"
 
 
-def _block_difference(x: Pure | None, y: Pure | None) -> str:
-    """`, block j: u vs v` for the first block of two compared pure states'
-    vector normal forms that differs, each rendered alone; empty if none."""
+def _compared_difference(x: Pure | NormalForm | None, y: Pure | NormalForm | None) -> str:
+    """Where a branch's compared states differ: two operators' normal forms
+    as an EQ's witness says, two pure states at the first block of their
+    vectors that differs, `, block j: u vs v`; empty if nothing is known."""
+    if isinstance(x, NormalForm):
+        return f", {_nf_difference(x, y)}"
     if x is None or x.nf.is_zero() or y.nf.is_zero():
         return ""
-    for j, pair in enumerate(zip(x.nf.blocks, y.nf.blocks)):
-        if pair[0] != pair[1]:
-            u, v = (render_nf(NormalForm((2 ** len(b[0][1][0]), 1), (b,))) for b in pair)
-            return f", block {j}: {u} vs {v}"
+    for j, (u, v) in enumerate(zip(x.nf.factors(), y.nf.factors())):
+        if u != v:
+            return f", block {j}: {render_nf(u)} vs {render_nf(v)}"
     return ""
 
 
@@ -248,7 +231,7 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
             if not sym_ok:
                 i, x, y = diff
                 res.witness = (f"mixed states differ at branch {i}: {_branch_text(lhs, i, x)}"
-                               f" vs {_branch_text(rhs, i, y)}{_block_difference(x, y)}")
+                               f" vs {_branch_text(rhs, i, y)}{_compared_difference(x, y)}")
         else:
             lhs = Parser(a.lhs, defs).parse_term()
             rhs = Parser(a.rhs, defs).parse_term()

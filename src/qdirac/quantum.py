@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, show_dim
+from .normal_form import NormalForm
 from .oracle import DEFAULT_SEED, DEFAULT_TOL, mat_equiv
-from .rewrite import NormalForm, Rewriter
+from .rewrite import Rewriter
 from .scalar import Scalar
 from .term import MUL, Term, dag, mea, mul, render, scale
 
@@ -36,10 +37,8 @@ def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = (),
         raise NotAVector(f"probability needs a state vector, got {show_dim(psi.dims)}")
     if m_op.rows != m_op.cols or m_op.cols != psi.rows:
         raise DimMismatch((psi.rows, psi.rows), m_op.dims, "measurement operator")
-    p = Scalar.one()
-    for block in (rewriter or Rewriter()).normalize(mul(m_op, psi)).blocks:
-        p = p * sum((s * s.conj() for s, _ in block), Scalar.zero())
-    return p.apply_norm_hypothesis(norm_pairs)
+    nf = (rewriter or Rewriter()).normalize(mul(m_op, psi))
+    return nf.norm_squared().apply_norm_hypothesis(norm_pairs)
 
 
 class Pure(NamedTuple):
@@ -190,51 +189,46 @@ def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_T
 
 def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
                        rewriter: Rewriter | None = None
-                       ) -> tuple[int, Pure | None, Pure | None] | None:
+                       ) -> tuple[int, Pure | NormalForm | None, Pure | NormalForm | None] | None:
     """Ordered branchwise comparison, decided exactly: two pure branches by
     their vectors (_pure_equal), any other pair by the normal forms of the
     written operators (for a pure branch, c .* (psi * psi^) by the cut path),
     on the Rewriter that computed the states.  None if the states are
     equal, else (i, x, y): i the index of the first branch that differs, and
-    x and y its two pure states with their normal forms, as compared, or
-    None, None where its branches were not compared as two vectors."""
+    x and y what was compared there, two pure states with their normal forms
+    or two operators' normal forms, or None, None where nothing was."""
     rw = rewriter or Rewriter()
-    compared: dict[int, tuple[Pure, Pure]] = {}
+    compared: dict[int, tuple] = {}
 
     def vector(s: Pure) -> Pure:
         return s if s.nf is not None else _pure(s.c, s.psi, norm_pairs, rw)
-
-    def operator(m: MixedState, i: int) -> NormalForm:
-        return rw.normalize(m.branches[i][1]).apply_norm_hypothesis(norm_pairs)
 
     def equal(i: int) -> bool:
         sa, sb = a.nfs[i], b.nfs[i]
         if isinstance(sa, Pure) and isinstance(sb, Pure):
             x, y = compared[i] = vector(sa), vector(sb)
             return _pure_equal(x, y, norm_pairs)
-        return operator(a, i) == operator(b, i)
+        x, y = compared[i] = [rw.normalize(m.branches[i][1]).apply_norm_hypothesis(norm_pairs)
+                              for m in (a, b)]
+        return x == y
 
     i = _first_difference(a, b, norm_pairs, equal)
     return None if i is None else (i, *compared.get(i, (None, None)))
 
 
 def _pure_equal(a: Pure, b: Pure, norm_pairs: NormPairs) -> bool:
-    """c_a|x><x| == c_b|y><y|, so y = l.x with c_a == c_b.l.l^*.  l scales a
-    normal form's last block: the blocks before it are identical, the last
-    ones proportional, y_j.x_0 == x_j.y_0, and c_a.x_0.x_0^* == c_b.y_0.y_0^*,
-    cross-multiplied, so nothing is divided.  A vector whose pivot holds an
-    atom is one block, so where the block counts differ, the flat sums."""
-    x, y = a.nf, b.nf
-    if x.is_zero() or y.is_zero():
-        return x.is_zero() and y.is_zero()
-    xs, ys = (x.blocks, y.blocks) if len(x.blocks) == len(y.blocks) else (
-        (x.summands,), (y.summands,))
-    if xs[:-1] != ys[:-1] or [k for _, k in xs[-1]] != [k for _, k in ys[-1]]:
-        return False
-    x0, y0 = xs[-1][0][0], ys[-1][0][0]
-    return all(s.apply_norm_hypothesis(norm_pairs).is_zero() for s in (
-        a.c * x0 * x0.conj() - b.c * y0 * y0.conj(),
-        *(sy * x0 - sx * y0 for (sx, _), (sy, _) in zip(xs[-1], ys[-1]))))
+    """c_a|x><x| == c_b|y><y|, so y = l.x with c_a == c_b.l.l^*: x and y are
+    proportional (NormalForm.proportional), y_j.x_0 == x_j.y_0, and
+    c_a.x_0.x_0^* == c_b.y_0.y_0^*, cross-multiplied, so nothing is divided."""
+    def zero(s: Scalar) -> bool:
+        return s.apply_norm_hypothesis(norm_pairs).is_zero()
+
+    def ratio_test(x0: Scalar, y0: Scalar):
+        if zero(a.c * x0 * x0.conj() - b.c * y0 * y0.conj()):
+            return lambda sx, sy: zero(sy * x0 - sx * y0)
+        return None
+
+    return a.nf.proportional(b.nf, ratio_test)
 
 
 def _first_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs,

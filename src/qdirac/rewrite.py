@@ -62,24 +62,22 @@ inside a layer, or the dagger of one, applied gate by gate; a chain led by
 a bra is the conjugate transpose of its adjoint, a ket chain (L14); an
 operator chain through a ket is the tensor product of its vector ends,
 (A * |v>) # (<w| * B); and any other applies its factors, right to left,
-to its last operand's map.  A vector's normal form is the finest
-factorization of its flat sum into blocks over contiguous qubits, split
-only where its pivot is invertible (NormalForm); operators stay one block.
-The two modes are required to agree exactly, and the traced mode's last
-step, collecting the reduced term, runs the same sparse evaluator.
+to its last operand's map.  The blocks are made canonical by
+normal_form.canonical.  The two modes are required to agree exactly, and
+the traced mode's last step, collecting the reduced term, runs the same
+sparse evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from math import prod
 from typing import Optional
 
-from .errors import (
-    FuelExhausted, NonInvertibleScalar, NotAnOperator, NotInReducedShape, show_dim,
-)
+from .errors import FuelExhausted, NotInReducedShape, show_dim
+from .normal_form import DEFAULT_FUEL, NormalForm, canonical, inverse, split_at
 from .scalar import Scalar
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
@@ -88,223 +86,8 @@ from .term import (
     scale, zero,
 )
 
-DEFAULT_FUEL = 10 ** 6
-
 _ONE = Scalar.one()
 _NO_BITS = ((), ())  # the key of a 1x1 map
-
-Block = tuple[tuple[Scalar, tuple[tuple[int, ...], tuple[int, ...]]], ...]
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Canonical sum of scalar-weighted basis matrices |rbits><cbits|, kept
-    as a tensor product of blocks.
-
-    A block is a sorted tuple of summands (scalar, (rbits, cbits)), the key
-    the sparse evaluator uses; the blocks' keys concatenate, left to right,
-    into the keys of the whole.  A vector (a 2^n x 1 ket or 1 x 2^n bra,
-    n >= 1) whose pivot, its first nonzero coefficient in key order, is
-    invertible is split into its finest factorization over contiguous runs
-    of qubits: every block but the last leads with 1, and the last carries
-    the rest of the scalar.  Every other normal form, an operator, a 1x1 or
-    a vector whose pivot holds a variable atom, is one block.  The form
-    depends only on the denotation, so two normal forms of one shape are
-    equal exactly when their matrices are.
-
-    `summands` is the flat sum, sorted by key, the row-major order of the
-    matrix entries, every scalar nonzero; it is built on first use, and a
-    one-block normal form's summands are its block."""
-
-    dims: tuple[int, int]
-    blocks: tuple[Block, ...]
-
-    @cached_property
-    def summands(self) -> Block:
-        if len(self.blocks) == 1:
-            return self.blocks[0]
-        size = prod(map(len, self.blocks))
-        if size > DEFAULT_FUEL:  # refused before it is built, as the evaluator's map would be
-            raise FuelExhausted(DEFAULT_FUEL, f"flat normal form {show_dim(self.dims[0])}x"
-                                              f"{show_dim(self.dims[1])} ({size} summands)")
-        return tuple(self.walk())
-
-    def walk(self):
-        """The summands one at a time, in key order, with no flat sum built:
-        the blocks before the last are combined like the digits of an
-        odometer, each prefix's scalar and key kept, and each combination
-        is extended by the last block's summands."""
-        *heads, last = self.blocks
-        k = len(heads)
-        idx = [0] * k
-        prefix = [(_ONE, (), ())]  # prefix[i]: heads[:i] combined at idx
-        for i in range(k):
-            prefix.append(_extend(prefix[i], heads[i][0]))
-        while True:
-            s, rbits, cbits = prefix[k]
-            for sb, (rb, cb) in last:
-                yield s * sb, (rbits + rb, cbits + cb)
-            i = k - 1
-            while i >= 0 and idx[i] + 1 == len(heads[i]):
-                idx[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            idx[i] += 1
-            for j in range(i, k):
-                prefix[j + 1] = _extend(prefix[j], heads[j][idx[j]])
-
-    def is_zero(self) -> bool:
-        return not self.blocks[0]
-
-    def as_scalar(self) -> Scalar:
-        """Coerce a 1x1 normal form to its scalar value."""
-        if self.dims != (1, 1):
-            raise NotInReducedShape(f"not a 1x1 normal form: dims {show_dim(self.dims)}")
-        total = Scalar.zero()
-        for s, _ in self.summands:
-            total = total + s
-        return total
-
-    def to_term(self) -> Term:
-        if not self.summands:
-            return zero(*self.dims)
-        kets, bras = (ket0(), ket1()), (dag(ket0()), dag(ket1()))
-        parts = []
-        for s, (rbits, cbits) in self.summands:
-            # per-slot |b><b'| first, then the leftover kets, then the leftover bras
-            k = min(len(rbits), len(cbits))
-            factors = [mul(kets[b], bras[bp]) for b, bp in zip(rbits, cbits)]
-            factors += [kets[b] for b in rbits[k:]] + [bras[b] for b in cbits[k:]]
-            body = kron_all(factors) if factors else identity(1)
-            parts.append(body if s.is_one() else scale(s, body))
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = add(p, out)
-        return out
-
-    def trace(self) -> Scalar:
-        """Sum of the diagonal summands, those whose row bits equal their column bits."""
-        if self.dims[0] != self.dims[1]:
-            raise NotAnOperator("trace of a non-operator normal form")
-        total = Scalar.zero()
-        for s, (rbits, cbits) in self.summands:
-            if rbits == cbits:
-                total = total + s
-        return total
-
-    def apply_norm_hypothesis(self, pairs) -> "NormalForm":
-        """Rewrite every scalar under the hypotheses |a|^2 + |b|^2 = 1; a pair
-        fires only where both its atoms occur, and with none the blocks stay."""
-        if pairs:
-            names = {name for block in self.blocks for s, _ in block for name in s.atoms()[0]}
-            pairs = [(a, b) for a, b in pairs if a in names and b in names]
-        if not pairs:
-            return self
-        items = {}
-        for s, key in self.summands:
-            s = s.apply_norm_hypothesis(pairs)
-            if not s.is_zero():
-                items[key] = s
-        return _canonical(self.dims, (items,))
-
-    def __str__(self):
-        return render_nf(self)
-
-
-def _extend(prefix: tuple, summand: tuple) -> tuple:
-    """A walk prefix (scalar, rbits, cbits) times one block summand."""
-    s, rbits, cbits = prefix
-    sb, (rb, cb) = summand
-    return s * sb, rbits + rb, cbits + cb
-
-
-def _inverse(s: Scalar) -> Optional[Scalar]:
-    """s's inverse, or None where Scalar.reciprocal has none (a variable
-    atom, or a sum)."""
-    try:
-        return s.reciprocal()
-    except NonInvertibleScalar:
-        return None
-
-
-def _split(entries: list, side: int, cut: int, p_inv: Scalar) -> Optional[tuple[list, list]]:
-    """(L, R) with entries == L (x) R, cut after the first `cut` bits of the
-    keys' vector side, or None where they do not separate there.  entries
-    is a vector block as a list of summands (scalar, key) in key order; L
-    leads with 1 and R with the block's pivot, whose inverse p_inv is the
-    only scalar divided by.  In key order the block is a matrix of rows,
-    one per prefix: each row must have the first row's suffixes, and each
-    coefficient M[a+b] must equal L[a] * R[b], with L[a] = M[a+b0] * p_inv
-    and R[b] = M[a0+b]."""
-    n = len(entries)
-    a0, b0 = entries[0][1][side][:cut], entries[0][1][side][cut:]
-    width = 1
-    while width < n and entries[width][1][side][:cut] == a0:
-        width += 1
-    if n % width:
-        return None
-    for start in range(width, n, width):  # each row starts where the first does
-        if entries[start][1][side][cut:] != b0:
-            return None
-    right = [(s, key[side][cut:]) for s, key in entries[:width]]
-    left = [(_ONE, a0)]
-    for start in range(width, n, width):
-        a = entries[start][1][side][:cut]
-        la = entries[start][0] * p_inv
-        for (s, key), (r, b) in zip(entries[start:start + width], right):
-            if key[side][:cut] != a or key[side][cut:] != b or la * r != s:
-                return None
-        left.append((la, a))
-    if side:
-        return [(s, ((), a)) for s, a in left], [(s, ((), b)) for s, b in right]
-    return [(s, (a, ())) for s, a in left], [(s, (b, ())) for s, b in right]
-
-
-def _split_at(entries: list, side: int, cuts, p_inv: Optional[Scalar]) -> list[list]:
-    """A vector block, its summands in key order, split at each of the
-    increasing bit positions `cuts` where it separates; p_inv is the
-    inverse of its pivot, and with None it is not split at all."""
-    if p_inv is None:
-        return [entries]
-    pieces, done = [], 0
-    for cut in cuts:
-        parts = _split(entries, side, cut - done, p_inv)
-        if parts is not None:
-            pieces.append(parts[0])
-            entries, done = parts[1], cut
-    pieces.append(entries)
-    return pieces
-
-
-def _canonical(dims: tuple[int, int], blocks) -> Optional[NormalForm]:
-    """The normal form of the tensor product of `blocks`, maps from
-    (rbits, cbits) to nonzero scalars, zero being one empty block.  A
-    vector is split at every cut where it separates, when its pivot is
-    invertible, and every block but the last is scaled to lead with 1.
-    None for a vector of several blocks one of whose pivots is not
-    invertible: its normal form is its flat map, one block."""
-    rows, cols = dims
-    if (rows == 1) == (cols == 1) or not blocks[0]:  # an operator, a 1x1 or zero
-        (block,) = blocks
-        return NormalForm(dims, (tuple([(s, key) for key, s in sorted(block.items())]),))
-    side = 1 if rows == 1 else 0  # the half of the keys that holds a vector's bits
-    pieces, lead, last = [], _ONE, len(blocks) - 1
-    for k, block in enumerate(blocks):
-        entries = [(s, key) for key, s in sorted(block.items())]
-        p = entries[0][0]
-        p_inv = p if p is _ONE else _inverse(p)
-        if p_inv is None and last:
-            return None
-        width = len(entries[0][1][side])
-        parts = _split_at(entries, side, range(1, width), p_inv) if width > 1 else [entries]
-        if k < last and p is not _ONE:  # the pivot moves to the last block
-            parts[-1] = [(s * p_inv, key) for s, key in parts[-1]]
-            lead = lead * p
-        pieces += parts
-    if lead is not _ONE:
-        pieces[-1] = [(s * lead, key) for s, key in pieces[-1]]
-    return NormalForm(dims, tuple(map(tuple, pieces)))
 
 
 # --- rewrite trace -----------------------------------------------------
@@ -855,7 +638,7 @@ class Rewriter:
         invertible the blocks are folded into one first, so the result is
         the one the flat map gives."""
         blocks = self._sparse(t)
-        return _canonical(t.dims, blocks) or _canonical(t.dims, (self._fold(blocks, t),))
+        return canonical(t.dims, blocks) or canonical(t.dims, (self._fold(blocks, t),))
 
     def _sparse(self, t: Term) -> tuple[dict, ...]:
         """t's value, memoized: a tuple of blocks, maps from (rbits, cbits)
@@ -1082,7 +865,7 @@ class Rewriter:
         if inner and f.rows == f.cols:  # the cuts lie inside f's slots, which f keeps
             cuts = [c - base for c in inner]
             entries = [(s, key) for key, s in sorted(out.items())]
-            parts = _split_at(entries, 0, cuts, _inverse(entries[0][0]))
+            parts = split_at(entries, 0, cuts, inverse(entries[0][0]))
             if len(parts) > 1:
                 pieces = tuple({key: s for s, key in part} for part in parts)
                 self.steps += sum(map(len, pieces))
@@ -1186,21 +969,15 @@ def unified_base(t: Term, fuel: int = DEFAULT_FUEL) -> NormalForm:
 _SQRT2_SCALAR = Scalar.sqrt2()
 
 
-def _vector_summands(nf: NormalForm):
-    """A ket's summands, or a bra's transposed into a ket's (s, (bits, ()))."""
-    if nf.dims[0] == 1:
-        return [(s, (c, r)) for s, (r, c) in nf.summands]
-    return nf.summands
-
-
-def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
-    """(c, tokens) with ket summands == c .* (t1 # ... # tn), each ti one of
-    "0", "1", "+", "-" for |0>, |1>, |+>, |->; decided by comparing
-    amplitudes, never by dividing."""
+def _product_state(summands, side: int) -> Optional[tuple[Scalar, list[str]]]:
+    """(c, tokens) with a ket's summands, or a bra's, its bits on `side` of
+    the keys, == c .* (t1 # ... # tn), each ti one of "0", "1", "+", "-" for
+    |0>, |1>, |+>, |->; decided by comparing amplitudes, never by dividing."""
     if not summands:
         return None
-    s0, (first, _) = summands[0]
-    spread = [i for i in range(len(first)) if any(r[i] != first[i] for _, (r, _) in summands)]
+    s0, key = summands[0]
+    first = key[side]
+    spread = [i for i in range(len(first)) if any(kj[side][i] != first[i] for _, kj in summands)]
     k = len(spread)
     if len(summands) != 1 << k:
         return None
@@ -1231,11 +1008,9 @@ def _product_state(summands) -> Optional[tuple[Scalar, list[str]]]:
 
 
 def _block_product_state(nf: NormalForm) -> Optional[tuple[Scalar, list[str]]]:
-    """_product_state's (c, tokens), read off the blocks of a vector normal
-    form whose blocks are each one qubit in the shape of |0>, |1>, |+> or
-    |-> (or their bras), with no flat sum built; None otherwise.  Every
-    block but the last leads with 1, so c is the last block's lead times
-    sqrt2 for each |+> or |->."""
+    """_product_state's (c, tokens) or None, read off a vector normal form's
+    blocks, each one qubit, with no flat sum built.  Every block but the last
+    leads with 1, so c is the last block's lead times sqrt2 per |+> or |->."""
     side = 1 if nf.dims[0] == 1 else 0
     tokens = []
     c = nf.blocks[-1][0][0]
@@ -1302,14 +1077,14 @@ def _resugar(nf: NormalForm) -> Term:
     c_b .* (b # ...), so a sum that L11 distributes again has two summands
     where the flat normal form has up to four; the normal form's own term
     when a part is no product state either."""
-    states = _BRA_STATES if nf.dims[0] == 1 else _KET_STATES
-    summands = _vector_summands(nf)
-    whole = _product_state(summands)
+    side = 1 if nf.dims[0] == 1 else 0
+    states = _BRA_STATES if side else _KET_STATES
+    whole = _product_state(nf.summands, side)
     if whole is not None:
         hits = [whole]
     else:
-        groups = [[x for x in summands if x[1][0][0] == b] for b in (0, 1)]
-        hits = [_product_state(g) for g in groups if g]
+        groups = [[x for x in nf.summands if x[1][side][0] == b] for b in (0, 1)]
+        hits = [_product_state(g, side) for g in groups if g]
     if not hits or None in hits:
         return nf.to_term()
     parts = []
@@ -1321,15 +1096,10 @@ def _resugar(nf: NormalForm) -> Term:
 
 # --- sugared rendering of normal forms ---------------------------------
 
-_KNOWN_OPERATORS: list[tuple[str, Term]] = [
-    (name, gate(name))
-    for name in ("B0", "B1", "B2", "B3", "X", "Y", "Z", "H", "CX", "CZ", "SWAP", "TOF")
-]
-
-
 @cache
 def _known_operator_nfs() -> dict[NormalForm, str]:
-    return {Rewriter().normalize(t): name for name, t in _KNOWN_OPERATORS}
+    names = ("B0", "B1", "B2", "B3", "X", "Y", "Z", "H", "CX", "CZ", "SWAP", "TOF")
+    return {Rewriter().normalize(gate(name)): name for name in names}
 
 
 def _is_identity(nf: NormalForm) -> bool:
@@ -1360,7 +1130,7 @@ def render_nf(nf: NormalForm) -> str:
         if len(nf.blocks) > 1:
             factored = _block_product_state(nf)
         else:
-            factored = _product_state(_vector_summands(nf))
+            factored = _product_state(nf.summands, 1 if rows == 1 else 0)
         if factored is not None:
             s, tokens = factored
             body = _join_tokens(tokens, rows == 1)
@@ -1369,11 +1139,8 @@ def render_nf(nf: NormalForm) -> str:
             if len(tokens) > 1 and " # " in body:
                 body = f"({body})"
             return render_scaled(s, body)
-        blocks = nf.blocks
-        if prod(map(len, blocks)) > sum(map(len, blocks)):  # fewer summands than the flat sum
-            shapes = [(1, 2 ** len(b[0][1][1])) if rows == 1 else (2 ** len(b[0][1][0]), 1)
-                      for b in blocks]  # each block's own, from its first key
-            return " # ".join(f"({render_nf(NormalForm(d, (b,)))})" for d, b in zip(shapes, blocks))
+        if prod(map(len, nf.blocks)) > sum(map(len, nf.blocks)):  # fewer summands than the flat sum
+            return " # ".join(f"({render_nf(f)})" for f in nf.factors())
     parts = []
     for s, (rbits, cbits) in nf.summands:
         if not rbits and not cbits:

@@ -307,9 +307,7 @@ def test_property_measurement_and_unitaries_conserve_mass():
     for _ in range(200):
         q = rng.randint(1, 2)
         psi = rand_state(rng, q, closed=True)
-        mass = Rewriter().normalize(
-            mul(dag(psi), psi)
-        ).as_scalar()
+        mass = Rewriter().normalize(mul(dag(psi), psi)).trace()
         measured = mea_mix(q - 1, rng.randrange(q), pure_mix(density(psi)))
         assert total_mass(measured) == mass, repr(psi)
         u = gate("H") if q == 1 else gate(rng.choice(("CX", "CZ", "SWAP")))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdirac.corpus as corpus_module
+import qdirac.normal_form as normal_form
 from qdirac.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from qdirac.corpus import KINDS, parse_corpus
 from qdirac.errors import DimMismatch, ParseError
@@ -336,12 +337,24 @@ def test_false_eq_on_wide_factored_sides_is_a_fail(tmp_path, capsys, monkeypatch
     out = capsys.readouterr().out
     assert "FAIL  w [EQ]" in out and "ERROR" not in out
     assert "differ at |" + "0," * 20 + "1>: 1/2048*sqrt2 vs -1/2048*sqrt2" in out
-    monkeypatch.setattr(corpus_module, "DEFAULT_FUEL", 100)
+    monkeypatch.setattr(normal_form, "DEFAULT_FUEL", 100)
     p.write_text("far: EQ kron_n(8, |+>) == |-> # kron_n(7, |+>)\n")
     assert main(["check", "--oracle", "off", "--json", str(p)]) == EXIT_FAIL
     (res,) = json.loads(capsys.readouterr().out)["files"][0]["results"]
     assert res["verdict"] == "fail"
     assert res["witness"] == "normal forms differ past the first 100 summands walked"
+
+
+def test_pure_mixeq_of_unequal_block_counts_is_a_fail(tmp_path, capsys):
+    """A 20-qubit product state against a one-block state (its pivot holds
+    the atom a) is paired by walking both flat sums to the second key, so
+    the false MIXEQ fails there, never flattened to 2^20 summands."""
+    p = tmp_path / "pe.qd"
+    p.write_text("pe: MIXEQ mix1(density(kron_n(20, |+>))) == "
+                 "mix1(density(a .* kron_n(20, |0>)))\n")
+    assert main(["check", "--oracle", "off", str(p)]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "FAIL  pe [MIXEQ]" in out and "ERROR" not in out
 
 
 def test_a_norm_hypothesis_leaves_wide_factored_sides_factored(tmp_path, capsys):

@@ -303,19 +303,22 @@ def test_pure_branches_decide_as_their_density_normal_forms(seed):
     operator normal forms gives (a leaf written 1 .* density(psi) is no pure
     branch), a pure branch against an operator one agrees too, and mix_equal
     agrees with the verdict.  The right side is the left one itself, its
-    state under a global phase, rescaled or replaced, or its last unitary
-    swapped or one stage more."""
+    state under a global phase, rescaled, scaled by the atom a (one block
+    where psi's normal form may have several) or replaced, or its last
+    unitary swapped or one stage more."""
     rng = random.Random(seed)
     qubits = rng.randint(1, 3)
     closed = rng.random() < 0.5
     hyps = () if closed else (("a", "b"),)
     psi = rand_state(rng, qubits, closed=closed)
     left = _stages(rng, qubits, closed, pure_mix(density(psi)))
-    variant = rng.randrange(5)
+    variant = rng.randrange(6)
     if variant == 0:
         right = _with_leaf(left, pure_mix(density(scale(Scalar.phase("u"), psi))))
     elif variant == 1:
         right = _with_leaf(left, pure_mix(density(scale(rand_scalar(rng, closed), psi))))
+    elif variant == 5:
+        right = _with_leaf(left, pure_mix(density(scale(Scalar.var("a"), psi))))
     elif variant == 2:
         right = _with_leaf(left, pure_mix(density(rand_state(rng, qubits, closed=closed))))
     elif variant == 3:
@@ -381,6 +384,20 @@ def test_operator_leaf_stages_continue_from_the_written_branch():
     assert hh.verdict == "pass" and hh.steps <= 3 * 4 ** 6, hh
     assert xh.verdict == "fail", xh
     assert xh.witness.startswith("mixed states differ at branch 0: [1 : "), xh
+
+
+def test_a_false_operator_branch_names_the_first_key_that_differs():
+    """A false MIXEQ on operator branches ends its witness with the first
+    basis key where the compared normal forms differ, as an EQ's does."""
+    leaf = "[1 : kron_n(6, B0)]"
+    src = (f"xh: MIXEQ unitmix(kron_n(6, X), unitmix(kron_n(6, H), {leaf})) == {leaf}\n"
+           "x2: MIXEQ unitmix(kron_n(2, X), [1 : kron_n(2, B0)]) == [1 : kron_n(2, B0)]\n")
+    xh, x2 = (run_assertion(a, {}, RunConfig(oracle=False))
+              for a in parse_corpus(src).assertions)
+    assert xh.verdict == x2.verdict == "fail"
+    assert xh.witness.endswith(
+        "], normal forms differ at |0,0,0,0,0,0><0,0,0,0,0,0|: 1/64 vs 1"), xh.witness
+    assert x2.witness.endswith("], normal forms differ at |0,0><0,0|: 0 vs 1"), x2.witness
 
 
 def test_stages_on_teleport_operator_leaves_pass_with_and_without_the_oracle():

@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdirac.corpus as corpus_module
+import qdirac.normal_form as normal_form
 import qdirac.rewrite as rewrite_module
 from qdirac.cli import EXIT_INPUT, EXIT_OK, main
 from qdirac.corpus import build_defs, parse_corpus
 from qdirac.errors import FuelExhausted, NotAnOperator, NotInReducedShape
+from qdirac.normal_form import NormalForm
 from qdirac.oracle import eval_dense, mat_equiv
 from qdirac.parser import parse
-from qdirac.rewrite import (
-    NormalForm, RewriteTrace, Rewriter, render_nf, replay, unified_base,
-)
+from qdirac.rewrite import RewriteTrace, Rewriter, render_nf, replay, unified_base
 from qdirac.scalar import Scalar
 from qdirac.term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, add, add_all, dag, gate, identity, ket0,
@@ -634,7 +634,7 @@ def test_property_vector_normal_form_is_the_finest_factorization(seed):
     t = _rand_vector(random.Random(seed))
     nf = nf_of(t)
     flat = {key: s for s, key in nf.summands}
-    assert rewrite_module._canonical(nf.dims, (flat,)) == nf
+    assert normal_form.canonical(nf.dims, (flat,)) == nf
     trace = RewriteTrace()
     rw = Rewriter(trace=trace)
     assert unified_base(rw.reduce(rw.push_daggers(t))) == nf
@@ -643,12 +643,61 @@ def test_property_vector_normal_form_is_the_finest_factorization(seed):
     for block in nf.blocks:
         if not block:
             continue
-        p_inv = rewrite_module._inverse(block[0][0])
+        p_inv = normal_form.inverse(block[0][0])
         if p_inv is None:
             assert len(nf.blocks) == 1
             continue
         for cut in range(1, len(block[0][1][side])):
-            assert rewrite_module._split(list(block), side, cut, p_inv) is None
+            assert normal_form._split(list(block), side, cut, p_inv) is None
+
+
+def _same_shape(t, rng: random.Random):
+    """A random term of t's dims: a ket, a bra or an operator."""
+    rows, cols = (d.bit_length() - 1 for d in t.dims)
+    if t.rows == 1:
+        return dag(rand_state(rng, cols, closed=False))
+    return rand_state(rng, rows, closed=False) if t.cols == 1 else rand_op(rng, rows, closed=False)
+
+
+def _basis_of_shape(t, rng: random.Random):
+    """A random basis matrix |r><c| of t's dims."""
+    rows, cols = (d.bit_length() - 1 for d in t.dims)
+
+    def ket(n):
+        return ket_string("".join(rng.choice("01") for _ in range(n)))
+
+    if t.rows == 1:
+        return dag(ket(cols))
+    return ket(rows) if t.cols == 1 else mul(ket(rows), dag(ket(cols)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_first_difference_is_the_first_differing_key(seed):
+    """NormalForm.first_difference walks two normal forms of one shape,
+    factored or flat, vectors or operators: None exactly when their flat
+    sums are equal, else the first key in row-major order where their
+    scalars differ, with both scalars, a summand one lacks read as 0."""
+    rng = random.Random(seed)
+    t = _rand_vector(rng) if rng.random() < 0.6 else rand_op(rng, rng.randint(1, 3), closed=False)
+    pick = rng.randrange(5)
+    if pick == 0:
+        u = t
+    elif pick == 1:  # the same flat sum, written out
+        u = nf_of(t).to_term()
+    elif pick == 2:  # one block where t may have several
+        u = scale(Scalar.var("a"), t)
+    elif pick == 3:
+        u = add(t, scale(rand_scalar(rng, closed=False), _basis_of_shape(t, rng)))
+    else:
+        u = _same_shape(t, rng)
+    a, b = nf_of(t), nf_of(u)
+    zero = Scalar.zero()
+    fa, fb = ({key: s for s, key in nf.summands} for nf in (a, b))
+    keys = sorted(k for k in fa.keys() | fb.keys() if fa.get(k, zero) != fb.get(k, zero))
+    want = (keys[0], fa.get(keys[0], zero), fb.get(keys[0], zero)) if keys else None
+    assert a.first_difference(b) == want
+    assert (want is None) == (a == b)
 
 
 def test_vector_normal_form_edge_cases():
@@ -863,9 +912,9 @@ def test_nf_uniqueness_with_atoms():
 
 def test_scalar_coercion():
     nf = Rewriter().normalize(mul(dag(ket0()), ket0()))
-    assert nf.as_scalar() == Scalar.one()
-    with pytest.raises(NotInReducedShape):
-        nf_of(ket0()).as_scalar()
+    assert nf.trace() == Scalar.one()
+    with pytest.raises(NotAnOperator):
+        nf_of(ket0()).trace()
 
 
 def test_fuel_exhaustion():
