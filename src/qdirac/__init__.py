@@ -2,7 +2,7 @@
 
 from .errors import (
     DimMismatch, FuelExhausted, InvalidQubitIndex,
-    NonInvertibleScalar, NotAnOperator, NotAVector, NotInReducedShape, NotSquare,
+    NonInvertibleScalar, NotAnOperator, NotAVector, NotInReducedShape,
     ParseError, QDiracError, UnboundAtom, UnknownCase, UnknownGate,
 )
 from .scalar import Coefficient, Scalar

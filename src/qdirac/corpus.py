@@ -207,12 +207,17 @@ def _branch_text(m: MixedState, i: int, state: Pure | NormalForm | None) -> str:
 def _compared_difference(x: Pure | NormalForm | None, y: Pure | NormalForm | None) -> str:
     """Where a branch's compared states differ: two operators' normal forms
     as an EQ's witness says, two pure states at the first block of their
-    vectors that differs, `, block j: u vs v`; empty if nothing is known."""
+    vectors that differs, `, block j: u vs v`, compared only while both
+    sides' blocks span the same qubits, or at the first block whose spans
+    differ, `, block j: 1 qubit vs 20 qubits`; empty if nothing is known."""
     if isinstance(x, NormalForm):
         return f", {_nf_difference(x, y)}"
     if x is None or x.nf.is_zero() or y.nf.is_zero():
         return ""
     for j, (u, v) in enumerate(zip(x.nf.factors(), y.nf.factors())):
+        wu, wv = (max(f.dims).bit_length() - 1 for f in (u, v))
+        if wu != wv:
+            return f", block {j}: {wu} qubit{'s' * (wu > 1)} vs {wv} qubit{'s' * (wv > 1)}"
         if u != v:
             return f", block {j}: {render_nf(u)} vs {render_nf(v)}"
     return ""

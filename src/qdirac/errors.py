@@ -45,10 +45,6 @@ class NotAVector(QDiracError):
     pass
 
 
-class NotSquare(QDiracError):
-    pass
-
-
 class NotAnOperator(QDiracError):
     pass
 

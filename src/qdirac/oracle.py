@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Optional, Sequence
 
-from .errors import DimMismatch, NotSquare, show_dim
+from .errors import DimMismatch
 from .term import (
     ADD, DAG, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO, Term, library_subterms, operands,
 )
@@ -139,11 +139,6 @@ class DenseMatrix:
             if a > best:
                 best, idx = a, k
         return divmod(idx, self.cols)
-
-    def trace(self) -> complex:
-        if self.rows != self.cols:
-            raise NotSquare(f"trace of {show_dim(self.rows)}x{show_dim(self.cols)} matrix")
-        return sum(self.entries[i * self.cols + i] for i in range(self.rows))
 
 
 @dataclass

@@ -30,10 +30,13 @@ tried in a fixed order: push daggers to the leaves, reduce the products,
 then collect the result into a canonical sum of basis matrices
 |rbits><cbits|.  A term's own bits (Term.pushed, Term.shaped) tell a stage
 that it has nothing to do there, so no stage walks a term it leaves as it
-is.  Reduction stops at the shape the collector reads: above
-every product only the laws that drop an operand (L3, L9, L10) fire, so the
-sums, scalings and tensor products there are left for the collector, which
-multiplies them out by exact arithmetic, rather than expanded law by law.
+is.  Dagger pushing and the walk above every product are recursion on one
+explicit-stack driver (_drive), so no term is too deep for them; the
+reduction below a product recurses.  Reduction stops at the shape the
+collector reads: above every product only the laws that drop an operand
+(L3, L9, L10) fire, so the sums, scalings and tensor products there are
+left for the collector, which multiplies them out by exact arithmetic,
+rather than expanded law by law.
 An operand of a product is reduced to a fixpoint of the whole law set.
 That reduction tries a node's laws before its children's and retries the
 node after they change, except that a product chain reduces from its
@@ -125,43 +128,53 @@ class RewriteTrace:
 
 
 def _rebuild(t: Term, children) -> Term:
-    if t.kind == SCALE:
-        return scale(t.payload, children[0])
-    if t.kind == MUL:
-        return mul(children[0], children[1])
-    if t.kind == ADD:
-        return add(children[0], children[1])
-    if t.kind == KRON:
-        return kron(children[0], children[1])
-    if t.kind == DAG:
-        return dag(children[0])
-    return t
+    """t over new children of the same dims, as every law keeps a term's."""
+    return Term(t.kind, t.payload, tuple(children), t.rows, t.cols)
 
 
-def _subst(t: Term, path: bytes, new: Term) -> Term:
-    """t with the subterm at path replaced by new; iterative, as a path is as
-    deep as the term."""
-    spine = []
-    for i in path:
-        spine.append(t)
-        t = t.children[i]
-    for node, i in zip(reversed(spine), reversed(path)):
-        children = list(node.children)
-        children[i] = new
-        new = _rebuild(node, children)
-    return new
+def _drive(walk):
+    """Run a walk written as a generator on one explicit stack.  The walk
+    yields a sub-walk, is sent that sub-walk's value, and returns its own, so
+    it reads as recursion and a walk as deep as its term recurses not at all."""
+    stack, value = [walk], None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
 
 
 def replay(t: Term, trace: RewriteTrace) -> Term:
-    """Re-apply a recorded trace; each step must match the current subterm."""
-    for step in trace.steps:
-        cur = t
-        for i in step.path:
-            cur = cur.children[i]
-        if cur is not step.before:
-            raise ValueError(f"trace replay mismatch at {list(step.path)}")
-        t = _subst(t, step.path, step.after)
-    return t
+    """Re-apply a recorded trace; each step must match the current subterm
+    and keep its dims.  The walk holds the spine from the root down to the
+    last step's subterm and rebuilds only the part of it that the next
+    step's path leaves, so nested steps cost their number, not that times
+    their depth."""
+    spine: list[tuple[Term, int]] = []  # (node, child index) from the root down to t
+    for step in [*trace.steps, None]:
+        path = step.path if step is not None else b""
+        k = 0
+        while k < len(spine) and k < len(path) and spine[k][1] == path[k]:
+            k += 1
+        while len(spine) > k:
+            node, i = spine.pop()
+            t = _rebuild(node, node.children[:i] + (t,) + node.children[i + 1:])
+        if step is None:
+            return t
+        for i in path[k:]:
+            spine.append((t, i))
+            t = t.children[i]
+        if t is not step.before:
+            raise ValueError(f"trace replay mismatch at {list(path)}")
+        if step.after.dims != t.dims:
+            raise ValueError(f"trace replay changes dims at {list(path)}")
+        t = step.after
 
 
 # --- the law set ------------------------------------------------------
@@ -421,54 +434,42 @@ class Rewriter:
         fired at an open product.  A term in shape (Term.shaped, set when it
         was built) comes back from an open position at once, unwalked.  An
         open sum, scaling or tensor product fires only the laws that drop an
-        operand (L3, L9, L10), then
-        reduces its children, each at an open position; the sums, scalings
-        and tensor products it keeps are unified_base's to collect.  An open
+        operand (L3, L9, L10), then reduces its children, each at an open
+        position; the sums, scalings and tensor products it keeps are
+        unified_base's to collect.  An open
         product reduces its operands to a fixpoint (reduce), and the result
         of the first law that fires at its root stands at the open position
         in turn, so a scalar that L5 pulls out stays above the product's
-        result.  Iterative: a frame holds a node and its reduced children so
-        far, None until the laws at its root are done."""
-        path: list[int] = []
-        frames = [[t, None]]
-        while True:
-            frame = frames[-1]
-            node, done = frame
-            if done is None:
-                node = frame[0] = self._open_root(node, path)
-                if node.kind in (SCALE, ADD, KRON) and not node.shaped:
-                    frame[1] = []
-                    continue
-            elif len(done) < len(node.children):
-                path.append(len(done))
-                frames.append([node.children[len(done)], None])
-                continue
-            elif any(d is not c for d, c in zip(done, node.children)):
-                frame[:] = [_rebuild(node, done), None]  # its root's laws again
-                continue
-            frames.pop()
-            if not frames:
-                return node
-            path.pop()
-            frames[-1][1].append(node)
+        result.  The walk (_open) runs on _drive, so a long sum costs no
+        recursion."""
+        return t if t.shaped else _drive(self._open(t, ()))
 
-    def _open_root(self, t: Term, path: list[int]) -> Term:
-        """Fire laws at the root of t, at an open position, until it is in
+    def _open(self, t: Term, path: tuple[int, ...]):
+        """_reduce_open's walk at path.  Laws fire at the root until t is in
         shape, a product no law rewrites, or a sum, scaling or tensor
-        product with no operand to drop."""
-        while not t.shaped:
-            if t.kind == MUL:
-                new = self.reduce(t, tuple(path), _open=True)
-                if new is t:
-                    break  # an irreducible product, which unified_base reports
-            else:
-                r = _drop_operand(t)
-                if r is None:
-                    break
-                new = r[1]
-                self._log(r[0], path, t, new)
-            t = new
-        return t
+        product with no operand to drop; the last has its children walked,
+        and if one changes, the rebuilt node is walked again."""
+        while True:
+            while not t.shaped:
+                if t.kind == MUL:
+                    new = self.reduce(t, path, _open=True)
+                    if new is t:
+                        return t  # an irreducible product, which unified_base reports
+                else:
+                    r = _drop_operand(t)
+                    if r is None:
+                        break
+                    new = r[1]
+                    self._log(r[0], path, t, new)
+                t = new
+            if t.shaped or t.kind not in (SCALE, ADD, KRON):
+                return t
+            children = []
+            for i, c in enumerate(t.children):
+                children.append(c if c.shaped else (yield self._open(c, path + (i,))))
+            if all(d is c for d, c in zip(children, t.children)):
+                return t
+            t = _rebuild(t, children)
 
     def reduce(self, t: Term, _path: tuple[int, ...] = (), _in_sum: bool = False,
                _open: bool = False) -> Term:
@@ -554,68 +555,44 @@ class Rewriter:
         daggers all sit on basis kets (Term.pushed, set when it was built)
         is returned as it is, and such a subterm is output as it is,
         unvisited: no law applies in it, so visiting it would log no step.
-        Iterative: the other nodes are visited depth first, left to right,
-        each rewritten at its root before its children are visited."""
-        if t.pushed:
-            return t
-        path: list[int] = []
-        frames = [(self._push_root(t, path), [])]  # (node, its children so far)
-        while True:
-            node, done = frames[-1]
-            if len(done) < len(node.children):
-                path.append(len(done))
-                child = node.children[len(done)]
-                if child.kind == DAG:
-                    child = self._push_root(child, path)
-                if child.pushed:  # a leaf, a bra or a subterm with no dagger to push
-                    path.pop()
-                    done.append(child)
-                else:
-                    frames.append((child, []))
-                continue
-            frames.pop()
-            if any(d is not c for d, c in zip(done, node.children)):
-                node = _rebuild(node, done)
-            if not frames:
-                return node
-            path.pop()
-            frames[-1][1].append(node)
+        The other nodes are visited depth first, left to right, each
+        rewritten at its root before its children are visited (_push, on
+        _drive, so a deep term costs no recursion)."""
+        return t if t.pushed else _drive(self._push(t, ()))
 
-    def _push_root(self, t: Term, path: list[int]) -> Term:
+    def _push(self, t: Term, path: tuple[int, ...]):
+        """push_daggers' walk at path."""
+        if t.kind == DAG:
+            t = self._push_root(t, path)
+        children = []
+        for i, c in enumerate(t.children):
+            children.append(c if c.pushed else (yield self._push(c, path + (i,))))
+        return _rebuild(t, children)  # t itself where no child changed, as terms are interned
+
+    def _push_root(self, t: Term, path: tuple[int, ...]) -> Term:
         """Apply L14-L16 and D_db at the root of t until none applies."""
         while t.kind == DAG:
             x = t.children[0]
             if x in _ADJOINT:
-                self._log("D_db", path, t, _ADJOINT[x])
-                t = _ADJOINT[x]
+                law, new = "D_db", _ADJOINT[x]
             elif x.kind == DAG:
-                self._log("L16", path, t, x.children[0])
-                t = x.children[0]
+                law, new = "L16", x.children[0]
             elif x.kind == SCALE:
-                new = scale(x.payload.conj(), dag(x.children[0]))
-                self._log("L14", path, t, new)
-                t = new
+                law, new = "L14", scale(x.payload.conj(), dag(x.children[0]))
             elif x.kind == MUL:
-                new = mul(dag(x.children[1]), dag(x.children[0]))
-                self._log("L14", path, t, new)
-                t = new
+                law, new = "L14", mul(dag(x.children[1]), dag(x.children[0]))
             elif x.kind == ADD:
-                new = add(dag(x.children[0]), dag(x.children[1]))
-                self._log("L15", path, t, new)
-                t = new
+                law, new = "L15", add(dag(x.children[0]), dag(x.children[1]))
             elif x.kind == KRON:
-                new = kron(dag(x.children[0]), dag(x.children[1]))
-                self._log("L15", path, t, new)
-                t = new
+                law, new = "L15", kron(dag(x.children[0]), dag(x.children[1]))
             elif x.kind == IDENT:
-                self._log("D_db", path, t, x)
-                t = x
+                law, new = "D_db", x
             elif x.kind == ZERO:
-                new = zero(x.cols, x.rows)
-                self._log("D_db", path, t, new)
-                t = new
+                law, new = "D_db", zero(x.cols, x.rows)
             else:
                 break  # dagger of a basis ket stays: that is a bra leaf
+            self._log(law, path, t, new)
+            t = new
         return t
 
     def normalize(self, t: Term) -> NormalForm:

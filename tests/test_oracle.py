@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qdirac.errors import DimMismatch, NotSquare
+from qdirac.errors import DimMismatch
 from qdirac.oracle import (
     DEFAULT_SEED, DenseMatrix, Evaluator, SampleEnv, collect_atoms, envs_for, eval_dense,
     mat_equiv, obs_equiv,
@@ -17,7 +17,7 @@ from qdirac.rewrite import Rewriter
 from qdirac.scalar import Scalar
 from qdirac.term import (
     ADD, IDENT, KET0, KET1, KRON, MUL, SCALE, ZERO,
-    add, dag, gate, identity, ket0, kron, kron_n, mul, render_head, scale, zero,
+    add, gate, identity, ket0, kron, kron_n, mul, render_head, scale, zero,
 )
 
 from conftest import rand_circuit, rand_op, rand_term
@@ -234,15 +234,6 @@ def test_sampling_determinism():
     e1 = SampleEnv.sample({"a"}, {"u"}, seed=9)
     e2 = SampleEnv.sample({"a"}, {"u"}, seed=9)
     assert e1.bindings == e2.bindings
-
-
-def test_trace_dense():
-    assert abs(eval_dense(gate("B0")).trace() - 1) <= TOL
-    assert abs(eval_dense(identity(4)).trace() - 4) <= TOL
-    rho = mul(gate("ket_plus"), dag(gate("ket_plus")))
-    assert abs(eval_dense(rho).trace() - 1) <= TOL
-    with pytest.raises(NotSquare):
-        eval_dense(ket0()).trace()
 
 
 def test_dense_matrix_kron():

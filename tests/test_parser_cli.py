@@ -348,13 +348,19 @@ def test_false_eq_on_wide_factored_sides_is_a_fail(tmp_path, capsys, monkeypatch
 def test_pure_mixeq_of_unequal_block_counts_is_a_fail(tmp_path, capsys):
     """A 20-qubit product state against a one-block state (its pivot holds
     the atom a) is paired by walking both flat sums to the second key, so
-    the false MIXEQ fails there, never flattened to 2^20 summands."""
+    the false MIXEQ fails there, never flattened to 2^20 summands.  Its
+    witness names the first block whose spans differ, not the unrelated
+    blocks at that index; blocks of equal span are compared as they are."""
     p = tmp_path / "pe.qd"
     p.write_text("pe: MIXEQ mix1(density(kron_n(20, |+>))) == "
-                 "mix1(density(a .* kron_n(20, |0>)))\n")
+                 "mix1(density(a .* kron_n(20, |0>)))\n"
+                 "q3: MIXEQ mix1(density(kron_n(3, |+>))) == "
+                 "mix1(density(|0> # (|0,0> + |1,1>)))\n")
     assert main(["check", "--oracle", "off", str(p)]) == EXIT_FAIL
     out = capsys.readouterr().out
     assert "FAIL  pe [MIXEQ]" in out and "ERROR" not in out
+    assert ", block 0: 1 qubit vs 20 qubits\n" in out
+    assert ", block 0: sqrt2 .* |+> vs |0>\n" in out
 
 
 def test_a_norm_hypothesis_leaves_wide_factored_sides_factored(tmp_path, capsys):

@@ -1141,6 +1141,28 @@ def test_traced_sum_above_the_products_is_walked_without_recursion():
     assert unified_base(replay(t, trace)) == nf
 
 
+def test_daggers_are_pushed_deeper_than_the_recursion_limit():
+    """Dagger pushing runs on an explicit stack, so the dagger of a written-
+    out 1500-summand sum nests 1499 L15 steps, each one level below the
+    last, past the default recursion limit, and the trace replays."""
+    t = parse("(" + " + ".join(["|0>", "|1>"] * 750) + ")^")
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t)
+    assert [(s.law, len(s.path)) for s in trace.steps] == [("L15", i) for i in range(1499)]
+    assert unified_base(replay(t, trace)) == nf
+
+
+def test_replay_refuses_a_step_that_changes_dims():
+    """Every law keeps a term's dims, so a trace step that changes them is
+    refused, even under a tensor product, whose dims no operand constrains."""
+    t = kron(ket0(), ket1())
+    trace = RewriteTrace()
+    trace.append("L8", [1], ket1(), ket_string("01"))
+    with pytest.raises(ValueError, match="dims"):
+        replay(t, trace)
+
+
 def test_steps_track_the_answer_not_the_dimension():
     """H^n * H^n, GHZ_n and Deutsch-Jozsa are decided in steps (map entries
     built) proportional to the normal form's summands plus the width."""
