@@ -275,6 +275,9 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
                         refutation = "oracle refutes matrix equality"
                 except OverflowError:  # a constant past float range
                     res.oracle_note = "skipped (a value past float range)"
+                else:
+                    if oracle_ok != sym_ok:  # reported either way; the verdict stays their conjunction
+                        res.oracle_note = "disagrees"
                 if not oracle_ok and not res.witness:
                     res.witness = refutation
             res.ms_oracle = (time.perf_counter() - t1) * 1000

@@ -44,7 +44,13 @@ vector ends, and Lsum runs once per sum, at its top, after its summands.  A
 ket takes the gates on its left and a bra the gates on its right, one at a
 time; a chain with a ket inside is an outer product, regrouped (L2) into
 its ket part times its bra part, each reduced from its vector end; a 1x1
-chain keeps the ket-first order.  Each Rewriter remembers the fixpoints it
+chain keeps the ket-first order.  A product of operators takes its right
+operand as its vector end: that operand is reduced, and distributed (L11),
+before the left one, so each of its summands, c .* (|r1><c1| # ...), meets
+the left operand's gates through L13 or as (left * |r>) * <c|, and the left
+operand is never multiplied out on its own.  Beside an operand reduced to
+zero, the other operand of a product or tensor product is left for L7 or
+L10 to drop, unreduced.  Each Rewriter remembers the fixpoints it
 has reached, so a repeated irreducible subterm costs a lookup.  On gate
 chains, applied to kets, bras or neither, and on U * k * k^ * U^ the steps
 grow with the gates times the size of the answer; on H^n * H^n, whose L13
@@ -392,10 +398,11 @@ class Rewriter:
                 out = _try_mult_kron(a, b)
                 if out is not None:
                     return "L13", out
+            # an operator product's right operand is its vector end: distribute it first
+            if b.kind == ADD and (a.kind != ADD or (t.rows > 1 and t.cols > 1)):
+                return "L11", add(mul(a, b.children[0]), mul(a, b.children[1]))
             if a.kind == ADD:
                 return "L11", add(mul(a.children[0], b), mul(a.children[1], b))
-            if b.kind == ADD:
-                return "L11", add(mul(a, b.children[0]), mul(a, b.children[1]))
             return None
         if kind == SCALE and t.children[0].kind == SCALE:
             x = t.children[0]
@@ -436,7 +443,8 @@ class Rewriter:
         open sum, scaling or tensor product fires only the laws that drop an
         operand (L3, L9, L10), then reduces its children, each at an open
         position; the sums, scalings and tensor products it keeps are
-        unified_base's to collect.  An open
+        unified_base's to collect; once a tensor product's operand is zero,
+        its other operand is left unwalked for L10 to drop.  An open
         product reduces its operands to a fixpoint (reduce), and the result
         of the first law that fires at its root stands at the open position
         in turn, so a scalar that L5 pulls out stays above the product's
@@ -466,7 +474,10 @@ class Rewriter:
                 return t
             children = []
             for i, c in enumerate(t.children):
-                children.append(c if c.shaped else (yield self._open(c, path + (i,))))
+                if c.shaped or (i and t.kind == KRON and children[0].kind == ZERO):
+                    children.append(c)  # in shape, or dropped by L10 with its zero sibling
+                else:
+                    children.append((yield self._open(c, path + (i,))))
             if all(d is c for d, c in zip(children, t.children)):
                 return t
             t = _rebuild(t, children)
@@ -488,9 +499,17 @@ class Rewriter:
         terms.  An operator chain holding a ket is an outer product: it is
         regrouped into (ket part) * (bra part), and each part is reduced
         from its vector end before they meet.  An operator chain with no
-        vector reduces its right operand first when that is a MUL, as a ket
-        does; otherwise a KRON or ADD operand is left whole, for L13 and L11
-        to use its structure.  Lsum runs at the top of an ADD spine once its summands are reduced,
+        vector takes its right operand as its vector end.  It reduces that
+        operand first when it is a MUL, as a ket does, and otherwise once no
+        law fires at the root, so that L13 meets a KRON whole, and then tries
+        the root again before it reduces the left operand; L11 distributes
+        over the right operand's sum before the left's.  Each summand of the
+        right operand is then c .* (|r1><c1| # ...), which L13 aligns with
+        the left operand's gates or _regroup cuts into (left * |r>) * <c|, so
+        the left gates meet kets through the tables, never multiplied out on
+        their own.  Once one operand of a product or tensor product reduces
+        to zero, the other is left unreduced for L7 or L10 to drop.  Lsum
+        runs at the top of an ADD spine once its summands are reduced,
         never at the spine's inner ADD nodes (_in_sum).  Fixpoints are
         remembered, an inner node's apart, since Lsum may still fire on it
         at a top; a remembered one is returned at once and logs no step, as
@@ -518,11 +537,19 @@ class Rewriter:
             if r is None:
                 if not t.children:
                     break
+                if t.kind == MUL and t.rows > 1 and t.cols > 1:  # its right operand, then the root again
+                    rb = self.reduce(t.children[1], _path + (1,))
+                    if rb is not t.children[1]:
+                        t = mul(t.children[0], rb)
+                        continue
                 is_sum = t.kind == ADD
                 changed = False
                 new_children = []
                 for i, c in enumerate(t.children):
-                    rc = self.reduce(c, _path + (i,), is_sum)
+                    if i and not is_sum and new_children[0].kind == ZERO:
+                        rc = c  # L7 or L10 drops it with its zero sibling
+                    else:
+                        rc = self.reduce(c, _path + (i,), is_sum)
                     new_children.append(rc)
                     changed = changed or rc is not c
                 if changed:

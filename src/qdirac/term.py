@@ -243,8 +243,9 @@ def render_with(t: Term, memo: dict) -> str:
     Iterative, and each node's text is joined from its operands' texts.  The
     operands of a sum, product or tensor product are the subterms below it
     that are not of its kind: its whole chain of that kind, nested either
-    way, is written without brackets.  The operands' texts are memoized, but
-    not t's nor those of the chain nodes between, so rendering a chain of n
+    way, is written without brackets.  The operands' texts and t's are
+    memoized, since a trace step's term is often an earlier step's result,
+    but not those of the chain nodes between, so rendering a chain of n
     summands stores no text per suffix."""
     text = memo.get(t) or _leaf(t)
     if text is not None:
@@ -269,9 +270,9 @@ def render_with(t: Term, memo: dict) -> str:
             else:
                 text = _BINARY[kind].join(parts)
             frames.pop()
+            memo[node] = text  # where the parent's loop, or a later call, picks it up
             if not frames:
                 return text
-            memo[node] = text  # where the parent's loop picks it up
 
 
 def _frame(t: Term, memo: dict) -> tuple:

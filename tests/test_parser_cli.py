@@ -252,6 +252,33 @@ def test_a_constant_past_float_range_skips_the_oracle(tmp_path, capsys):
     assert out.splitlines()[1].endswith(" oracle=skipped (a value past float range)"), out
 
 
+def test_an_oracle_that_disagrees_is_reported(tmp_path, capsys, monkeypatch):
+    """A symbolic verdict the oracle contradicts is noted, whichever way
+    they differ, in text and JSON; the verdict and exit code keep their
+    meaning.  Under the norm hypothesis n1 is a symbolic FAIL (the relation
+    is matched only where both monomials occur once), which the oracle's
+    sampled normalized (a, b) contradict."""
+    p = tmp_path / "n1.qd"
+    p.write_text("HYP norm(a,b)\n"
+                 "n1: EQ (a^* * a + b^* * b) .* ((a^* * a + b^* * b) .* |1>) == |1>\n")
+    assert main(["check", str(p)]) == EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  FAIL  n1 [EQ] steps=2 oracle=disagrees", lines
+    assert main(["check", str(p), "--json"]) == EXIT_FAIL
+    (res,) = json.loads(capsys.readouterr().out)["files"][0]["results"]
+    assert (res["verdict"], res["oracle"]) == ("fail", "disagrees")
+    assert res["witness"].startswith("normal forms differ at |1>: ")
+    assert main(["check", str(p), "--oracle", "off", "--json"]) == EXIT_FAIL
+    assert "oracle" not in json.loads(capsys.readouterr().out)["files"][0]["results"][0]
+    # the other way: a symbolic PASS that the oracle refutes
+    monkeypatch.setattr(corpus_module, "mat_equiv", lambda *args, **kwargs: False)
+    p.write_text("x: MATEQ X == X\n")
+    assert main(["check", str(p), "--json"]) == EXIT_FAIL
+    (res,) = json.loads(capsys.readouterr().out)["files"][0]["results"]
+    assert (res["verdict"], res["oracle"], res["witness"]) == (
+        "fail", "disagrees", "oracle refutes matrix equality")
+
+
 def test_readme_quick_tour_normalize(capsys):
     """Each `$ qdirac normalize ...` example prints what README shows."""
     lines = (REPO_DIR / "README.md").read_text().splitlines()

@@ -322,7 +322,7 @@ def test_traced_steps_are_pinned():
     """A scaling or tensor product above every product is left for
     unified_base to collect, so the two last cases take only the steps that
     push the daggers."""
-    for text, steps in [("H * X * H", 95), ("H * H * H * H * |0>", 7),
+    for text, steps in [("H * X * H", 43), ("H * H * H * H * |0>", 7),
                         ("(H # I(2)) * CX * (H # H) * |0,1>", 9), ("(Y # H # H)^", 5),
                         ("1/2*sqrt2*e(u) .* ((Y # H # H)^)", 5)]:
         rw = Rewriter(trace=RewriteTrace())
@@ -344,7 +344,7 @@ def test_traced_steps_track_the_answer():
     cases += [(parse("<0| * " + " * ".join(["H"] * n)), 2 * n + 1) for n in range(2, 65)]
     cases += [(mul(kron_n(n, h), kron_n(n, h)), 27 * n + 1) for n in range(4, 17)]
     cases += [(mul(kron_n(n, h), kron_n(n, ket0())), 4 * n) for n in range(2, 11)]
-    cases += [(parse(" * ".join((["X", "H"] * n)[:n])), 50 * n) for n in range(2, 41)]
+    cases += [(parse(" * ".join((["X", "H"] * n)[:n])), 25 * n) for n in range(2, 41)]
     ladder = "(H # I(2)) * CX * (H # H) * CZ"
     for r in range(1, 9):
         chain = " * ".join([ladder] * r)
@@ -367,6 +367,38 @@ def test_traced_steps_track_the_answer():
             reduced = rw._reduce_open(rw.push_daggers(parse(side)))
             assert operands(reduced) == [s] * n + [last], side
             assert rw.steps <= 14 * n, (side, rw.steps)
+
+
+def test_misaligned_operator_products_take_short_derivations():
+    """An operator product whose operands' tensor factors do not line up has
+    its right operand, its vector end, distributed into basis matrices
+    first; each meets the left operand's gates, which are never multiplied
+    out on their own.  These took 1329, 1133 and 668 steps when both
+    operands were multiplied out and every summand paired with every one."""
+    for text in ("(CZ # H) * (Y # SWAP)", "(CX # H) * (X # SWAP)", "(B0 # CX) * (SWAP # H)^"):
+        t = parse(text)
+        trace = RewriteTrace()
+        rw = Rewriter(trace=trace)
+        nf = rw.normalize(t)
+        assert nf == nf_of(t), text
+        assert unified_base(replay(t, trace)) == nf, text
+        assert rw.steps <= 250, (text, rw.steps)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_traced_operator_products_give_the_untraced_normal_form(seed):
+    """A product of random layers with no ket or bra, reduced from its right
+    operand, collects to the untraced normal form, and its trace replays."""
+    rng = random.Random(seed)
+    t = rand_circuit(rng, rng.randint(1, 3), closed=False)
+    while t.cols == 1:  # layers applied to a state
+        t = rand_circuit(rng, rng.randint(1, 3), closed=False)
+    assert t.kind == MUL and t.rows > 1
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t)
+    assert unified_base(replay(t, trace)) == nf
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
