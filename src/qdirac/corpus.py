@@ -10,7 +10,9 @@ File format, one statement per line:
 KIND is EQ (normal-form equality), MATEQ (numeric matrix equivalence),
 OBS (equality up to one constant global phase) or MIXEQ (mixed-state
 equality).  DEF names are usable in later lines; HYP declares a normalization
-constraint |a|^2 + |b|^2 = 1 applied to every later assertion.
+constraint |a|^2 + |b|^2 = 1 for every later assertion, whose Rewriter
+rewrites a*a^* to 1 - b*b^* in every normal form; an atom may occur in one
+pair only, once, so that the remainder is unique.
 """
 
 from __future__ import annotations
@@ -73,9 +75,13 @@ def parse_corpus(text: str) -> CorpusFile:
             if not (body.startswith("norm(") and body.endswith(")")):
                 raise ParseError("HYP needs norm(a,b)", lineno, 1)
             names = [n.strip() for n in body[5:-1].split(",")]
-            if len(names) != 2:
+            if len(names) != 2 or not all(n.isidentifier() for n in names):
                 raise ParseError("norm takes two atom names", lineno, 1)
-            hyps.append((names[0], names[1]))
+            if set(names) not in map(set, hyps):  # norm(b,a) after norm(a,b) is that pair
+                if names[0] == names[1] or any(n in pair for pair in hyps for n in names):
+                    raise ParseError(f"norm({','.join(names)}): an atom may occur in one "
+                                     "norm pair, once", lineno, 1)
+                hyps.append((names[0], names[1]))
             continue
         if ":" not in line:
             raise ParseError(f"unrecognized corpus line: {line!r}", lineno, 1)
@@ -225,13 +231,13 @@ def _compared_difference(x: Pure | NormalForm | None, y: Pure | NormalForm | Non
 
 def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> AssertionResult:
     res = AssertionResult(a.name, a.kind, "error")
-    rewriter = Rewriter()
+    rewriter = Rewriter(hypotheses=a.hypotheses)
     try:
         t0 = time.perf_counter()
         if a.kind == "MIXEQ":
-            lhs = eval_mix(Parser(a.lhs, defs).parse_mixed(), a.hypotheses, rewriter)
-            rhs = eval_mix(Parser(a.rhs, defs).parse_mixed(), a.hypotheses, rewriter)
-            diff = sym_mix_difference(lhs, rhs, a.hypotheses, rewriter)
+            lhs = eval_mix(Parser(a.lhs, defs).parse_mixed(), rewriter)
+            rhs = eval_mix(Parser(a.rhs, defs).parse_mixed(), rewriter)
+            diff = sym_mix_difference(lhs, rhs, rewriter)
             sym_ok = diff is None
             if not sym_ok:
                 i, x, y = diff
@@ -240,8 +246,8 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
         else:
             lhs = Parser(a.lhs, defs).parse_term()
             rhs = Parser(a.rhs, defs).parse_term()
-            nf_l = rewriter.normalize(lhs).apply_norm_hypothesis(a.hypotheses)
-            nf_r = rewriter.normalize(rhs).apply_norm_hypothesis(a.hypotheses)
+            nf_l = rewriter.normalize(lhs)
+            nf_r = rewriter.normalize(rhs)
             if a.kind == "OBS":
                 sym_ok = _sym_obs_equal(nf_l, nf_r)
                 if not sym_ok:

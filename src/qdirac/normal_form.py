@@ -11,7 +11,7 @@ from math import prod
 from typing import Optional
 
 from .errors import FuelExhausted, NonInvertibleScalar, NotAnOperator, show_dim
-from .scalar import Scalar
+from .scalar import CONJ, FREE, Scalar
 from .term import Term, add_all, dag, identity, ket0, ket1, kron_all, mul, scale, zero
 
 DEFAULT_FUEL = 10 ** 6
@@ -147,19 +147,34 @@ class NormalForm:
         return sum((s for s, (rbits, cbits) in self.summands if rbits == cbits), Scalar.zero())
 
     def apply_norm_hypothesis(self, pairs) -> NormalForm:
-        """Rewrite every scalar under the hypotheses |a|^2 + |b|^2 = 1; a pair
-        fires only where both its atoms occur, and with none the blocks stay."""
-        if pairs:
-            names = {name for block in self.blocks for s, _ in block for name in s.atoms()[0]}
-            pairs = [(a, b) for a, b in pairs if a in names and b in names]
+        """The normal form modulo the hypotheses: each scalar replaced by its
+        remainder (Scalar.apply_norm_hypothesis).  Blocks are reduced one by
+        one and made canonical again, as a product of remainders is one,
+        unless a pair's atom a sits in one block and a^* in another; then the
+        flat sum is.  With nothing to reduce, the same object."""
         if not pairs:
             return self
-        items = {}
-        for s, key in self.summands:
-            s = s.apply_norm_hypothesis(pairs)
-            if not s.is_zero():
-                items[key] = s
-        return canonical(self.dims, (items,))
+
+        def reduced(summands) -> dict:
+            return {key: r for s, key in summands if (r := s.apply_norm_hypothesis(pairs)).terms}
+        blocks = [reduced(block) for block in self.blocks]
+        if len(blocks) > 1 and all(blocks) and _meet_across(blocks, pairs):
+            return canonical(self.dims, (reduced(self.summands),))
+        if all(r.get(key) is s for block, r in zip(self.blocks, blocks) for s, key in block):
+            return self
+        return canonical(self.dims, blocks if all(blocks) else ({},))
+
+
+def _meet_across(blocks: list[dict], pairs) -> bool:
+    """Whether the first atom a of some pair occurs in one block and a^* in
+    another, so that their product may hold a*a^*."""
+    for a, _ in pairs:
+        held = [{v for s in block.values() for (vs, _), _ in s.terms for v in vs if v[0] == a}
+                for block in blocks]
+        if any((a, FREE) in x and (a, CONJ) in y for i, x in enumerate(held)
+               for j, y in enumerate(held) if i != j):
+            return True
+    return False
 
 
 def _extend(prefix: tuple, summand: tuple) -> tuple:

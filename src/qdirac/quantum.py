@@ -29,21 +29,20 @@ def super_(m: Term, rho: Term) -> Term:
     return mul(mul(m, rho), dag(m))
 
 
-def probability(psi: Term, m_op: Term, norm_pairs: NormPairs = (),
-                rewriter: Rewriter | None = None) -> Scalar:
+def probability(psi: Term, m_op: Term, rewriter: Rewriter | None = None) -> Scalar:
     """<psi| M^ M |psi>, the squared norm of M|psi>: the product of its
-    normal form's block norms, so a factored vector costs its width."""
+    normal form's block norms, so a factored vector costs its width.  Not
+    reduced under the rewriter's hypotheses: its products may hold a*a^*."""
     if psi.cols != 1:
         raise NotAVector(f"probability needs a state vector, got {show_dim(psi.dims)}")
     if m_op.rows != m_op.cols or m_op.cols != psi.rows:
         raise DimMismatch((psi.rows, psi.rows), m_op.dims, "measurement operator")
-    nf = (rewriter or Rewriter()).normalize(mul(m_op, psi))
-    return nf.norm_squared().apply_norm_hypothesis(norm_pairs)
+    return (rewriter or Rewriter()).normalize(mul(m_op, psi)).norm_squared()
 
 
 class Pure(NamedTuple):
     """A pure branch c.|psi><psi|: psi as written, and its normal form,
-    hypotheses applied, once computed."""
+    once computed."""
 
     c: Scalar
     psi: Term
@@ -101,22 +100,22 @@ def pure_mix(op: Term) -> MixedState:
     return MixedState(((Scalar.one(), op),))
 
 
-def eval_mix(expr: MixExpr, norm_pairs: NormPairs = (),
-             rewriter: Rewriter | None = None) -> MixedState:
+def eval_mix(expr: MixExpr, rewriter: Rewriter | None = None) -> MixedState:
     """Fold a parsed mixed-state expression with mea_mix and unit_mix, every
-    stage on one Rewriter, so on one fuel budget and one memo."""
+    stage on one Rewriter, so on one fuel budget, one memo and its
+    hypotheses."""
     if isinstance(expr, MixedState):
         return expr
     rw = rewriter or Rewriter()
     if expr[0] == "meamix":
         _, n, k, inner = expr
-        return mea_mix(n, k, eval_mix(inner, norm_pairs, rw), norm_pairs=norm_pairs, rewriter=rw)
+        return mea_mix(n, k, eval_mix(inner, rw), rw)
     _, u, inner = expr
-    return unit_mix(u, eval_mix(inner, norm_pairs, rw), norm_pairs=norm_pairs, rewriter=rw)
+    return unit_mix(u, eval_mix(inner, rw), rw)
 
 
-def _pure(c: Scalar, psi: Term, norm_pairs: NormPairs, rw: Rewriter) -> Pure:
-    return Pure(c, psi, rw.normalize(psi).apply_norm_hypothesis(norm_pairs))
+def _pure(c: Scalar, psi: Term, rw: Rewriter) -> Pure:
+    return Pure(c, psi, rw.normalize(psi))
 
 
 def _written(pure: Pure) -> Term:
@@ -124,24 +123,23 @@ def _written(pure: Pure) -> Term:
     return rho if pure.c.is_one() else scale(pure.c, rho)
 
 
-def unit_mix(u: Term, m: MixedState, norm_pairs: NormPairs = (),
-             rewriter: Rewriter | None = None) -> MixedState:
+def unit_mix(u: Term, m: MixedState, rewriter: Rewriter | None = None) -> MixedState:
     """U rho U^ per branch; a pure branch c|psi><psi| becomes c|U psi><U psi|."""
     if m.branches and u.cols != m.dims[0]:
         raise DimMismatch((u.rows, m.dims[0]), m.dims, "super operand")
     rw = rewriter or Rewriter()
     branches, nfs = [], []
     for (p, op), rho in zip(m.branches, m.nfs):
-        nfs.append(rho and _pure(rho.c, mul(u, rho.psi), norm_pairs, rw))
+        nfs.append(rho and _pure(rho.c, mul(u, rho.psi), rw))
         branches.append((p, _written(nfs[-1]) if rho else super_(u, op)))
     return MixedState(tuple(branches), tuple(nfs))
 
 
-def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
-            rewriter: Rewriter | None = None) -> MixedState:
+def mea_mix(n: int, k: int, m: MixedState, rewriter: Rewriter | None = None) -> MixedState:
     """Each branch split by the projections M = Mea0, Mea1 on qubit k into
     branches of probability p, divided by p where it has an inverse.  A pure
-    c|psi><psi| becomes (c / p)|M psi><M psi|, p = c <psi|M|psi>: no sqrt(p)."""
+    c|psi><psi| becomes (c / p)|M psi><M psi|, p = c <psi|M|psi> reduced
+    under the rewriter's hypotheses: no sqrt(p)."""
     rw = rewriter or Rewriter()
     branches, nfs = [], []
     for (p, op), rho in zip(m.branches, m.nfs):
@@ -150,11 +148,11 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
         for proj_name in ("Mea0", "Mea1"):
             proj = mea(proj_name, n, k)
             if rho:
-                branch_p = rho.c * probability(rho.psi, proj, norm_pairs, rw)
+                branch_p = rho.c * probability(rho.psi, proj, rw)
+                branch_p = branch_p.apply_norm_hypothesis(rw.hypotheses)
             else:
                 post = mul(proj, mul(op, proj))
-                branch_p = rw.normalize(post).apply_norm_hypothesis(norm_pairs).trace()
-            branch_p = branch_p.apply_norm_hypothesis(norm_pairs)
+                branch_p = rw.normalize(post).trace()
             if branch_p.is_zero():
                 continue
             try:
@@ -162,7 +160,7 @@ def mea_mix(n: int, k: int, m: MixedState, norm_pairs: NormPairs = (),
             except NonInvertibleScalar:  # symbolic trace: leave the branch unnormalized
                 inv = Scalar.one()
             if rho:
-                nfs.append(_pure(rho.c * inv, mul(proj, rho.psi), norm_pairs, rw))
+                nfs.append(_pure(rho.c * inv, mul(proj, rho.psi), rw))
                 branches.append((p * branch_p, _written(nfs[-1])))
             else:
                 nfs.append(None)
@@ -187,41 +185,40 @@ def mix_equal(a: MixedState, b: MixedState, samples=None, tol: float = DEFAULT_T
     )
 
 
-def sym_mix_difference(a: MixedState, b: MixedState, norm_pairs: NormPairs = (),
-                       rewriter: Rewriter | None = None
+def sym_mix_difference(a: MixedState, b: MixedState, rewriter: Rewriter | None = None
                        ) -> tuple[int, Pure | NormalForm | None, Pure | NormalForm | None] | None:
     """Ordered branchwise comparison, decided exactly: two pure branches by
     their vectors (_pure_equal), any other pair by the normal forms of the
     written operators (for a pure branch, c .* (psi * psi^) by the cut path),
-    on the Rewriter that computed the states.  None if the states are
-    equal, else (i, x, y): i the index of the first branch that differs, and
-    x and y what was compared there, two pure states with their normal forms
-    or two operators' normal forms, or None, None where nothing was."""
+    on the Rewriter that computed the states, under its hypotheses.  None if
+    the states are equal, else (i, x, y): i the index of the first branch
+    that differs, and x and y what was compared there, two pure states with
+    their normal forms or two operators' normal forms, or None, None where
+    nothing was."""
     rw = rewriter or Rewriter()
     compared: dict[int, tuple] = {}
 
     def vector(s: Pure) -> Pure:
-        return s if s.nf is not None else _pure(s.c, s.psi, norm_pairs, rw)
+        return s if s.nf is not None else _pure(s.c, s.psi, rw)
 
     def equal(i: int) -> bool:
         sa, sb = a.nfs[i], b.nfs[i]
         if isinstance(sa, Pure) and isinstance(sb, Pure):
             x, y = compared[i] = vector(sa), vector(sb)
-            return _pure_equal(x, y, norm_pairs)
-        x, y = compared[i] = [rw.normalize(m.branches[i][1]).apply_norm_hypothesis(norm_pairs)
-                              for m in (a, b)]
+            return _pure_equal(x, y, rw)
+        x, y = compared[i] = [rw.normalize(m.branches[i][1]) for m in (a, b)]
         return x == y
 
-    i = _first_difference(a, b, norm_pairs, equal)
+    i = _first_difference(a, b, rw.hypotheses, equal)
     return None if i is None else (i, *compared.get(i, (None, None)))
 
 
-def _pure_equal(a: Pure, b: Pure, norm_pairs: NormPairs) -> bool:
+def _pure_equal(a: Pure, b: Pure, rw: Rewriter) -> bool:
     """c_a|x><x| == c_b|y><y|, so y = l.x with c_a == c_b.l.l^*: x and y are
     proportional (NormalForm.proportional), y_j.x_0 == x_j.y_0, and
     c_a.x_0.x_0^* == c_b.y_0.y_0^*, cross-multiplied, so nothing is divided."""
     def zero(s: Scalar) -> bool:
-        return s.apply_norm_hypothesis(norm_pairs).is_zero()
+        return s.apply_norm_hypothesis(rw.hypotheses).is_zero()
 
     def ratio_test(x0: Scalar, y0: Scalar):
         if zero(a.c * x0 * x0.conj() - b.c * y0 * y0.conj()):

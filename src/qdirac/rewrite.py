@@ -342,10 +342,13 @@ def _regroup(t: Term) -> Optional[Term]:
 
 class Rewriter:
     """Stateful driver: fuel accounting, and either the traced law pipeline
-    or the memoized sparse evaluator."""
+    or the memoized sparse evaluator, whose normal forms are reduced under
+    `hypotheses`, norm pairs (a, b), |a|^2 + |b|^2 = 1, sharing no atom."""
 
-    def __init__(self, fuel: int = DEFAULT_FUEL, trace: RewriteTrace | None = None):
+    def __init__(self, fuel: int = DEFAULT_FUEL, trace: RewriteTrace | None = None,
+                 hypotheses: tuple[tuple[str, str], ...] = ()):
         self.fuel = fuel
+        self.hypotheses = hypotheses
         self.steps = 0
         self.trace = trace
         blocks, folded, columns = _constants()  # the library's entries, free of fuel
@@ -627,14 +630,17 @@ class Rewriter:
         products (_reduce_open) and collects the resulting term (unified_base),
         logging each law instance; the trace ends at a term in the shape the
         collector reads, not at a flat sum, and the collector runs on the fuel
-        left.  Untraced, it evaluates t over the sparse representation."""
+        left.  Untraced, it evaluates t over the sparse representation.
+        Either way the result is reduced under the hypotheses."""
         if self.trace is None:
-            return self._normalize_sparse(t)
-        reduced = self._reduce_open(self.push_daggers(t))
-        _check_reduced(reduced)
-        rw = Rewriter(self.fuel)  # the collector runs on the fuel left of this budget
-        rw.steps = self.steps
-        return rw._normalize_sparse(reduced)
+            nf = self._normalize_sparse(t)
+        else:
+            reduced = self._reduce_open(self.push_daggers(t))
+            _check_reduced(reduced)
+            rw = Rewriter(self.fuel)  # the collector runs on the fuel left of this budget
+            rw.steps = self.steps
+            nf = rw._normalize_sparse(reduced)
+        return nf.apply_norm_hypothesis(self.hypotheses)
 
     # -- direct sparse evaluation (untraced mode)
     def _normalize_sparse(self, t: Term) -> NormalForm:
@@ -973,14 +979,19 @@ def unified_base(t: Term, fuel: int = DEFAULT_FUEL) -> NormalForm:
 _SQRT2_SCALAR = Scalar.sqrt2()
 
 
-def _product_state(summands, side: int) -> Optional[tuple[Scalar, list[str]]]:
-    """(c, tokens) with a ket's summands, or a bra's, its bits on `side` of
-    the keys, == c .* (t1 # ... # tn), each ti one of "0", "1", "+", "-" for
-    |0>, |1>, |+>, |->; decided by comparing amplitudes, never by dividing."""
+def _product_state(summands, side: int) -> Optional[list[str]]:
+    """The tokens t1, ..., tn with a ket's summands, or a bra's, its bits on
+    `side` of the keys, == c .* (t1 # ... # tn), each ti one of "0", "1",
+    "+", "-" for |0>, |1>, |+>, |->, and c the first amplitude's _lead;
+    decided by comparing amplitudes, never by dividing."""
     if not summands:
         return None
     s0, key = summands[0]
     first = key[side]
+    if len(first) == 1:  # one qubit, as each block of a factored vector is
+        s1 = summands[-1][0]
+        return [str(first[0])] if len(summands) == 1 else \
+            ["+"] if s1 == s0 else ["-"] if s1 == -s0 else None
     spread = [i for i in range(len(first)) if any(kj[side][i] != first[i] for _, kj in summands)]
     k = len(spread)
     if len(summands) != 1 << k:
@@ -1005,35 +1016,16 @@ def _product_state(summands, side: int) -> Optional[tuple[Scalar, list[str]]]:
     for j, (s, _) in enumerate(summands):
         if s != (neg if (j & minus_mask).bit_count() & 1 else s0):
             return None
-    c = s0
-    for _ in spread:
-        c = c * _SQRT2_SCALAR
-    return c, tokens
+    return tokens
 
 
-def _block_product_state(nf: NormalForm) -> Optional[tuple[Scalar, list[str]]]:
-    """_product_state's (c, tokens) or None, read off a vector normal form's
-    blocks, each one qubit, with no flat sum built.  Every block but the last
-    leads with 1, so c is the last block's lead times sqrt2 per |+> or |->."""
-    side = 1 if nf.dims[0] == 1 else 0
-    tokens = []
-    c = nf.blocks[-1][0][0]
-    for block in nf.blocks:
-        (s0, key), *rest = block
-        if len(key[side]) != 1:
-            return None
-        if not rest:
-            tokens.append(str(key[side][0]))
-            continue
-        s1 = rest[0][0]
-        if s1 == s0:
-            tokens.append("+")
-        elif s1 == -s0:
-            tokens.append("-")
-        else:
-            return None
-        c = c * _SQRT2_SCALAR
-    return c, tokens
+def _lead(s: Scalar, tokens: list[str]) -> Scalar:
+    """c in c .* (t1 # ... # tn), the product state of first amplitude s:
+    s times sqrt2 per |+> or |->."""
+    for token in tokens:
+        if token in "+-":
+            s = s * _SQRT2_SCALAR
+    return s
 
 
 _KET_STATES = {"0": ket0(), "1": ket1(), "+": _PLUS, "-": _MINUS}
@@ -1083,16 +1075,16 @@ def _resugar(nf: NormalForm) -> Term:
     when a part is no product state either."""
     side = 1 if nf.dims[0] == 1 else 0
     states = _BRA_STATES if side else _KET_STATES
-    whole = _product_state(nf.summands, side)
-    if whole is not None:
-        hits = [whole]
-    else:
+    groups = [nf.summands]
+    if _product_state(nf.summands, side) is None:
         groups = [[x for x in nf.summands if x[1][side][0] == b] for b in (0, 1)]
-        hits = [_product_state(g, side) for g in groups if g]
+        groups = [g for g in groups if g]
+    hits = [_product_state(g, side) for g in groups]
     if not hits or None in hits:
         return nf.to_term()
     parts = []
-    for c, tokens in hits:
+    for g, tokens in zip(groups, hits):
+        c = _lead(g[0][0], tokens)
         body = kron_all([states[token] for token in tokens])
         parts.append(body if c.is_one() else scale(c, body))
     return add_all(parts)
@@ -1131,12 +1123,14 @@ def render_nf(nf: NormalForm) -> str:
     if name is not None:
         return name
     if (rows == 1) != (cols == 1):  # a ket or a bra
-        if len(nf.blocks) > 1:
-            factored = _block_product_state(nf)
-        else:
-            factored = _product_state(nf.summands, 1 if rows == 1 else 0)
-        if factored is not None:
-            s, tokens = factored
+        # blocks are the finest factors: several are a product state only if each is one qubit
+        side = 1 if rows == 1 else 0
+        one = len(nf.blocks) == 1
+        hits = [_product_state(b, side) if one or len(b[0][1][side]) == 1 else None
+                for b in nf.blocks]
+        if None not in hits:
+            tokens = [token for block_tokens in hits for token in block_tokens]
+            s = _lead(nf.blocks[-1][0][0], tokens)  # every block but the last leads with 1
             body = _join_tokens(tokens, rows == 1)
             if s.is_one():
                 return body

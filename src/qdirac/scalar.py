@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import comb
+from typing import Mapping
 
 from .errors import NonInvertibleScalar, UnboundAtom
 
@@ -133,7 +134,6 @@ def _unit_str(q: Fraction, unit: str) -> str:
     return f"{_frac_str(q)}*{unit}"
 
 
-C_ZERO = Coefficient()
 C_ONE = Coefficient(1)
 C_I = Coefficient(0, 1)
 C_SQRT2 = Coefficient(0, 0, 1)
@@ -169,6 +169,7 @@ _CONJ: dict = {}
 _NEG: dict = {}
 _INVERSE: dict = {}
 _RATIONAL: dict = {}  # (p, q) -> the scalar p/q, so a parsed literal is one lookup
+_REMAINDER: dict = {}  # (scalar, norm pairs) -> its remainder
 
 
 class Scalar:
@@ -342,30 +343,31 @@ class Scalar:
             total += value
         return total
 
-    def apply_norm_hypothesis(self, pairs: Iterable[tuple[str, str]]) -> "Scalar":
-        """Rewrite a*a^* + b*b^* -> 1 for each declared normalisation pair."""
-        result = self
-        for a, b in pairs:
-            a_pair = ((a, CONJ), (a, FREE))
-            b_pair = ((b, CONJ), (b, FREE))
-            changed = True
-            while changed:
-                changed = False
-                terms = dict(result.terms)
-                for mono, coeff in list(terms.items()):
-                    rest = _remove_pair(mono, a_pair)
-                    if rest is None:
-                        continue
-                    partner = _insert_pair(rest, b_pair)
-                    if partner in terms and terms[partner] == coeff:
-                        del terms[mono]
-                        del terms[partner]
-                        cur = terms.get(rest, C_ZERO)
-                        terms[rest] = cur + coeff
-                        result = Scalar(terms)
-                        changed = True
-                        break
-        return result
+    def apply_norm_hypothesis(self, pairs: tuple[tuple[str, str], ...]) -> "Scalar":
+        """The remainder modulo a*a^* + b*b^* - 1 for each pair (a, b), no
+        two pairs sharing an atom: each monomial m*(a*a^*)^j, m holding no
+        a*a^*, becomes m*(1 - b*b^*)^j, so no monomial of the result holds
+        a*a^*.  One relation is its own Groebner basis, and relations in
+        disjoint atoms have coprime leading terms, so the remainder is
+        unique: two scalars are equal under the hypotheses exactly when
+        their remainders are, and a sum of remainders is one."""
+        hit = _REMAINDER.get((self, pairs)) if pairs else self
+        if hit is None:
+            hit = self
+            for a, b in pairs:
+                acc: dict[Monomial, Coefficient] = {}
+                for (variables, phases), coeff in hit.terms:
+                    conj, free = variables.count((a, CONJ)), variables.count((a, FREE))
+                    j = min(conj, free)
+                    rest = [v for v in variables if v[0] != a] + [(a, CONJ)] * (conj - j) \
+                        + [(a, FREE)] * (free - j)
+                    for i in range(j + 1):  # (1 - b*b^*)^j, expanded
+                        mono = (tuple(sorted(rest + [(b, CONJ), (b, FREE)] * i)), phases)
+                        c = coeff * Coefficient((-1) ** i * comb(j, i)) if j else coeff
+                        acc[mono] = acc[mono] + c if mono in acc else c
+                hit = Scalar(acc)
+            _REMAINDER[(self, pairs)] = hit
+        return hit
 
     # --- rendering ----------------------------------------------------
     def __repr__(self):
@@ -376,20 +378,6 @@ class Scalar:
         if self._text is None:
             self._text = " + ".join(_render_term(m, c) for m, c in self.terms) or "0"
         return self._text
-
-
-def _remove_pair(mono: Monomial, pair) -> Monomial | None:
-    variables = list(mono[0])
-    for atom in pair:
-        if atom in variables:
-            variables.remove(atom)
-        else:
-            return None
-    return (tuple(variables), mono[1])
-
-
-def _insert_pair(mono: Monomial, pair) -> Monomial:
-    return (tuple(sorted(mono[0] + pair)), mono[1])
 
 
 def _render_term(mono: Monomial, coeff: Coefficient) -> str:

@@ -221,7 +221,8 @@ def test_teleport_branch_probabilities_exact_quarters():
     defs = build_defs(corpus.defs)
     hyps = (("a", "b"),)
     phi2 = Parser("phi2", defs).parse_term()
-    m = mea_mix(2, 1, mea_mix(2, 0, pure_mix(density(phi2)), hyps), hyps)
+    rw = Rewriter(hypotheses=hyps)
+    m = mea_mix(2, 1, mea_mix(2, 0, pure_mix(density(phi2)), rw), rw)
     assert len(m.branches) == 4
     quarter = Scalar.rational(1, 4)
     assert all(p == quarter for p, _ in m.branches)

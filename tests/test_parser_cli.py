@@ -255,19 +255,23 @@ def test_a_constant_past_float_range_skips_the_oracle(tmp_path, capsys):
 def test_an_oracle_that_disagrees_is_reported(tmp_path, capsys, monkeypatch):
     """A symbolic verdict the oracle contradicts is noted, whichever way
     they differ, in text and JSON; the verdict and exit code keep their
-    meaning.  Under the norm hypothesis n1 is a symbolic FAIL (the relation
-    is matched only where both monomials occur once), which the oracle's
-    sampled normalized (a, b) contradict."""
+    meaning.  Under the norm hypothesis n1 is a PASS with no note, its
+    scalar's remainder being 1; a false EQ whose oracle is made to accept it
+    is the symbolic FAIL the oracle contradicts."""
     p = tmp_path / "n1.qd"
     p.write_text("HYP norm(a,b)\n"
                  "n1: EQ (a^* * a + b^* * b) .* ((a^* * a + b^* * b) .* |1>) == |1>\n")
+    assert main(["check", str(p)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "  PASS  n1 [EQ] steps=2"
+    monkeypatch.setattr(corpus_module, "mat_equiv", lambda *args, **kwargs: True)
+    p.write_text("x: EQ X == Z\n")
     assert main(["check", str(p)]) == EXIT_FAIL
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "  FAIL  n1 [EQ] steps=2 oracle=disagrees", lines
+    assert lines[1] == "  FAIL  x [EQ] steps=0 oracle=disagrees", lines
     assert main(["check", str(p), "--json"]) == EXIT_FAIL
     (res,) = json.loads(capsys.readouterr().out)["files"][0]["results"]
     assert (res["verdict"], res["oracle"]) == ("fail", "disagrees")
-    assert res["witness"].startswith("normal forms differ at |1>: ")
+    assert res["witness"].startswith("normal forms differ at |0><0|: ")
     assert main(["check", str(p), "--oracle", "off", "--json"]) == EXIT_FAIL
     assert "oracle" not in json.loads(capsys.readouterr().out)["files"][0]["results"][0]
     # the other way: a symbolic PASS that the oracle refutes
@@ -305,6 +309,32 @@ def test_duplicate_assertion_names_rejected(tmp_path, capsys):
     p.write_text("a: EQ X == X\na: EQ Y == Y\n")
     assert main(["check", str(p), "--json"]) == EXIT_INPUT
     assert "duplicate assertion name 'a'" in capsys.readouterr().err
+
+
+def test_norm_pairs_sharing_an_atom_are_refused(tmp_path, capsys):
+    """A pair written again, in either order, is the first; a pair sharing
+    an atom with another, or repeating one, or not of two atom names, is a
+    ParseError at its HYP line, exit 2 with a one-line message."""
+    merged = parse_corpus("HYP norm(a,b)\nHYP norm(b,a)\nHYP norm(a,b)\n"
+                          "t: EQ (a^* * a) .* |0> == (1 - b^* * b) .* |0>\n")
+    assert merged.assertions[0].hypotheses == (("a", "b"),)
+    p = tmp_path / "hyp.qd"
+    p.write_text("HYP norm(a,b)\nHYP norm(b,a)\nt: EQ (a^* * a) .* |0> == (1 - b^* * b) .* |0>\n")
+    assert main(["check", str(p)]) == EXIT_OK
+    capsys.readouterr()
+    rule = "an atom may occur in one norm pair, once"
+    for text, message in [("HYP norm(a,b)\nHYP norm(b,c)\n", f"norm(b,c): {rule}"),
+                          ("HYP norm(a,b)\nHYP norm(c,a)\n", f"norm(c,a): {rule}"),
+                          ("HYP norm(x,y)\nHYP norm(a,a)\n", f"norm(a,a): {rule}"),
+                          ("HYP norm(x,y)\nHYP norm(,b)\n", "norm takes two atom names"),
+                          ("HYP norm(x,y)\nHYP norm(a b,c)\n", "norm takes two atom names")]:
+        with pytest.raises(ParseError) as exc:
+            parse_corpus(text)
+        assert exc.value.line == 2 and message in str(exc.value), text
+        p.write_text(text + "t: EQ |0> == |0>\n")
+        assert main(["check", str(p)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and message in err, err
 
 
 def test_cli_check_passes(capsys):
@@ -391,13 +421,18 @@ def test_pure_mixeq_of_unequal_block_counts_is_a_fail(tmp_path, capsys):
 
 
 def test_a_norm_hypothesis_leaves_wide_factored_sides_factored(tmp_path, capsys):
-    """A HYP in force rewrites only the normal forms that hold both of its
-    atoms, so a 2^21-entry product state with no atom is never flattened."""
+    """A HYP in force reduces each block of a normal form on its own, so a
+    2^21-entry product state, with no atom (w) or with the relation in every
+    block (n2, in 5 steps at any width), is never flattened; a*a^* alone
+    is rewritten too (n3)."""
     p = tmp_path / "hyp.qd"
-    p.write_text("HYP norm(a,b)\nw: EQ kron_n(21, |+>) == kron_n(21, |+>)\n")
+    p.write_text("HYP norm(a,b)\nw: EQ kron_n(21, |+>) == kron_n(21, |+>)\n"
+                 "n2: EQ kron_n(21, |0> + (a^* * a + b^* * b) .* |1>) == kron_n(21, |0> + |1>)\n"
+                 "n3: EQ (b^* * b) .* |0> == (1 - a^* * a) .* |0>\n")
     assert main(["check", "--oracle", "off", str(p)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS  w [EQ]" in out and "ERROR" not in out
+    assert "  PASS  n2 [EQ] steps=5\n" in out and "  PASS  n3 [EQ]" in out, out
 
 
 def test_cli_check_symbolic_obs(tmp_path, capsys):
@@ -452,8 +487,8 @@ def test_an_error_reports_the_steps_it_spent(monkeypatch):
     """A fuel error keeps the steps spent before it, not 0."""
     made = []
 
-    def small_fuel():
-        made.append(Rewriter(fuel=16))
+    def small_fuel(hypotheses=()):
+        made.append(Rewriter(fuel=16, hypotheses=hypotheses))
         return made[-1]
     monkeypatch.setattr(corpus_module, "Rewriter", small_fuel)
     (a,) = parse_corpus("h: EQ kron_n(3, H) * kron_n(3, H) == I(8)\n").assertions

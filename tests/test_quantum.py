@@ -210,8 +210,9 @@ def test_branches_keep_written_operator_and_its_normal_form():
         psi = rand_state(rng, qubits, closed=closed)
         leaf = pure_mix(density(psi))
         assert leaf.nfs == (quantum_module.Pure(Scalar.one(), psi),)
-        measured = mea_mix(qubits - 1, rng.randrange(qubits), leaf, hyps)
-        evolved = unit_mix(rand_op(rng, qubits, closed=closed), measured, hyps)
+        rw = Rewriter(hypotheses=hyps)
+        measured = mea_mix(qubits - 1, rng.randrange(qubits), leaf, rw)
+        evolved = unit_mix(rand_op(rng, qubits, closed=closed), measured, rw)
         for m in (measured, evolved):
             assert len(m.nfs) == len(m.branches)
             for (_, op), kept in zip(m.branches, m.nfs):
@@ -333,13 +334,13 @@ def test_pure_branches_decide_as_their_density_normal_forms(seed):
             leaf = leaf[-1]
         return _with_leaf(expr, pure_mix(scale(Scalar.one(), leaf.branches[0][1])))
 
-    rw = Rewriter()
-    pure_a, pure_b = (eval_mix(e, hyps, rw) for e in (left, right))
-    op_a, op_b = (eval_mix(operator_leaf(e), hyps, rw) for e in (left, right))
+    rw = Rewriter(hypotheses=hyps)
+    pure_a, pure_b = (eval_mix(e, rw) for e in (left, right))
+    op_a, op_b = (eval_mix(operator_leaf(e), rw) for e in (left, right))
     assert all(isinstance(k, quantum_module.Pure) for k in pure_a.nfs + pure_b.nfs)
     assert not any(isinstance(k, quantum_module.Pure) for k in op_a.nfs + op_b.nfs)
     def branch(a, b):  # the index of the first branch that differs, or None
-        diff = sym_mix_difference(a, b, hyps, rw)
+        diff = sym_mix_difference(a, b, rw)
         return diff and diff[0]
 
     verdict = branch(op_a, op_b)
@@ -363,7 +364,7 @@ def test_a_branch_keeps_a_pure_state_or_nothing(seed):
     leaves = ((pure_mix(rho), True), (pure_mix(scale(Scalar.one(), rho)), False),
               (pure_mix(super_(rand_op(rng, qubits, closed=closed), rho)), False))
     for leaf, pure in leaves:
-        m = eval_mix(_stages(rng, qubits, closed, leaf), hyps)
+        m = eval_mix(_stages(rng, qubits, closed, leaf), Rewriter(hypotheses=hyps))
         assert len(m.nfs) == len(m.branches), seed
         for kept in m.nfs:
             assert (isinstance(kept, quantum_module.Pure) and kept.nf is not None

@@ -771,6 +771,22 @@ def test_a_norm_hypothesis_rewrites_only_where_both_atoms_occur():
         assert nf.apply_norm_hypothesis(pairs) is nf, src
 
 
+def test_a_rewriter_reduces_its_normal_forms_under_its_hypotheses():
+    """A Rewriter given norm pairs returns every normal form reduced, traced
+    or not: the sides of n1 and n3 meet, and a blocked side reduces to the
+    one its hypothesis-free equal gives."""
+    pairs = (("a", "b"),)
+    cases = [("(a^* * a + b^* * b) .* ((a^* * a + b^* * b) .* |1>)", "|1>"),
+             ("(1 - a^* * a) .* |0>", "(b^* * b) .* |0>"),
+             ("kron_n(3, |0> + (a^* * a + b^* * b) .* |1>)", "kron_n(3, |0> + |1>)")]
+    for lhs, rhs in cases:
+        want = nf_of(parse(rhs))
+        for trace in (None, RewriteTrace()):
+            rw = Rewriter(trace=trace, hypotheses=pairs)
+            assert rw.normalize(parse(lhs)) == rw.normalize(parse(rhs)) == want, (lhs, trace)
+        assert nf_of(parse(lhs)) != want, lhs
+
+
 def test_scalar_blocks_and_zero_layer_factors():
     """A 1x1 block left by a bra factor moves its scalar into the last block
     with qubits (_tensor), and a zero-scaled layer factor zeroes the ket."""

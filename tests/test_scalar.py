@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdirac.errors import NonInvertibleScalar, UnboundAtom
+from qdirac.oracle import SampleEnv
 from qdirac.parser import parse_scalar
-from qdirac.scalar import Coefficient, Scalar
+from qdirac.scalar import CONJ, FREE, Coefficient, Scalar
 
 from conftest import rand_scalar
 
@@ -138,6 +139,42 @@ def test_norm_hypothesis_rewrite():
     assert (half * expr).apply_norm_hypothesis((("a", "b"),)) == half
     env = {"a": 0.6 + 0.0j, "b": 0.8j}
     assert abs(expr.evaluate(env) - 1.0) <= TOL
+
+
+_NORM_ATOMS = (Scalar.var("a"), Scalar.conj_var("a"), Scalar.var("b"), Scalar.conj_var("b"))
+_polynomials = st.lists(st.tuples(
+    st.sampled_from((Scalar.one(), Scalar.rational(-2), Scalar.rational(1, 3), Scalar.i(),
+                     Scalar.inv_sqrt2())),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4)), max_size=4)
+
+
+def _polynomial(monomials) -> Scalar:
+    """The sum of c * a^i * (a^*)^j * b^k * (b^*)^l over (c, [i, j, k, l])."""
+    total = Scalar.zero()
+    for c, powers in monomials:
+        for atom, k in zip(_NORM_ATOMS, powers):
+            for _ in range(k):
+                c = c * atom
+        total = total + c
+    return total
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_polynomials, _polynomials)
+def test_property_norm_remainder_is_unique(p_monomials, q_monomials):
+    """p and p + q*(a*a^* + b*b^* - 1) reduce to one interned scalar, which
+    holds no a*a^* and agrees with both at sampled normalized (a, b)."""
+    pairs = (("a", "b"),)
+    a, a_conj, b, b_conj = _NORM_ATOMS
+    p, q = _polynomial(p_monomials), _polynomial(q_monomials)
+    shifted = p + q * (a * a_conj + b * b_conj - Scalar.one())
+    r = p.apply_norm_hypothesis(pairs)
+    assert shifted.apply_norm_hypothesis(pairs) is r, (p, q)
+    assert not any(("a", FREE) in v and ("a", CONJ) in v for (v, _), _ in r.terms), r
+    for seed in range(3):
+        env = SampleEnv.sample({"a", "b"}, set(), seed, norm_pairs=pairs).bindings
+        for s in (p, shifted):
+            assert abs(s.evaluate(env) - r.evaluate(env)) <= TOL * 100, (s, r, seed)
 
 
 def test_reciprocal():
