@@ -83,6 +83,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Optional
 
 from .errors import FuelExhausted, NotInReducedShape, show_dim
@@ -639,7 +640,10 @@ class Rewriter:
             _check_reduced(reduced)
             rw = Rewriter(self.fuel)  # the collector runs on the fuel left of this budget
             rw.steps = self.steps
-            nf = rw._normalize_sparse(reduced)
+            try:
+                nf = rw._normalize_sparse(reduced)
+            finally:
+                self.steps = rw.steps
         return nf.apply_norm_hypothesis(self.hypotheses)
 
     # -- direct sparse evaluation (untraced mode)
@@ -992,13 +996,20 @@ def _product_state(summands, side: int) -> Optional[list[str]]:
         s1 = summands[-1][0]
         return [str(first[0])] if len(summands) == 1 else \
             ["+"] if s1 == s0 else ["-"] if s1 == -s0 else None
-    spread = [i for i in range(len(first)) if any(kj[side][i] != first[i] for _, kj in summands)]
+    # The support of a product state is every bit combination on the
+    # spread positions, and canonical order counts through them in binary:
+    # the first key holds 0s there and the last 1s, and summand j has bits
+    # j, so summand 2^(k-1-m) is the one with a 1 at spread[m] only.
+    last = summands[-1][1][side]
+    spread = [i for i, (b, c) in enumerate(zip(first, last)) if b != c]
     k = len(spread)
     if len(summands) != 1 << k:
         return None
-    # The support is every bit combination on the spread positions, and
-    # canonical order counts through them in binary: summand j has bits j,
-    # so summand 2^(k-1-m) is the one with a 1 at spread[m] only.
+    if k < len(first):  # every key holds the first's bits off the spread
+        fixed = itemgetter(*(i for i, (b, c) in enumerate(zip(first, last)) if b == c))
+        bits = fixed(first)
+        if any(fixed(kj[side]) != bits for _, kj in summands):
+            return None
     tokens = [str(b) for b in first]
     neg = -s0
     minus_mask = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Mapping
 
 from .errors import NonInvertibleScalar, UnboundAtom
@@ -29,109 +29,124 @@ _EMPTY_MONO: Monomial = ((), ())
 
 
 class Coefficient:
-    """An element a + b*sqrt2 of Q(i)[sqrt2], stored as four rationals."""
+    """An element (ar + ai*i + (br + bi*i)*sqrt2) / d of Q(i)[sqrt2]: four
+    integer numerators over one positive denominator, in lowest terms, so
+    equal coefficients have equal fields.  The constructor takes any four
+    rationals (ints, Fractions, strings such as "1/2")."""
 
-    __slots__ = ("ar", "ai", "br", "bi", "_key", "_hash")
+    __slots__ = ("ar", "ai", "br", "bi", "d", "_hash")
 
     def __init__(self, ar=0, ai=0, br=0, bi=0):
-        self.ar = Fraction(ar)
-        self.ai = Fraction(ai)
-        self.br = Fraction(br)
-        self.bi = Fraction(bi)
-        self._key = None
+        qs = [Fraction(q) for q in (ar, ai, br, bi)]
+        d = lcm(*(q.denominator for q in qs))  # in lowest terms, as each q is
+        self.ar, self.ai, self.br, self.bi = (q.numerator * (d // q.denominator) for q in qs)
+        self.d = d
         self._hash = None
-
-    def key(self) -> tuple:
-        """Integer tuple form, used for fast equality and hashing."""
-        if self._key is None:
-            self._key = (
-                self.ar.numerator, self.ar.denominator,
-                self.ai.numerator, self.ai.denominator,
-                self.br.numerator, self.br.denominator,
-                self.bi.numerator, self.bi.denominator,
-            )
-        return self._key
 
     def __eq__(self, other):
         if self is other:
             return True
-        return isinstance(other, Coefficient) and self.key() == other.key()
+        return isinstance(other, Coefficient) and self.d == other.d and self.ar == other.ar \
+            and self.ai == other.ai and self.br == other.br and self.bi == other.bi
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.ar, self.ai, self.br, self.bi, self.d))
         return self._hash
 
     def is_zero(self) -> bool:
         return not (self.ar or self.ai or self.br or self.bi)
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(
-            self.ar + other.ar, self.ai + other.ai, self.br + other.br, self.bi + other.bi
-        )
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.ar + other.ar, self.ai + other.ai,
+                            self.br + other.br, self.bi + other.bi, d1)
+        return _reduced(self.ar * d2 + other.ar * d1, self.ai * d2 + other.ai * d1,
+                        self.br * d2 + other.br * d1, self.bi * d2 + other.bi * d1, d1 * d2)
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient(-self.ar, -self.ai, -self.br, -self.bi)
+        return _raw(-self.ar, -self.ai, -self.br, -self.bi, self.d)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         # (a1 + b1 s)(a2 + b2 s) = (a1 a2 + 2 b1 b2) + (a1 b2 + b1 a2) s,  s^2 = 2
         a1r, a1i, b1r, b1i = self.ar, self.ai, self.br, self.bi
         a2r, a2i, b2r, b2i = other.ar, other.ai, other.br, other.bi
-        ar = a1r * a2r - a1i * a2i + 2 * (b1r * b2r - b1i * b2i)
-        ai = a1r * a2i + a1i * a2r + 2 * (b1r * b2i + b1i * b2r)
-        br = a1r * b2r - a1i * b2i + b1r * a2r - b1i * a2i
-        bi = a1r * b2i + a1i * b2r + b1r * a2i + b1i * a2r
-        return Coefficient(ar, ai, br, bi)
+        return _reduced(a1r * a2r - a1i * a2i + 2 * (b1r * b2r - b1i * b2i),
+                        a1r * a2i + a1i * a2r + 2 * (b1r * b2i + b1i * b2r),
+                        a1r * b2r - a1i * b2i + b1r * a2r - b1i * a2i,
+                        a1r * b2i + a1i * b2r + b1r * a2i + b1i * a2r,
+                        self.d * other.d)
 
     def conj(self) -> "Coefficient":
-        return Coefficient(self.ar, -self.ai, self.br, -self.bi)
+        return _raw(self.ar, -self.ai, self.br, -self.bi, self.d)
 
     def inverse(self) -> "Coefficient":
-        # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2); the denominator is a nonzero
-        # Gaussian rational whenever the coefficient is nonzero.
+        # d/(a + b s) = d (a - b s) conj(m) / |m|^2 with m = a^2 - 2 b^2, a
+        # Gaussian integer, nonzero whenever the coefficient is, as sqrt2 is
+        # not in Q(i).
         if self.is_zero():
             raise NonInvertibleScalar("division by zero coefficient")
-        a = Coefficient(self.ar, self.ai)
-        b = Coefficient(self.br, self.bi)
-        d = a * a + Coefficient(-2) * (b * b)
-        dr, di = d.ar, d.ai
-        n = dr * dr + di * di
-        inv_dr, inv_di = dr / n, -di / n
-        num = Coefficient(self.ar, self.ai, -self.br, -self.bi)
-        return num * Coefficient(inv_dr, inv_di)
+        ar, ai, br, bi, d = self.ar, self.ai, self.br, self.bi, self.d
+        mr = ar * ar - ai * ai - 2 * (br * br - bi * bi)
+        mi = 2 * (ar * ai - 2 * br * bi)
+        return _reduced(d * (ar * mr + ai * mi), d * (ai * mr - ar * mi),
+                        -d * (br * mr + bi * mi), -d * (bi * mr - br * mi), mr * mr + mi * mi)
 
     def evaluate(self) -> complex:
-        return complex(float(self.ar) + _SQRT2 * float(self.br),
-                       float(self.ai) + _SQRT2 * float(self.bi))
+        # int / int is correctly rounded, as float(Fraction) is
+        d = self.d
+        return complex(self.ar / d + _SQRT2 * (self.br / d), self.ai / d + _SQRT2 * (self.bi / d))
 
     def __repr__(self):
-        return f"Coefficient({self.ar}, {self.ai}, {self.br}, {self.bi})"
+        d = self.d
+        return (f"Coefficient({_frac_str(self.ar, d)}, {_frac_str(self.ai, d)}, "
+                f"{_frac_str(self.br, d)}, {_frac_str(self.bi, d)})")
 
     def __str__(self):
+        d = self.d
         parts = []
         if self.ar:
-            parts.append(_frac_str(self.ar))
+            parts.append(_frac_str(self.ar, d))
         if self.ai:
-            parts.append(_unit_str(self.ai, "i"))
+            parts.append(_unit_str(self.ai, d, "i"))
         if self.br:
-            parts.append(_unit_str(self.br, "sqrt2"))
+            parts.append(_unit_str(self.br, d, "sqrt2"))
         if self.bi:
-            parts.append(_unit_str(self.bi, "sqrt2*i"))
+            parts.append(_unit_str(self.bi, d, "sqrt2*i"))
         if not parts:
             return "0"
         return " + ".join(parts)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _raw(ar: int, ai: int, br: int, bi: int, d: int) -> Coefficient:
+    """The coefficient with these fields, already in lowest terms."""
+    c = object.__new__(Coefficient)
+    c.ar, c.ai, c.br, c.bi, c.d = ar, ai, br, bi, d
+    c._hash = None
+    return c
 
 
-def _unit_str(q: Fraction, unit: str) -> str:
-    if q == 1:
+def _reduced(ar: int, ai: int, br: int, bi: int, d: int) -> Coefficient:
+    """The coefficient (ar + ai*i + (br + bi*i)*sqrt2) / d, d > 0."""
+    g = gcd(ar, ai, br, bi, d)
+    if g == 1:
+        return _raw(ar, ai, br, bi, d)
+    return _raw(ar // g, ai // g, br // g, bi // g, d // g)
+
+
+def _frac_str(n: int, d: int) -> str:
+    """n/d in lowest terms, written as str(Fraction(n, d)) writes it."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _unit_str(n: int, d: int, unit: str) -> str:
+    if n == d:
         return unit
-    if q == -1:
+    if n == -d:
         return f"-{unit}"
-    return f"{_frac_str(q)}*{unit}"
+    return f"{_frac_str(n, d)}*{unit}"
 
 
 C_ONE = Coefficient(1)
@@ -209,7 +224,10 @@ class Scalar:
     def rational(p, q=1) -> "Scalar":
         hit = _RATIONAL.get((p, q))
         if hit is None:
-            hit = _RATIONAL[(p, q)] = Scalar.from_coeff(Coefficient(Fraction(p, q)))
+            if not q:
+                raise ZeroDivisionError(f"Scalar.rational({p}, 0)")
+            sign = 1 if q > 0 else -1
+            hit = _RATIONAL[(p, q)] = Scalar.from_coeff(_reduced(sign * p, 0, 0, 0, sign * q))
         return hit
 
     @staticmethod
@@ -363,7 +381,7 @@ class Scalar:
                         + [(a, FREE)] * (free - j)
                     for i in range(j + 1):  # (1 - b*b^*)^j, expanded
                         mono = (tuple(sorted(rest + [(b, CONJ), (b, FREE)] * i)), phases)
-                        c = coeff * Coefficient((-1) ** i * comb(j, i)) if j else coeff
+                        c = coeff * _raw((-1) ** i * comb(j, i), 0, 0, 0, 1) if j else coeff
                         acc[mono] = acc[mono] + c if mono in acc else c
                 hit = Scalar(acc)
             _REMAINDER[(self, pairs)] = hit

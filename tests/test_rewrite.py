@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,13 +275,37 @@ def test_a_term_in_shape_is_collected_without_a_walk(monkeypatch):
 def test_traced_collection_runs_on_the_callers_fuel():
     """The collector of a traced normalize runs on the fuel the reduction
     left, so it stops where the untraced evaluation does, naming the budget
-    the caller gave, and a traced call that fits reports only its law steps."""
+    the caller gave, and a traced call that fits reports its law steps plus
+    the collector's."""
     t = parse("kron_n(6, |0> + |1>) + I(64) * |1,1,1,1,1,1>")
     for trace in (None, RewriteTrace()):
         with pytest.raises(FuelExhausted, match=r"\(budget 10\)"):
             Rewriter(fuel=10, trace=trace).normalize(t)
-    rw = Rewriter(fuel=200, trace=RewriteTrace())
-    assert rw.normalize(t) == nf_of(t) and rw.steps == 1
+    trace = RewriteTrace()
+    rw = Rewriter(fuel=200, trace=trace)
+    assert rw.normalize(t) == nf_of(t) and len(trace.steps) == 1
+    collector = Rewriter()
+    collector.normalize(replay(t, trace))
+    assert rw.steps == 1 + collector.steps == 132
+
+
+def test_traced_steps_count_the_collectors_work():
+    """A traced normalize counts the steps its collector takes, whether it
+    fits its fuel or runs out: a sum the laws leave as it is takes the
+    untraced evaluation's steps, and runs out of fuel at the same count."""
+    t = parse("kron_n(6, |0> + |1>) + kron_n(6, |0> - |1>)")
+    untraced, trace = Rewriter(), RewriteTrace()
+    traced = Rewriter(trace=trace)
+    assert traced.normalize(t) == untraced.normalize(t)
+    assert not trace.steps and traced.steps == untraced.steps == 165
+    for fuel, spent in ((1, 0), (10, 2), (100, 69)):  # budget 1 refuses before any charge
+        counts = []
+        for trace in (None, RewriteTrace()):
+            rw = Rewriter(fuel=fuel, trace=trace)
+            with pytest.raises(FuelExhausted, match=rf"\(budget {fuel}\)"):
+                rw.normalize(t)
+            counts.append(rw.steps)
+        assert counts == [spent, spent], (fuel, counts)
 
 
 def test_every_law_fires():
@@ -320,14 +345,16 @@ def test_every_law_fires():
 
 def test_traced_steps_are_pinned():
     """A scaling or tensor product above every product is left for
-    unified_base to collect, so the two last cases take only the steps that
-    push the daggers."""
-    for text, steps in [("H * X * H", 43), ("H * H * H * H * |0>", 7),
-                        ("(H # I(2)) * CX * (H # H) * |0,1>", 9), ("(Y # H # H)^", 5),
-                        ("1/2*sqrt2*e(u) .* ((Y # H # H)^)", 5)]:
-        rw = Rewriter(trace=RewriteTrace())
+    unified_base to collect, so the two last cases take only the law steps
+    that push the daggers; the count adds the collector's steps."""
+    for text, laws, steps in [("H * X * H", 43, 63), ("H * H * H * H * |0>", 7, 7),
+                              ("(H # I(2)) * CX * (H # H) * |0,1>", 9, 9),
+                              ("(Y # H # H)^", 5, 37),
+                              ("1/2*sqrt2*e(u) .* ((Y # H # H)^)", 5, 69)]:
+        trace = RewriteTrace()
+        rw = Rewriter(trace=trace)
         rw.normalize(parse(text))
-        assert rw.steps == steps, text
+        assert (len(trace.steps), rw.steps) == (laws, steps), text
 
 
 def test_traced_steps_track_the_answer():
@@ -382,7 +409,7 @@ def test_misaligned_operator_products_take_short_derivations():
         nf = rw.normalize(t)
         assert nf == nf_of(t), text
         assert unified_base(replay(t, trace)) == nf, text
-        assert rw.steps <= 250, (text, rw.steps)
+        assert len(trace.steps) <= 250, (text, len(trace.steps))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -619,6 +646,79 @@ def test_product_state_render_compares_scalars(monkeypatch):
         assert render_nf(nf) == " # ".join(["|+>"] * n + ["|->"])
         assert calls["reciprocal"] == 0
         assert calls["__mul__"] <= n + 1, (n, calls)
+
+
+def _product_state_by_scan(summands, side):
+    """_product_state as it was written first, the reference: a position is
+    spread when any key's bit there differs from the first key's."""
+    if not summands:
+        return None
+    s0, key = summands[0]
+    first = key[side]
+    if len(first) == 1:
+        s1 = summands[-1][0]
+        return [str(first[0])] if len(summands) == 1 else \
+            ["+"] if s1 == s0 else ["-"] if s1 == -s0 else None
+    spread = [i for i in range(len(first)) if any(kj[side][i] != first[i] for _, kj in summands)]
+    k = len(spread)
+    if len(summands) != 1 << k:
+        return None
+    tokens = [str(b) for b in first]
+    neg = -s0
+    minus_mask = 0
+    for m, i in enumerate(spread):
+        bit = 1 << (k - 1 - m)
+        s = summands[bit][0]
+        if s == s0:
+            tokens[i] = "+"
+        elif s == neg:
+            tokens[i] = "-"
+            minus_mask |= bit
+        else:
+            return None
+    for j, (s, _) in enumerate(summands):
+        if s != (neg if (j & minus_mask).bit_count() & 1 else s0):
+            return None
+    return tokens
+
+
+def test_product_state_matches_the_scan_of_every_key():
+    """_product_state reads the spread off the first and last keys and checks
+    the other positions in one pass; on seeded random blocks, product states
+    and blocks one key, one bit or one amplitude away from one, it gives
+    what scanning every key at every position gives."""
+    rng = random.Random(33)
+    amplitudes = (Scalar.one(), Scalar.inv_sqrt2(), Scalar.var("a"), Scalar.i())
+    found = 0
+    for _ in range(3000):
+        width, side = rng.randint(1, 6), rng.randrange(2)
+        spread = sorted(rng.sample(range(width), rng.randint(0, width)))
+        base = [rng.randrange(2) for _ in range(width)]
+        s0 = rng.choice(amplitudes)
+        minus = {i for i in spread if rng.random() < 0.4}
+        block = {}
+        for combo in product((0, 1), repeat=len(spread)):
+            bits = list(base)
+            for i, b in zip(spread, combo):
+                bits[i] = b
+            odd = sum(bits[i] for i in minus) & 1
+            block[tuple(bits)] = -s0 if odd else s0
+        keys = sorted(block)
+        change = rng.randrange(5)
+        if change == 1 and len(keys) > 1:  # a key dropped
+            del block[rng.choice(keys)]
+        elif change == 2:  # a key moved, or added, elsewhere
+            bits = tuple(rng.randrange(2) for _ in range(width))
+            if rng.random() < 0.5 and len(keys) > 2:
+                del block[keys[rng.randrange(1, len(keys) - 1)]]
+            block[bits] = s0
+        elif change == 3:  # an amplitude changed
+            block[rng.choice(keys)] = rng.choice(amplitudes)
+        summands = [(c, (bits, ()) if side == 0 else ((), bits)) for bits, c in sorted(block.items())]
+        want = _product_state_by_scan(summands, side)
+        assert rewrite_module._product_state(summands, side) == want, summands
+        found += want is not None
+    assert 0 < found < 3000, found
 
 
 def test_normalize_operator_identities():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,4 +286,119 @@ def test_constants_are_known_and_evaluated_once(monkeypatch):
     assert Scalar.zero().evaluate() == 0
     assert Scalar.rational(2 ** 1100).constant
     monkeypatch.setattr(Coefficient, "__init__", None)  # no Coefficient is built
+    monkeypatch.setattr("qdirac.scalar._raw", None)
     assert Scalar.rational(1234, 7919) is Scalar.rational(1234, 7919)
+
+
+# --- the integer-backed coefficient against a Fraction reference -------------
+
+_REF_SQRT2 = 2.0 ** 0.5
+
+
+def _ref(c: Coefficient) -> tuple:
+    """c as the four Fractions (ar, ai, br, bi) of ar + ai*i + (br + bi*i)*sqrt2."""
+    return tuple(Fraction(n, c.d) for n in (c.ar, c.ai, c.br, c.bi))
+
+
+def _ref_mul(x, y):
+    a1r, a1i, b1r, b1i = x
+    a2r, a2i, b2r, b2i = y
+    return (a1r * a2r - a1i * a2i + 2 * (b1r * b2r - b1i * b2i),
+            a1r * a2i + a1i * a2r + 2 * (b1r * b2i + b1i * b2r),
+            a1r * b2r - a1i * b2i + b1r * a2r - b1i * a2i,
+            a1r * b2i + a1i * b2r + b1r * a2i + b1i * a2r)
+
+
+def _ref_inverse(x):
+    ar, ai, br, bi = x
+    dr, di, _, _ = _ref_mul((ar, ai, 0, 0), (ar, ai, 0, 0))
+    er, ei, _, _ = _ref_mul((br, bi, 0, 0), (br, bi, 0, 0))
+    dr, di = dr - 2 * er, di - 2 * ei
+    n = dr * dr + di * di
+    return _ref_mul((ar, ai, -br, -bi), (dr / n, -di / n, 0, 0))
+
+
+def _ref_frac_str(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _ref_str(x) -> str:
+    def unit(q, name):
+        return name if q == 1 else f"-{name}" if q == -1 else f"{_ref_frac_str(q)}*{name}"
+    ar, ai, br, bi = x
+    parts = [_ref_frac_str(ar)] if ar else []
+    parts += [unit(q, name) for q, name in ((ai, "i"), (br, "sqrt2"), (bi, "sqrt2*i")) if q]
+    return " + ".join(parts) or "0"
+
+
+_denominators = st.one_of(st.integers(min_value=1, max_value=12),
+                          st.sampled_from((7919, 2 ** 61 - 1, 3 ** 40, 10 ** 30)),
+                          st.integers(min_value=1, max_value=10 ** 40))
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-10 ** 40, max_value=10 ** 40), _denominators),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)))
+_quadruples = st.tuples(_rationals, _rationals, _rationals, _rationals)
+
+
+def _assert_canonical(c: Coefficient):
+    fields = (c.ar, c.ai, c.br, c.bi, c.d)
+    assert all(type(n) is int for n in fields), fields
+    assert c.d > 0 and gcd(*fields) == 1, fields
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_quadruples, _quadruples, st.integers(min_value=1, max_value=10 ** 6))
+def test_property_integer_coefficients_agree_with_fractions(qx, qy, k):
+    """The four integer numerators over one denominator give, operation by
+    operation, the value the four-Fraction form gives; equal values have
+    equal fields and hashes however they were reached, and the text and
+    float value are those of the Fraction formulas."""
+    x, y = Coefficient(*qx), Coefficient(*qy)
+    assert _ref(x) == qx and _ref(y) == qy
+    results = [(x + y, tuple(a + b for a, b in zip(qx, qy))),
+               (x * y, _ref_mul(qx, qy)),
+               (-x, tuple(-a for a in qx)),
+               (x.conj(), (qx[0], -qx[1], qx[2], -qx[3]))]
+    if any(qx):
+        results.append((x.inverse(), _ref_inverse(qx)))
+    for c, want in results:
+        _assert_canonical(c)
+        assert _ref(c) == want, (c, want)
+    # one value reached several ways is one set of fields and one hash
+    pairs = [(Coefficient(*(f"{q.numerator * k}/{q.denominator * k}" for q in qx)), x),
+             ((x + y) + -y, x), (y * x, x * y), (x.conj().conj(), x)]
+    if any(qy):
+        pairs.append(((x * y) * y.inverse(), x))
+    for one, other in pairs:
+        assert one == other and hash(one) == hash(other), (one, other)
+        assert (one.ar, one.ai, one.br, one.bi, one.d) == \
+            (other.ar, other.ai, other.br, other.bi, other.d)
+    for c, q in ((x, qx), (x * y, _ref_mul(qx, qy))):
+        assert str(c) == _ref_str(q)
+        assert repr(c) == f"Coefficient({q[0]}, {q[1]}, {q[2]}, {q[3]})"
+        assert c.evaluate() == complex(float(q[0]) + _REF_SQRT2 * float(q[2]),
+                                       float(q[1]) + _REF_SQRT2 * float(q[3]))
+
+
+def test_coefficient_arithmetic_builds_no_fraction(monkeypatch):
+    """Coefficient fields are ints, and its ring operations, evaluation and
+    text, a new rational literal and a norm remainder create no Fraction."""
+    x = Coefficient("3/5", "-4/7", "1/2", "2/9")
+    y = Coefficient(Fraction(1, 3), 0, -1, Fraction(5, 11))
+    one = Coefficient(1)
+    _assert_canonical(x)
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
+    for c in (x + y, x * y, -x, x.conj(), x.inverse(), x * x.inverse()):
+        _assert_canonical(c)
+        str(c), repr(c), c.evaluate(), hash(c)
+    assert x * x.inverse() == one
+    assert Scalar.rational(104729, -7907) == -Scalar.rational(104729, 7907)
+    a, b = Scalar.var("nofrac_a"), Scalar.var("nofrac_b")
+    norm = a * a.conj() + b * b.conj()
+    assert (norm * norm).apply_norm_hypothesis((("nofrac_a", "nofrac_b"),)) is Scalar.one()
