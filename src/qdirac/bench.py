@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import build_defs, parse_corpus
 from .errors import UnknownCase
@@ -32,8 +32,7 @@ def corpus_dir() -> Path:
 CASES = sorted(path.stem for path in corpus_dir().glob("*.qd"))
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     case: str
     ms_symbolic: float
     ms_dense: float | None
@@ -45,8 +44,7 @@ class BenchRow:
         return f"{self.ms_dense:.1f}"
 
 
-@dataclass
-class CaseData:
+class CaseData(NamedTuple):
     kind: str
     lhs: Term
     rhs: Term

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .bench import CASES, bench_case, render_table
 from .corpus import NESTED_TOO_DEEPLY, RunConfig, run_file
 from .errors import QDiracError
 from .oracle import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL
@@ -16,6 +16,20 @@ from .rewrite import RewriteTrace, Rewriter, render_nf
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+def tolerance(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(text)
+    return x
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -33,8 +47,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run assertion files")
     p_check.add_argument("files", nargs="+", help="corpus .qd files")
-    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_check.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p_check.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
+    p_check.add_argument("--samples", type=positive_int, default=DEFAULT_SAMPLES)
     p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_check.add_argument("--oracle", choices=("on", "off"), default="on",
                          help="cross-check symbolic verdicts numerically")
@@ -44,8 +58,8 @@ def _build_argparser() -> argparse.ArgumentParser:
                               "(off by default to keep reports byte-reproducible)")
 
     p_bench = sub.add_parser("bench", help="time symbolic vs dense evaluation")
-    p_bench.add_argument("cases", nargs="+", help=f"case names: {', '.join(CASES)}")
-    p_bench.add_argument("--repeat", type=int, default=5)
+    p_bench.add_argument("cases", nargs="+", help="case names: stems of corpus/*.qd files")
+    p_bench.add_argument("--repeat", type=positive_int, default=5)
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--json", action="store_true")
     return ap
@@ -108,6 +122,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import bench_case, render_table  # globs the corpus; only this command needs it
+
     rows = [bench_case(name, repeat=args.repeat, seed=args.seed) for name in args.cases]
     if args.json:
         doc = [

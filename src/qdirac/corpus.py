@@ -18,7 +18,7 @@ pair only, once, so that the remainder is unique.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import FuelExhausted, ParseError, QDiracError, show_dim
 from .normal_form import NormalForm
@@ -37,8 +37,7 @@ KINDS = ("EQ", "MATEQ", "OBS", "MIXEQ")
 NESTED_TOO_DEEPLY = "input nested too deeply (Python recursion limit)"
 
 
-@dataclass
-class Assertion:
+class Assertion(NamedTuple):
     name: str
     kind: str
     lhs: str
@@ -47,8 +46,7 @@ class Assertion:
     line: int
 
 
-@dataclass
-class CorpusFile:
+class CorpusFile(NamedTuple):
     defs: list[tuple[str, str]]          # (name, source), in file order
     assertions: list[Assertion]
 
@@ -111,24 +109,27 @@ def build_defs(defs: list[tuple[str, str]]) -> dict[str, Term]:
     return env
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     tol: float = DEFAULT_TOL
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     oracle: bool = True
 
 
-@dataclass
 class AssertionResult:
-    name: str
-    kind: str
-    verdict: str                      # pass | fail | error
-    ms_symbolic: float = 0.0
-    ms_oracle: float = 0.0
-    steps: int = 0
-    witness: str = ""
-    oracle_note: str = ""
+    __slots__ = ("name", "kind", "verdict", "ms_symbolic", "ms_oracle", "steps", "witness",
+                 "oracle_note")
+
+    def __init__(self, name: str, kind: str, verdict: str, ms_symbolic: float = 0.0,
+                 ms_oracle: float = 0.0, steps: int = 0, witness: str = "",
+                 oracle_note: str = ""):
+        self.name, self.kind = name, kind
+        self.verdict = verdict            # pass | fail | error
+        self.ms_symbolic, self.ms_oracle, self.steps = ms_symbolic, ms_oracle, steps
+        self.witness, self.oracle_note = witness, oracle_note
+
+    def __repr__(self):  # what a failed test prints for a result
+        return f"AssertionResult({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     def as_json_dict(self, timings: bool) -> dict:
         out = {
@@ -147,10 +148,12 @@ class AssertionResult:
         return out
 
 
-@dataclass
 class RunReport:
-    path: str
-    results: list[AssertionResult] = field(default_factory=list)
+    __slots__ = ("path", "results")
+
+    def __init__(self, path: str, results: list[AssertionResult] | None = None):
+        self.path = path
+        self.results = [] if results is None else results
 
     @property
     def passed(self) -> bool:
@@ -301,8 +304,14 @@ def run_assertion(a: Assertion, defs: dict[str, Term], cfg: RunConfig) -> Assert
 
 def run_file(path: str, cfg: RunConfig | None = None) -> RunReport:
     cfg = cfg or RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        corpus = parse_corpus(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # a ValueError; the CLI reports it as bad input
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
+                         exc.object.count(b"\n", 0, exc.start) + 1,
+                         exc.start - exc.object.rfind(b"\n", 0, exc.start)) from None
+    corpus = parse_corpus(text)
     defs = build_defs(corpus.defs)
     report = RunReport(path)
     for a in corpus.assertions:

@@ -4,7 +4,6 @@ reads one through its methods."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 from math import prod
@@ -21,7 +20,6 @@ _ONE = Scalar.one()
 Block = tuple[tuple[Scalar, tuple[tuple[int, ...], tuple[int, ...]]], ...]
 
 
-@dataclass(frozen=True)
 class NormalForm:
     """Canonical sum of scalar-weighted basis matrices |rbits><cbits|, kept
     as a tensor product of blocks: sorted tuples of summands (scalar,
@@ -34,8 +32,16 @@ class NormalForm:
     exactly when their matrices are.  `summands` is the flat sum in key
     order, the row-major order of the entries, built on first use."""
 
-    dims: tuple[int, int]
-    blocks: tuple[Block, ...]
+    def __init__(self, dims: tuple[int, int], blocks: tuple[Block, ...]):
+        self.dims, self.blocks = dims, blocks
+
+    def __eq__(self, other):
+        if other.__class__ is not NormalForm:
+            return NotImplemented
+        return self.dims == other.dims and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.dims, self.blocks))
 
     @cached_property
     def summands(self) -> Block:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from operator import sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimMismatch
 from .term import (
@@ -141,8 +140,7 @@ class DenseMatrix:
         return divmod(idx, self.cols)
 
 
-@dataclass
-class SampleEnv:
+class SampleEnv(NamedTuple):
     """One random binding of every free atom; conjugate atoms pair up."""
 
     bindings: dict[str, complex]
@@ -405,8 +403,7 @@ def mat_equiv(a: Term | Sequence[Term], b: Term | Sequence[Term],
     return True
 
 
-@dataclass(frozen=True)
-class ObsResult:
+class ObsResult(NamedTuple):
     equivalent: bool
     phase: complex | None = None
     witness: tuple[int, int, complex, complex] | None = None

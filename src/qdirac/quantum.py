@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import DimMismatch, NonInvertibleScalar, NotAnOperator, NotAVector, show_dim
@@ -56,7 +55,6 @@ def _leaf_state(op: Term) -> Pure | None:
     return None
 
 
-@dataclass(frozen=True)
 class MixedState:
     """Ordered ensemble of (probability, operator) branches.
 
@@ -68,20 +66,21 @@ class MixedState:
     and None for any other branch: the symbolic comparison normalizes its
     written operator, whose earlier stages the shared Rewriter has memoized."""
 
-    branches: tuple[tuple[Scalar, Term], ...]
-    nfs: tuple[Pure | None, ...] = ()
+    __slots__ = ("branches", "nfs")
 
-    def __post_init__(self):
-        dims = {op.dims for _, op in self.branches}
+    def __init__(self, branches: tuple[tuple[Scalar, Term], ...],
+                 nfs: tuple[Pure | None, ...] = ()):
+        dims = {op.dims for _, op in branches}
         if len(dims) > 1:
             raise DimMismatch(dims.pop(), dims.pop(), "mixed-state branches")
-        for _, op in self.branches:
+        for _, op in branches:
             if op.rows != op.cols:
                 raise NotAnOperator(f"branch operator has dims {show_dim(op.dims)}")
-        if not self.nfs:
-            object.__setattr__(self, "nfs", tuple(_leaf_state(op) for _, op in self.branches))
-        elif len(self.nfs) != len(self.branches):
+        if not nfs:
+            nfs = tuple(_leaf_state(op) for _, op in branches)
+        elif len(nfs) != len(branches):
             raise ValueError("one normal form per branch")
+        self.branches, self.nfs = branches, nfs
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -79,7 +79,6 @@ sparse evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import prod
@@ -103,12 +102,17 @@ _NO_BITS = ((), ())  # the key of a 1x1 map
 # --- rewrite trace -----------------------------------------------------
 
 
-@dataclass(slots=True)
 class RewriteStep:
-    law: str
-    path: bytes               # child indices from the root, each 0 or 1
-    before: Term
-    after: Term
+    __slots__ = ("law", "path", "before", "after")
+
+    def __init__(self, law: str, path: bytes, before: Term, after: Term):
+        self.law = law
+        self.path = path      # child indices from the root, each 0 or 1
+        self.before = before
+        self.after = after
+
+
+_PATH_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class RewriteTrace:
@@ -124,7 +128,7 @@ class RewriteTrace:
 
     def as_lines(self) -> list[str]:
         memo: dict = {}
-        return [f"{s.law} @ {'.'.join(map(str, s.path)) or 'root'}: "
+        return [f"{s.law} @ {'.'.join(s.path.translate(_PATH_DIGITS).decode()) or 'root'}: "
                 f"{render_with(s.before, memo)}  ->  {render_with(s.after, memo)}"
                 for s in self.steps]
 

@@ -10,7 +10,6 @@ factors e^{i*u} over a free abelian group of angle names.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Mapping
 
@@ -32,14 +31,20 @@ class Coefficient:
     """An element (ar + ai*i + (br + bi*i)*sqrt2) / d of Q(i)[sqrt2]: four
     integer numerators over one positive denominator, in lowest terms, so
     equal coefficients have equal fields.  The constructor takes any four
-    rationals (ints, Fractions, strings such as "1/2")."""
+    rationals: ints are stored as they are, over d = 1; any other argument
+    (a Fraction, a string such as "1/2") is parsed by fractions.Fraction,
+    which is imported only then."""
 
     __slots__ = ("ar", "ai", "br", "bi", "d", "_hash")
 
     def __init__(self, ar=0, ai=0, br=0, bi=0):
-        qs = [Fraction(q) for q in (ar, ai, br, bi)]
-        d = lcm(*(q.denominator for q in qs))  # in lowest terms, as each q is
-        self.ar, self.ai, self.br, self.bi = (q.numerator * (d // q.denominator) for q in qs)
+        qs, d = (ar, ai, br, bi), 1
+        if not all(type(q) is int for q in qs):
+            from fractions import Fraction
+            fs = [Fraction(q) for q in qs]
+            d = lcm(*(f.denominator for f in fs))  # in lowest terms, as each f is
+            qs = [f.numerator * (d // f.denominator) for f in fs]
+        self.ar, self.ai, self.br, self.bi = qs
         self.d = d
         self._hash = None
 
@@ -152,7 +157,7 @@ def _unit_str(n: int, d: int, unit: str) -> str:
 C_ONE = Coefficient(1)
 C_I = Coefficient(0, 1)
 C_SQRT2 = Coefficient(0, 0, 1)
-C_INV_SQRT2 = Coefficient(0, 0, Fraction(1, 2))
+C_INV_SQRT2 = _raw(0, 0, 1, 0, 2)
 
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:

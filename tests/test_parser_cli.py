@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -535,7 +538,52 @@ def test_cli_bench_json_and_table(capsys):
 
 def test_cli_bench_unknown_case(capsys):
     assert main(["bench", "no_such_case"]) == EXIT_INPUT
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "known: bell, circuit_identities," in err
+
+
+def test_a_cold_check_loads_only_what_it_runs():
+    """A fresh interpreter that imports the CLI, and then checks a file,
+    has loaded neither the bench module nor dataclasses, fractions or
+    inspect, which the engine does not run."""
+    unwanted = ("dataclasses", "fractions", "inspect", "qdirac.bench")
+    code = (f"import sys; unwanted = {unwanted!r}; import qdirac.cli; "
+            "print([m for m in unwanted if m in sys.modules]); "
+            "qdirac.cli.main(['check', 'corpus/bell.qd']); "
+            "print([m for m in unwanted if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_DIR / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_DIR, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]", proc.stdout
+    assert "4 passed, 0 failed, 0 errors" in proc.stdout
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "latin1.qd"
+    p.write_bytes(b"ok: EQ |0> == |0>\n# caf\xff\n")
+    assert main(["check", str(p)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {p}: not UTF-8 text") and "(line 2, column 6)" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "corpus/bell.qd", "--samples", "0"],
+    ["check", "corpus/bell.qd", "--tol", "nan"],
+    ["check", "corpus/bell.qd", "--tol=-1e-9"],
+    ["check", "corpus/bell.qd", "--tol", "inf"],
+    ["bench", "bell", "--repeat", "0"],
+])
+def test_option_values_out_of_range_are_refused(argv, capsys):
+    """As argparse refuses a value that is not a number: exit 2, no work done."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {argv[2].partition('=')[0]}: invalid" in err, err
 
 
 # Token soup over the grammar's alphabet: kets, operators, call names, atoms

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qdirac.errors import NonInvertibleScalar, UnboundAtom
 from qdirac.oracle import SampleEnv
 from qdirac.parser import parse_scalar
-from qdirac.scalar import CONJ, FREE, Coefficient, Scalar
+from qdirac.scalar import C_INV_SQRT2, C_ONE, CONJ, FREE, Coefficient, Scalar
 
 from conftest import rand_scalar
 
@@ -402,3 +402,19 @@ def test_coefficient_arithmetic_builds_no_fraction(monkeypatch):
     a, b = Scalar.var("nofrac_a"), Scalar.var("nofrac_b")
     norm = a * a.conj() + b * b.conj()
     assert (norm * norm).apply_norm_hypothesis((("nofrac_a", "nofrac_b"),)) is Scalar.one()
+
+
+def test_coefficients_from_fractions_strings_and_ints_agree():
+    """Ints are stored as given, over d = 1; Fractions and strings are
+    parsed and brought over one denominator.  Equal values give equal int
+    fields and hashes whichever way they were written."""
+    ways = [Coefficient(3, -2, 0, 4), Coefficient("3", "-2", "0", "4"),
+            Coefficient(Fraction(6, 2), Fraction(-2), 0, Fraction(8, 2))]
+    ways_half = [C_INV_SQRT2, Coefficient(0, 0, "1/2"), Coefficient(0, 0, Fraction(2, 4)),
+                 Coefficient(0, "0", Fraction(1, 2), 0)]
+    for group in (ways, ways_half, [Coefficient(True), Coefficient(1), C_ONE]):
+        fields = {(c.ar, c.ai, c.br, c.bi, c.d) for c in group}
+        assert len(fields) == 1 and len({hash(c) for c in group}) == 1, fields
+        assert all(type(x) is int for c in group for x in (c.ar, c.ai, c.br, c.bi, c.d))
+        assert len({repr(c) for c in group}) == len({str(c) for c in group}) == 1
+    assert (C_INV_SQRT2.ar, C_INV_SQRT2.br, C_INV_SQRT2.d) == (0, 1, 2)
