@@ -37,26 +37,33 @@ collector reads: above every product only the laws that drop an operand
 (L3, L9, L10) fire, so the sums, scalings and tensor products there are
 left for the collector, which multiplies them out by exact arithmetic,
 rather than expanded law by law.
-An operand of a product is reduced to a fixpoint of the whole law set.
-That reduction tries a node's laws before its children's and retries the
-node after they change, except that a product chain reduces from its
-vector ends, and Lsum runs once per sum, at its top, after its summands.  A
-ket takes the gates on its left and a bra the gates on its right, one at a
-time; a chain with a ket inside is an outer product, regrouped (L2) into
-its ket part times its bra part, each reduced from its vector end; a 1x1
-chain keeps the ket-first order.  A product of operators takes its right
-operand as its vector end: that operand is reduced, and distributed (L11),
-before the left one, so each of its summands, c .* (|r1><c1| # ...), meets
-the left operand's gates through L13 or as (left * |r>) * <c|, and the left
-operand is never multiplied out on its own.  Beside an operand reduced to
-zero, the other operand of a product or tensor product is left for L7 or
-L10 to drop, unreduced.  Each Rewriter remembers the fixpoints it
-has reached, so a repeated irreducible subterm costs a lookup.  On gate
-chains, applied to kets, bras or neither, and on U * k * k^ * U^ the steps
-grow with the gates times the size of the answer; on H^n * H^n, whose L13
-result is a tensor product of n products H * H, and on the Deutsch-Jozsa
-oracle Uf(n) applied to |+>^n # |-> or its bra, whose CX wings meet
-two-qubit table states, they grow linearly in n.
+An operand of a product is reduced to a fixpoint of the law set, with L12
+confined: an operator tensor product of sums that is a product's operand
+or result stays factored, for the next aligned layer to meet whole through
+L13.  L12 distributes a ket's or bra's tensor product, an operator one met
+as a summand of a sum, scaled or not, where Lsum can merge what it writes
+out, and, on demand, the widest sum factor of a product's operand, the
+right one first, where L13 cannot align the product.  The reduction tries a node's laws
+before its children's and retries the node after they change, except that
+a product chain reduces from its vector ends, and Lsum runs once per sum,
+at its top, after its summands, and on a product's left operand before L11
+distributes the product.  A ket takes the gates on its left and a bra the
+gates on its right, one at a time; a chain with a ket inside is an outer
+product, regrouped (L2) into its ket part times its bra part, each reduced
+from its vector end; a 1x1 chain keeps the ket-first order.  A product of
+operators takes its right operand as its vector end: that operand is
+reduced, and distributed (L11), before the left one, so each of its
+summands meets the left operand's gates through L13 or as (left * |r>) *
+<c|, and the left operand is never multiplied out on its own.  Beside an
+operand reduced to zero, the other operand of a product or tensor product
+is left for L7 or L10 to drop, unreduced.  Each Rewriter remembers the
+fixpoints it has reached, so a repeated irreducible subterm costs a
+lookup.  On gate chains, applied to kets, bras or neither, and on U * k *
+k^ * U^ the steps grow with the gates times the size of the answer; on
+H^n * H^n, whose L13 result is a tensor product of n products H * H, on
+H^n * Z^n * H^n, whose inner product stays a tensor product of n sums, and
+on the Deutsch-Jozsa oracle Uf(n) applied to |+>^n # |-> or its bra, whose
+CX wings meet two-qubit table states, they grow linearly in n.
 
 When no trace is requested the same normal form is computed directly over
 the sparse representation, which skips the intermediate term churn: each
@@ -268,12 +275,25 @@ def _try_mult_kron(a: Term, b: Term) -> Optional[Term]:
     return kron_all([mul(kron_all(l), kron_all(r)) for l, r in segments])
 
 
-def _collect_like(t: Term):
+def _distribute_kron(factors: list[Term], widest: bool = False) -> Optional[Term]:
+    """L12 on the tensor product of factors: its first sum that is no table
+    state, or with `widest` the first of the most entries, which likeliest
+    straddles a cut of a product's other operand, distributed; or None."""
+    sums = [i for i, f in enumerate(factors) if f.kind == ADD and f not in _PROTECTED]
+    if not sums:
+        return None
+    i = max(sums, key=lambda i: factors[i].rows * factors[i].cols) if widest else sums[0]
+    head, (s1, s2), tail = factors[:i], factors[i].children, factors[i + 1:]
+    return add(kron_all(head + [s1] + tail), kron_all(head + [s2] + tail))
+
+
+def _collect_like(t: Term, keep=()):
     """Lsum: the sum t with the like summands c1 .* x, c2 .* x, ... of each
     body x merged into (c1 + c2 + ...) .* x at its first occurrence, and
-    dropped if the scalars cancel; None if no body occurs twice.  Bodies are
-    interned, so one pass keyed by them finds the like summands."""
-    parts = operands(t)
+    dropped if the scalars cancel; None if no body occurs twice.  A sum in
+    `keep` is one summand, not read as its own.  Bodies are interned, so
+    one pass keyed by them finds the like summands."""
+    parts = operands(t, keep)
     groups: dict[Term, list[Term]] = {}  # body -> its summands, first seen first
     for p in parts:
         groups.setdefault(p.children[0] if p.kind == SCALE else p, []).append(p)
@@ -360,8 +380,8 @@ class Rewriter:
         self._sparse_memo: dict[Term, tuple[dict, ...]] = dict(blocks)
         self._folded: dict[Term, dict] = dict(folded)  # term -> its blocks folded into one map
         self._columns: dict[Term, dict] = dict(columns)  # layer factor -> its map by column bits
-        self._irreducible: set[Term] = set()  # fixpoints of reduce
-        self._irreducible_in_sum: set[Term] = set()  # inner ADD nodes: all laws but Lsum
+        self._irreducible: set[Term] = set()  # fixpoints of reduce, met alone
+        self._irreducible_in_sum: set[Term] = set()  # fixpoints of reduce, met as a summand
 
     # -- bookkeeping
     def _log(self, law: str, path, before: Term, after: Term):
@@ -372,7 +392,12 @@ class Rewriter:
             self.trace.append(law, path, before, after)
 
     # -- the law set, tried at the root of a node
-    def _rewrite_root(self, t: Term):
+    def _rewrite_root(self, t: Term, in_sum: bool):
+        """The first law that fires at t's root, as (law, result), or None.
+        L12 fires on a ket's or bra's tensor product, and on an operator's
+        only in_sum, as a summand of a sum or a scaled summand's body, so that
+        a product's L13 meets it whole (reduce splits one on demand where L13
+        cannot align)."""
         kind = t.kind
         if kind == MUL:
             a, b = t.children
@@ -435,10 +460,10 @@ class Rewriter:
                 return "L8", a
             if a.kind == IDENT and b.kind == IDENT:
                 return "L8", identity(a.payload * b.payload)
-            if a.kind == ADD and a not in _PROTECTED:
-                return "L12", add(kron(a.children[0], b), kron(a.children[1], b))
-            if b.kind == ADD and b not in _PROTECTED:
-                return "L12", add(kron(a, b.children[0]), kron(a, b.children[1]))
+            if (a.kind == ADD or b.kind == ADD) and (in_sum or t.rows == 1 or t.cols == 1):
+                new = _distribute_kron([a, b])
+                if new is not None:
+                    return "L12", new
         return None
 
     def _reduce_open(self, t: Term) -> Term:
@@ -511,18 +536,27 @@ class Rewriter:
         operand first when it is a MUL, as a ket does, and otherwise once no
         law fires at the root, so that L13 meets a KRON whole, and then tries
         the root again before it reduces the left operand; L11 distributes
-        over the right operand's sum before the left's.  Each summand of the
-        right operand is then c .* (|r1><c1| # ...), which L13 aligns with
-        the left operand's gates or _regroup cuts into (left * |r>) * <c|, so
-        the left gates meet kets through the tables, never multiplied out on
-        their own.  Once one operand of a product or tensor product reduces
-        to zero, the other is left unreduced for L7 or L10 to drop.  Lsum
-        runs at the top of an ADD spine once its summands are reduced,
-        never at the spine's inner ADD nodes (_in_sum).  Fixpoints are
-        remembered, an inner node's apart, since Lsum may still fire on it
-        at a top; a remembered one is returned at once and logs no step, as
-        reducing it again would log none."""
-        if t in self._irreducible or (_in_sum and t in self._irreducible_in_sum):
+        over the right operand's sum before the left's, once Lsum has merged
+        the left operand's like summands.  Each summand of the right operand
+        is then a scaled tensor product, which L13 aligns with the left
+        operand's gates, or an outer product, which _regroup cuts into (left
+        * |r>) * <c|, so the left gates meet kets through the tables, never
+        multiplied out on their own.  An operator tensor product of sums is
+        distributed (L12) only as a summand of a sum (_in_sum), or the body
+        of a scaled summand, which Lsum reads as the summand, or on demand
+        where no law fires at a product with reduced operands: L12 then
+        splits the widest sum factor of the right operand, else of the left,
+        logged at that operand's path.  Once one operand of a product or
+        tensor product reduces to zero, the other is left unreduced for L7
+        or L10 to drop.  Lsum runs at the top of an ADD spine once its
+        summands are reduced, never at the spine's inner ADD nodes.
+        Fixpoints are remembered per context, so reduce(t) is a function of
+        t and _in_sum; each is one in the other context too, but for an
+        inner sum, on which Lsum may fire at a top, and an operator tensor
+        product, or a scaling of one, on which L12 may fire as a summand.  A
+        remembered one is returned at once and logs no step, as reducing it
+        again would log none."""
+        if t in (self._irreducible_in_sum if _in_sum else self._irreducible):
             return t
         while True:
             if t.kind == MUL:
@@ -541,7 +575,16 @@ class Rewriter:
                     rb = self.reduce(b, _path + (1,))
                     if rb is not b:
                         t = mul(t.children[0], rb)
-            r = self._rewrite_root(t)
+            r = self._rewrite_root(t, _in_sum)
+            if r is not None and r[0] == "L11":
+                a = t.children[0]
+                # a table term, or a fixpoint, which Lsum has run on, has no like summands
+                if a.kind == ADD and a not in _TABLE_TERMS and a not in self._irreducible:
+                    merged = _collect_like(a, _TABLE_TERMS)
+                    if merged is not None:  # the left sum meets the right operand merged
+                        self._log("Lsum", _path + (0,), a, merged[1])
+                        t = mul(merged[1], t.children[1])
+                        continue
             if r is None:
                 if not t.children:
                     break
@@ -551,17 +594,30 @@ class Rewriter:
                         t = mul(t.children[0], rb)
                         continue
                 is_sum = t.kind == ADD
+                summand = is_sum or (_in_sum and t.kind == SCALE)  # Lsum reads c .* x as x
                 changed = False
                 new_children = []
                 for i, c in enumerate(t.children):
                     if i and not is_sum and new_children[0].kind == ZERO:
                         rc = c  # L7 or L10 drops it with its zero sibling
                     else:
-                        rc = self.reduce(c, _path + (i,), is_sum)
+                        rc = self.reduce(c, _path + (i,), summand)
                     new_children.append(rc)
                     changed = changed or rc is not c
                 if changed:
                     t = _rebuild(t, new_children)
+                    continue
+                if t.kind == MUL:  # L13 cannot align it: L12 on demand, the right operand first
+                    for i in (1, 0):
+                        x = t.children[i]
+                        if x.kind == KRON:
+                            new = _distribute_kron(operands(x), widest=True)
+                            if new is not None:
+                                break
+                    else:
+                        break
+                    self._log("L12", _path + (i,), x, new)
+                    t = _rebuild(t, (new, t.children[1]) if i == 0 else (t.children[0], new))
                     continue
                 if not is_sum or _in_sum:
                     break
@@ -573,9 +629,16 @@ class Rewriter:
             if _open:
                 return new
             t = new
-        if _in_sum and t.kind == ADD:
+        if _in_sum:
             self._irreducible_in_sum.add(t)
-            return t
+            if t.kind == ADD:
+                return t  # Lsum may still fire on it at a top
+        else:
+            body = t.children[0] if t.kind == SCALE else t
+            if body.kind == KRON and body.rows > 1 and body.cols > 1:
+                self._irreducible.add(t)
+                return t  # L12 may still fire on it as a summand
+            self._irreducible_in_sum.add(t)
         # a reduced spine has no like summands, so neither have its suffixes
         spine = t
         while spine.kind == ADD:
@@ -1047,6 +1110,8 @@ _KET_STATES = {"0": ket0(), "1": ket1(), "+": _PLUS, "-": _MINUS}
 _BRA_STATES = {"0": dag(ket0()), "1": dag(ket1()), "+": _BRA_PLUS, "-": _BRA_MINUS}
 _TABLE_GATES = {gate(name): "G_db" for name in ("X", "Y", "Z", "H", "CX", "CZ", "XC", "SWAP")}
 _TABLE_GATES.update({gate(name): "B_db" for name in ("B0", "B1", "B2", "B3")})
+# the sums a table meets whole, which Lsum at a product's left operand keeps
+_TABLE_TERMS = frozenset(_TABLE_GATES) | frozenset(_PROTECTED)
 # D_db: the dagger of a table state or gate as a table bra, ket or gate, so
 # that U^ in U * k * k^ * U^ meets the bra tables; every table gate but B1
 # and B2 is self-adjoint

@@ -398,10 +398,11 @@ def test_traced_steps_track_the_answer():
 
 def test_misaligned_operator_products_take_short_derivations():
     """An operator product whose operands' tensor factors do not line up has
-    its right operand, its vector end, distributed into basis matrices
-    first; each meets the left operand's gates, which are never multiplied
-    out on their own.  These took 1329, 1133 and 668 steps when both
-    operands were multiplied out and every summand paired with every one."""
+    the sum factors of its right operand, its vector end, distributed on
+    demand, the widest first, until each summand meets the left operand's
+    gates through L13; those are never multiplied out on their own.  These
+    took 1329, 1133 and 668 steps when both operands were multiplied out
+    and every summand paired with every one."""
     for text in ("(CZ # H) * (Y # SWAP)", "(CX # H) * (X # SWAP)", "(B0 # CX) * (SWAP # H)^"):
         t = parse(text)
         trace = RewriteTrace()
@@ -410,6 +411,66 @@ def test_misaligned_operator_products_take_short_derivations():
         assert nf == nf_of(t), text
         assert unified_base(replay(t, trace)) == nf, text
         assert len(trace.steps) <= 250, (text, len(trace.steps))
+
+
+def test_operator_tensor_products_stay_factored():
+    """An operator tensor product of sums that a product yields is left
+    factored, so the next aligned layer meets it whole through L13: H^n *
+    Z^n * H^n takes steps linear in n, where distributing each tensor
+    product took 157102 steps at n = 6.  Each case runs on fuel just above
+    its bound, so a blow-up stops at once.  The untraced evaluator
+    multiplies this chain as 2^n x 2^n maps (16 s at n = 8), so it is
+    compared up to n = 6, and kron_n(n, X) at every n.  A misaligned
+    product has one sum factor distributed at a time, on demand."""
+    h, z = gate("H"), gate("Z")
+    for n in range(2, 13):
+        t = mul(kron_n(n, h), mul(kron_n(n, z), kron_n(n, h)))
+        bound = 50 * n + 100
+        trace = RewriteTrace()
+        rw = Rewriter(fuel=bound + 1, trace=trace)
+        reduced = rw._reduce_open(rw.push_daggers(t))
+        assert rw.steps <= bound, (n, rw.steps)
+        nf = unified_base(reduced)
+        assert nf == nf_of(kron_n(n, gate("X"))), n
+        assert n > 6 or nf == nf_of(t), n
+        assert replay(t, trace) is reduced, n
+    t = parse("(B0 # CX) * (SWAP # H)^")
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t)
+    assert unified_base(replay(t, trace)) == nf
+    assert len(trace.steps) <= 100, len(trace.steps)
+
+
+def test_a_tensor_product_reduces_alike_in_a_fresh_and_a_warm_rewriter():
+    """An operator tensor product of sums is distributed as a summand, or as
+    a scaled summand's body, and left factored alone; each context's
+    fixpoints are remembered apart, so meeting it as a summand and alone,
+    in either order, gives what a fresh Rewriter gives."""
+    x = kron(gate("X"), gate("Z"))
+    scaled = scale(Scalar.i(), x)
+    summand = add(x, kron(gate("H"), gate("B0")))
+    warm = Rewriter(trace=RewriteTrace())
+    for term, in_sum in ((x, True), (summand, False), (x, False), (x, True),
+                         (scaled, False), (scaled, True), (add(scaled, x), False)):
+        fresh = Rewriter(trace=RewriteTrace())
+        reduced = fresh.reduce(term, (), in_sum)
+        assert warm.reduce(term, (), in_sum) is reduced, (render(term), in_sum)
+    assert Rewriter(trace=RewriteTrace()).reduce(x) is x
+    assert Rewriter(trace=RewriteTrace()).reduce(x, (), True).kind == ADD
+
+
+def test_a_left_sum_is_merged_before_it_is_distributed():
+    """Before L11 distributes a product, Lsum merges its left operand's like
+    summands, logged at that operand's path, so B0 + B0 meets X once as
+    2 .* B0; it took 14 steps when each copy met every summand of X."""
+    t = parse("(b + a^*) .* ((B0 + B0) * X)")
+    trace = RewriteTrace()
+    nf = Rewriter(trace=trace).normalize(t)
+    assert nf == nf_of(t)
+    assert unified_base(replay(t, trace)) == nf
+    assert (trace.steps[0].law, trace.steps[0].path) == ("Lsum", b"\x00\x00")  # at 0.0
+    assert len(trace.steps) <= 5, len(trace.steps)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
